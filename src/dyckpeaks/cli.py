@@ -20,7 +20,7 @@ from io import StringIO
 from typing import Literal
 
 from .cfrac import rv_cfrac, weight_spec_from_json
-from .gfcount import GfQuery, stat_gf
+from .gfcount import stat_gf
 from .paths import (
     DEFAULT_ENUM_GUARD,
     StatKind,
@@ -106,8 +106,8 @@ def _profile_lines(label: str, path) -> list[str]:
 
 
 def _cmd_series(args) -> int:
-    query = GfQuery(_KINDS[args.stat], args.k, args.r, args.order)
-    print(_format_series(query.evaluate(), args.format))
+    series = stat_gf(_KINDS[args.stat], args.k, args.r, args.order)
+    print(_format_series(series, args.format))
     return 0
 
 

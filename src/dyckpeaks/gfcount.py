@@ -9,7 +9,6 @@ programming oracles in :mod:`dyckpeaks.paths`; the test suite and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -29,49 +28,63 @@ def _one_minus_x2c2(order: int) -> Series:
     return 1 - (c * c).shift(2)
 
 
-def valley_gf(k: int, r: int, order: int) -> Series:
-    """Series counting paths with exactly r valleys at height k.
+def _geometric(first: Series, step: Series, r_max: int) -> list[Series]:
+    """The slices first * step^r for r = 0..r_max, one multiplication each."""
+    slices = [first]
+    for _ in range(r_max):
+        slices.append(slices[-1] * step)
+    return slices
 
-    The closed form is delta(r=0)*R_{k+1} plus
-    x^r * C^{r+1} * x^{k+1}/q_{k+1}^2 / (1 - x*(R_{k+1}-1)*C)^{r+1},
-    where R and q come from the bounded-height layer.
+
+def stat_family(kind: StatKind, k: int, order: int, r_max: int) -> tuple[Series, ...]:
+    """Series counting paths with exactly r occurrences at height k, for
+    every r = 0..r_max at once; entry r is the r-th slice.
+
+    Every family is geometric in r. Valleys at height k give
+    delta(r=0)*R_{k+1} + C*D*U * (x*C*D)^r, with U = x^{k+1}/q_{k+1}^2,
+    D = 1/(1 - x*(R_{k+1}-1)*C), and R and q from the bounded-height layer.
+    Peaks at height 1 give P * (x*P)^r with P = 1/(1 - x^2*C^2): a path with
+    exactly r peaks at height 1 is r bare up-down arches interleaved with
+    r + 1 possibly empty peak-at-1-free blocks, each counted by P. Peaks at
+    height k >= 2 are the valley family at height k - 2 (see
+    :func:`dyckpeaks.paths.psi` for the certifying involution). Height 0 is
+    degenerate: no path has a peak there, so only the r = 0 slice is nonzero.
     """
-    if k < 0 or r < 0:
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if k < 0 or r_max < 0:
         raise ValueError("k and r must be >= 0")
+    if kind is StatKind.PEAK:
+        if k == 0:
+            return (catalan_series(order),) + (Series.zero(order),) * r_max
+        if k == 1:
+            blocks = _one_minus_x2c2(order).reciprocal()
+            return tuple(_geometric(blocks, blocks.shift(1), r_max))
+        return stat_family(StatKind.VALLEY, k - 2, order, r_max)
     c = catalan_series(order)
     ratio = r_series(k + 1, order)
-    denom_inv = _band_denominator(ratio, c).reciprocal()
-    main = c.power(r + 1).shift(r) * u_inv_sq_series(k + 1, order) * denom_inv.power(r + 1)
-    if r == 0:
-        return ratio + main
-    return main
-
-
-def peak_gf(k: int, r: int, order: int) -> Series:
-    """Series counting paths with exactly r peaks at height k.
-
-    Height 0 is degenerate (no path has a peak there), so r = 0 gives the
-    full path-counting series and r >= 1 gives zero. Height 1 uses the
-    closed form x^r / (1 - x^2*C^2)^{r+1}: a path with exactly r peaks at
-    height 1 is r bare up-down arches interleaved with r + 1 possibly empty
-    peak-at-1-free blocks, and 1/(1 - x^2*C^2) counts those blocks. For
-    k >= 2 the count equals the valley count at height k - 2 (see
-    :func:`dyckpeaks.paths.psi` for the certifying involution).
-    """
-    if k < 0 or r < 0:
-        raise ValueError("k and r must be >= 0")
-    if k == 0:
-        return catalan_series(order) if r == 0 else Series.zero(order)
-    if k == 1:
-        return _one_minus_x2c2(order).reciprocal().power(r + 1).shift(r)
-    return valley_gf(k - 2, r, order)
+    cd = c * _band_denominator(ratio, c).reciprocal()
+    slices = _geometric(cd * u_inv_sq_series(k + 1, order), cd.shift(1), r_max)
+    slices[0] = ratio + slices[0]
+    return tuple(slices)
 
 
 def stat_gf(kind: StatKind, k: int, r: int, order: int) -> Series:
-    """Dispatch to :func:`peak_gf` or :func:`valley_gf`."""
-    if kind is StatKind.PEAK:
-        return peak_gf(k, r, order)
-    return valley_gf(k, r, order)
+    """Series counting paths with exactly r occurrences at height k: slice r
+    of :func:`stat_family`."""
+    # Slice r is divisible by x^r, so every slice past the order is zero.
+    top = min(r, order + 1)
+    return stat_family(kind, k, order, top)[top]
+
+
+def valley_gf(k: int, r: int, order: int) -> Series:
+    """Series counting paths with exactly r valleys at height k."""
+    return stat_gf(StatKind.VALLEY, k, r, order)
+
+
+def peak_gf(k: int, r: int, order: int) -> Series:
+    """Series counting paths with exactly r peaks at height k."""
+    return stat_gf(StatKind.PEAK, k, r, order)
 
 
 def peak1_nonempty_blocks_gf(r: int, order: int) -> Series:
@@ -164,22 +177,3 @@ def peak_k0_via_remark(k: int, order: int) -> Series:
     c = catalan_series(order)
     ratio = r_series(k - 1, order)
     return ratio + c * u_inv_sq_series(k - 1, order) * _band_denominator(ratio, c).reciprocal()
-
-
-@dataclass(frozen=True)
-class GfQuery:
-    """A (statistic, height, occurrence count, truncation order) request."""
-
-    kind: StatKind
-    k: int
-    r: int
-    order: int
-
-    def __post_init__(self) -> None:
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
-        if self.k < 0 or self.r < 0:
-            raise ValueError("k and r must be >= 0")
-
-    def evaluate(self) -> Series:
-        return stat_gf(self.kind, self.k, self.r, self.order)

@@ -47,6 +47,7 @@ class PathError(ValueError):
 
     def __init__(self, message: str, index: int):
         super().__init__(f"{message} (index {index})")
+        self.reason = message
         self.index = index
 
 
@@ -58,24 +59,19 @@ class DyckPath:
 
     def __post_init__(self) -> None:
         height = 0
+        # The last up-step to leave the axis is the first one never matched
+        # when the path ends above the axis.
+        last_rise = 0
         for i, s in enumerate(self.steps):
             if s not in (UP, DOWN):
                 raise PathError(f"step must be +1 or -1, got {s!r}", i)
+            if height == 0:
+                last_rise = i
             height += s
             if height < 0:
                 raise PathError("path dips below the axis", i)
         if height != 0:
-            first_unmatched = self._first_unmatched_up()
-            raise PathError(f"path ends at height {height}, not 0", first_unmatched)
-
-    def _first_unmatched_up(self) -> int:
-        stack: list[int] = []
-        for i, s in enumerate(self.steps):
-            if s == UP:
-                stack.append(i)
-            elif stack:
-                stack.pop()
-        return stack[0] if stack else len(self.steps)
+            raise PathError(f"path ends at height {height}, not 0", last_rise)
 
     @property
     def semilength(self) -> int:
@@ -114,19 +110,10 @@ def parse_path(text: str) -> DyckPath:
             raise PathError(f"unexpected character {ch!r}", i)
         steps.append(step)
         positions.append(i)
-    height = 0
-    stack: list[int] = []
-    for j, s in enumerate(steps):
-        height += s
-        if height < 0:
-            raise PathError("path dips below the axis", positions[j])
-        if s == UP:
-            stack.append(positions[j])
-        else:
-            stack.pop()
-    if height != 0:
-        raise PathError(f"path ends at height {height}, not 0", stack[0])
-    return DyckPath(tuple(steps))
+    try:
+        return DyckPath(tuple(steps))
+    except PathError as exc:
+        raise PathError(exc.reason, positions[exc.index]) from None
 
 
 @dataclass(frozen=True)
@@ -405,15 +392,14 @@ def build_table(
                     for r in range(n + 1):
                         table.entries[(n, k, r, kind)] = dist[r]
     elif method == "gf":
-        from .gfcount import stat_gf
+        from .gfcount import stat_family
 
         for k in range(k_max + 1):
             for kind in StatKind:
-                for r in range(n_max + 1):
-                    coeffs = stat_gf(kind, k, r, n_max).as_integer_sequence()
-                    for n in range(n_max + 1):
-                        if r <= n:
-                            table.entries[(n, k, r, kind)] = coeffs[n]
+                for r, series in enumerate(stat_family(kind, k, n_max, n_max)):
+                    coeffs = series.as_integer_sequence()
+                    for n in range(r, n_max + 1):
+                        table.entries[(n, k, r, kind)] = coeffs[n]
     else:
         raise ValueError(f"unknown method {method!r}")
     return table

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 from .cfrac import catalan_cfrac, lemma_iterated_cfrac, lemma_rhs, peak_bivar_cfrac, rv_cfrac, WeightSpec
 from .gfcount import (
-    peak_gf,
     peak1_nonempty_blocks_gf,
+    stat_family,
     valley0_binomial_literal,
     valley0_closed_count,
 )
@@ -82,33 +82,16 @@ def _check_three_way(report: VerifyReport, tables: dict, n_max: int, k_max: int)
         )
 
     report.section("sum rule: occurrence counts partition all paths")
-    catalan = catalan_series(n_max).coeffs
-    bad = None
     for method in ("enum", "dp", "gf"):
-        table = tables[method]
-        for n in range(n_max + 1):
-            for k in range(k_max + 1):
-                for kind in (StatKind.PEAK, StatKind.VALLEY):
-                    total = sum(table.get(n, k, r, kind) for r in range(n + 1))
-                    if total != catalan[n]:
-                        bad = (method, n, k, kind, total, catalan[n])
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
+        try:
+            tables[method].check_sum_rule()
+        except AssertionError as exc:
+            report.fail(f"method {method}: {exc}")
             break
-    if bad is None:
+    else:
         report.ok(
             f"sum over r equals the total path count for every (n <= {n_max}, "
             f"k <= {k_max}, kind), all three methods"
-        )
-    else:
-        method, n, k, kind, total, expected = bad
-        report.fail(
-            f"method {method} at (n={n}, k={k}, kind={kind.value}): "
-            f"sum over r is {total}, expected {expected}"
         )
 
 
@@ -159,11 +142,8 @@ def _check_cfrac(report: VerifyReport, order: int, r_max: int) -> None:
     catalan = catalan_series(order)
     for k in range(1, 5):
         marked = peak_bivar_cfrac(k, order, order)
-        bad_r = None
-        for r in range(r_max + 1):
-            if marked.z_slice(r) != peak_gf(k, r, order):
-                bad_r = r
-                break
+        family = stat_family(StatKind.PEAK, k, order, r_max)
+        bad_r = next((r for r in range(r_max + 1) if marked.z_slice(r) != family[r]), None)
         if bad_r is None:
             report.ok(f"k={k}: z^r slices equal the peak series for r <= {r_max} at order {order}")
         else:
@@ -178,8 +158,9 @@ def _check_peak1_printed(report: VerifyReport, n_max: int, r_max: int, enum_tabl
     report.section("discrepancy check: height-1 peak series, printed vs implemented")
     report.note("implemented: x^r / (1 - x^2*C^2)^(r+1)   (blocks between arches may be empty)")
     report.note("printed:     d(r=0) + x^(3r+2)*C^(2r+2) / (1 - x^2*C^2)^(r+1)   (blocks forced nonempty)")
-    for r in range(min(r_max, 3) + 1):
-        implemented = peak_gf(1, r, n_max).as_integer_sequence()
+    family = stat_family(StatKind.PEAK, 1, n_max, min(r_max, 3))
+    for r, series in enumerate(family):
+        implemented = series.as_integer_sequence()
         printed = peak1_nonempty_blocks_gf(r, n_max).as_integer_sequence()
         oracle = [enum_table.get(n, 1, r, StatKind.PEAK) for n in range(n_max + 1)]
         if implemented != oracle:
@@ -230,13 +211,14 @@ def _check_mark_convention(report: VerifyReport, order: int, r_max: int) -> None
     raw_mark = BivarSeries.monomial(1, 0, 1, r_max, order)
     tail = BivarSeries.from_series(catalan_series(order), r_max)
     raw = rv_cfrac(WeightSpec((x,) * k, (raw_mark,), k, tail), order, r_max)
-    shifts_ok = all(raw.z_slice(r).shift(r) == peak_gf(k, r, order) for r in range(r_max + 1))
+    family = stat_family(StatKind.PEAK, k, order, r_max)
+    shifts_ok = all(raw.z_slice(r).shift(r) == family[r] for r in range(r_max + 1))
     if not shifts_ok:
         report.fail("raw-mark slices do not reduce to the peak series after the x^r shift")
         return
     report.ok(f"x^r * (raw z^r slice) equals the peak series for r <= {r_max} at height {k}")
     first_diff = next(
-        (r for r in range(r_max + 1) if raw.z_slice(r) != peak_gf(k, r, order)), None
+        (r for r in range(r_max + 1) if raw.z_slice(r) != family[r]), None
     )
     if first_diff is not None:
         report.warn(

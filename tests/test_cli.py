@@ -50,6 +50,27 @@ def test_count_methods_agree(capsys, method):
     assert out.strip() == "57"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("series", "--stat", "peak", "--k", "-1", "--r", "0"), "error: k and r must be >= 0"),
+        (("series", "--stat", "valley", "--k", "1", "--r", "-1"), "error: k and r must be >= 0"),
+        (("series", "--stat", "peak", "--k", "1", "--r", "0", "--order", "-2"), "error: order must be >= 0"),
+        (("count", "--stat", "valley", "--k", "-1", "--r", "0", "--n", "4", "--method", "gf"),
+         "error: k and r must be >= 0"),
+        (("count", "--stat", "peak", "--k", "1", "--r", "-1", "--n", "4", "--method", "gf"),
+         "error: k and r must be >= 0"),
+        (("count", "--stat", "peak", "--k", "1", "--r", "0", "--n", "-1", "--method", "gf"),
+         "error: order must be >= 0"),
+    ],
+)
+def test_gf_input_errors_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.strip() == message
+
+
 def test_count_empty_path(capsys):
     code, out, _ = run(
         capsys, "count", "--stat", "valley", "--k", "0", "--r", "0", "--n", "0",

@@ -4,19 +4,20 @@ from fractions import Fraction
 
 import pytest
 
+from dyckpeaks.cfrac import peak_bivar_cfrac
 from dyckpeaks.gfcount import (
-    GfQuery,
     catalan_power_coefficient,
     no_valley_band_gf,
     peak_gf,
     peak_k0_via_remark,
     peak1_nonempty_blocks_gf,
+    stat_family,
     stat_gf,
     valley_gf,
     valley0_binomial_literal,
     valley0_closed_count,
 )
-from dyckpeaks.paths import StatKind, enumerate_paths, statistics
+from dyckpeaks.paths import StatKind, build_table, count_exact_dp, enumerate_paths, statistics
 from dyckpeaks.series import Series, catalan_series
 
 
@@ -263,9 +264,54 @@ def test_series_are_integral():
 
 
 def test_gf_query():
-    q = GfQuery(StatKind.PEAK, 1, 0, 6)
-    assert list(q.evaluate().coeffs) == [1, 0, 1, 2, 6, 18, 57]
+    assert list(stat_gf(StatKind.PEAK, 1, 0, 6).coeffs) == [1, 0, 1, 2, 6, 18, 57]
     with pytest.raises(ValueError):
-        GfQuery(StatKind.PEAK, -1, 0, 6)
+        stat_gf(StatKind.PEAK, -1, 0, 6)
     with pytest.raises(ValueError):
-        GfQuery(StatKind.PEAK, 1, 0, -2)
+        stat_gf(StatKind.PEAK, 1, 0, -2)
+
+
+# -- whole families ---------------------------------------------------------------
+
+
+def test_stat_family_validates():
+    with pytest.raises(ValueError, match="k and r"):
+        stat_family(StatKind.VALLEY, 1, 5, -1)
+    with pytest.raises(ValueError, match="k and r"):
+        stat_family(StatKind.PEAK, -1, 5, 2)
+    with pytest.raises(ValueError, match="order"):
+        stat_family(StatKind.PEAK, 1, -1, 2)
+
+
+@pytest.mark.parametrize("kind", list(StatKind))
+@pytest.mark.parametrize("k", range(7))
+def test_stat_family_sums_to_catalan(kind, k):
+    # the sum rule at z = 1, as one series identity
+    family = stat_family(kind, k, 40, 40)
+    assert len(family) == 41
+    assert sum(family, Series.zero(40)) == catalan_series(40)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_peak_family_equals_marked_fraction(k):
+    family = stat_family(StatKind.PEAK, k, 30, 30)
+    marked = peak_bivar_cfrac(k, 30, 30)
+    assert family == tuple(marked.z_slice(r) for r in range(31))
+
+
+def test_stat_gf_past_the_order_is_zero():
+    for kind in StatKind:
+        for k in range(3):
+            assert stat_gf(kind, k, 9, 5) == Series.zero(5)
+            assert stat_gf(kind, k, 10**9, 5) == Series.zero(5)
+
+
+def test_gf_table_equals_dp_table():
+    assert build_table(30, 5, "gf").entries == build_table(30, 5, "dp").entries
+
+
+@pytest.mark.parametrize(
+    "kind, k, r", [(StatKind.PEAK, 3, 2), (StatKind.VALLEY, 4, 1), (StatKind.PEAK, 1, 4)]
+)
+def test_gf_equals_dp_at_n_200(kind, k, r):
+    assert stat_gf(kind, k, r, 200).coefficient(200) == count_exact_dp(200, k, r, kind)
