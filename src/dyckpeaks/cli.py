@@ -26,7 +26,7 @@ from .paths import (
     StatKind,
     build_table,
     count_exact_dp,
-    enumerate_paths,
+    count_exact_enum,
     parse_path,
     psi,
     statistics,
@@ -114,11 +114,7 @@ def _cmd_series(args) -> int:
 def _cmd_count(args) -> int:
     kind = _KINDS[args.stat]
     if args.method == "enum":
-        count = sum(
-            1
-            for p in enumerate_paths(args.n, guard=args.enum_guard)
-            if statistics(p).count(kind, args.k) == args.r
-        )
+        count = count_exact_enum(args.n, args.k, args.r, kind, guard=args.enum_guard)
     elif args.method == "dp":
         count = count_exact_dp(args.n, args.k, args.r, kind)
     else:

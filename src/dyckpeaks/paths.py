@@ -23,6 +23,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from io import StringIO
+from itertools import accumulate
 from typing import Iterator, Literal
 
 from .series import catalan_series
@@ -58,11 +59,17 @@ class DyckPath:
     steps: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        steps = tuple(self.steps)
+        # Accept at C speed (unit steps, as many ups as downs, no prefix
+        # below the axis); the walk below runs only to locate a rejection.
+        ups = steps.count(UP)
+        if 2 * ups == len(steps) == ups + steps.count(DOWN) and min(accumulate(steps), default=0) >= 0:
+            return
         height = 0
         # The last up-step to leave the axis is the first one never matched
         # when the path ends above the axis.
         last_rise = 0
-        for i, s in enumerate(self.steps):
+        for i, s in enumerate(steps):
             if s not in (UP, DOWN):
                 raise PathError(f"step must be +1 or -1, got {s!r}", i)
             if height == 0:
@@ -133,20 +140,35 @@ def statistics(path: DyckPath) -> StatProfile:
     """Scan a path once and tally its peaks and valleys by height."""
     peaks: dict[int, int] = {}
     valleys: dict[int, int] = {}
-    steps = path.steps
     h = 0
     max_h = 0
-    for j in range(len(steps)):
-        h += steps[j]
-        if h > max_h:
-            max_h = h
-        if j + 1 == len(steps):
-            break
-        if steps[j] == UP and steps[j + 1] == DOWN:
-            peaks[h] = peaks.get(h, 0) + 1
-        elif steps[j] == DOWN and steps[j + 1] == UP:
-            valleys[h] = valleys.get(h, 0) + 1
+    prev = UP  # a valid path starts with an up-step, so its start is no corner
+    for s in path.steps:
+        if s != prev:
+            # the point between ``prev`` and ``s`` is a corner at height h
+            if s == DOWN:
+                peaks[h] = peaks.get(h, 0) + 1
+                if h > max_h:  # the highest point is a peak
+                    max_h = h
+            else:
+                valleys[h] = valleys.get(h, 0) + 1
+            prev = s
+        h += s
     return StatProfile(peaks, valleys, max_h)
+
+
+def _check_guard(n: int, guard: int) -> None:
+    """Refuse an exhaustive enumeration above the guard."""
+    if n > guard:
+        raise ValueError(
+            f"semilength {n} exceeds the enumeration guard {guard}; "
+            f"pass guard={n} to override deliberately"
+        )
+
+
+def _check_count_args(n: int, k: int, r: int) -> None:
+    if n < 0 or k < 0 or r < 0:
+        raise ValueError("n, k, r must be >= 0")
 
 
 def enumerate_paths(n: int, *, guard: int = DEFAULT_ENUM_GUARD) -> Iterator[DyckPath]:
@@ -157,11 +179,7 @@ def enumerate_paths(n: int, *, guard: int = DEFAULT_ENUM_GUARD) -> Iterator[Dyck
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > guard:
-        raise ValueError(
-            f"semilength {n} exceeds the enumeration guard {guard}; "
-            f"pass guard={n} to override deliberately"
-        )
+    _check_guard(n, guard)
     steps: list[int] = []
 
     def rec(height: int, ups_left: int, downs_left: int) -> Iterator[DyckPath]:
@@ -178,6 +196,57 @@ def enumerate_paths(n: int, *, guard: int = DEFAULT_ENUM_GUARD) -> Iterator[Dyck
             steps.pop()
 
     yield from rec(0, n, n)
+
+
+def _enum_profiles(n: int, k_max: int) -> Iterator[tuple[list[int], int]]:
+    """Semilength-n paths counted by their peak and valley tallies.
+
+    A depth-first search over up/down steps that builds no path objects.
+    Yields (tally, ways) once per distinct tally: ``tally[h]`` is the number
+    of peaks at height h and ``tally[k_max + 1 + h]`` the number of valleys
+    at height h, for h <= k_max; ``ways`` is how many paths share it. The
+    search is the enumeration oracle, so it shares no code with the dynamic
+    program or the series layer. Callers apply the enumeration guard.
+    """
+    size = 2 * (k_max + 1)
+    # Along the prefix the tally is one integer with a base-(n + 1) digit
+    # per entry (no height holds more than n corners), so a leaf costs one
+    # dict update and backtracking undoes nothing.
+    base = n + 1
+    peak = [base**h for h in range(k_max + 1)]
+    valley = [base ** (k_max + 1 + h) for h in range(k_max + 1)]
+    codes: dict[int, int] = {}
+
+    # ``ups`` of the n up-steps are left at height h, so h + ups downs remain.
+    # ``last_up`` starts true so the first step is no valley.
+    def rec(h: int, ups: int, last_up: bool, code: int) -> None:
+        if ups == 0:
+            # only downs remain: the sole corner left is a peak here
+            if last_up and 0 < h <= k_max:
+                code += peak[h]
+            codes[code] = codes.get(code, 0) + 1
+            return
+        rec(h + 1, ups - 1, True, code if last_up or h > k_max else code + valley[h])
+        if h:
+            rec(h - 1, ups, False, code + peak[h] if last_up and h <= k_max else code)
+
+    rec(0, n, True, 0)
+    for code, ways in codes.items():
+        tally = []
+        for _ in range(size):
+            code, digit = divmod(code, base)
+            tally.append(digit)
+        yield tally, ways
+
+
+def count_exact_enum(n: int, k: int, r: int, kind: StatKind, *, guard: int = DEFAULT_ENUM_GUARD) -> int:
+    """Number of semilength-n paths with exactly r occurrences at height k,
+    by exhaustive enumeration (refused above ``guard``, like
+    :func:`enumerate_paths`)."""
+    _check_count_args(n, k, r)
+    _check_guard(n, guard)
+    index = k if kind is StatKind.PEAK else 2 * k + 1
+    return sum(ways for tally, ways in _enum_profiles(n, k) if tally[index] == r)
 
 
 def _dp_distribution(n: int, k: int, kind: StatKind, cap: int) -> list[int]:
@@ -228,8 +297,7 @@ def count_exact_dp(n: int, k: int, r: int, kind: StatKind) -> int:
     (an overflow bucket), so the cost does not grow with n beyond the state
     space.
     """
-    if n < 0 or k < 0 or r < 0:
-        raise ValueError("n, k, r must be >= 0")
+    _check_count_args(n, k, r)
     if r > n:
         return 0
     return _dp_distribution(n, k, kind, r + 1)[r]
@@ -261,32 +329,35 @@ def psi(path: DyckPath, k: int) -> DyckPath:
     """Height-swap involution: peaks at height k trade places with valleys
     at height k - 2.
 
-    All positions are classified on the input path first, then rewritten in
-    one pass: every peak apex at height k drops by 2 and every valley bottom
-    at height k - 2 rises by 2. Requires k >= 2 so a lowered apex stays on or
+    Each corner is classified on the input path in one walk that tracks
+    the height: every peak apex at height k drops by 2 and every valley
+    bottom at height k - 2 rises by 2, which turns the step into it over and
+    the step out of it back. Requires k >= 2 so a lowered apex stays on or
     above the axis.
     """
     if k < 2:
         raise ValueError("psi requires k >= 2")
     steps = path.steps
-    heights = path.heights()
-    delta = [0] * len(heights)
-    for j in range(1, len(heights) - 1):
-        is_peak = steps[j - 1] == UP and steps[j] == DOWN and heights[j] == k
-        is_valley = steps[j - 1] == DOWN and steps[j] == UP and heights[j] == k - 2
-        if is_peak and is_valley:
-            raise RuntimeError(f"point {j} classified as both peak and valley")
-        if is_peak:
-            delta[j] = -2
-        elif is_valley:
-            delta[j] = 2
-    new_heights = [h + d for h, d in zip(heights, delta)]
-    new_steps = []
-    for j in range(len(steps)):
-        diff = new_heights[j + 1] - new_heights[j]
-        if diff not in (UP, DOWN):
-            raise RuntimeError(f"rewrite produced a non-unit step at {j}")
-        new_steps.append(diff)
+    new_steps = list(steps)
+    h = 0
+    prev = UP  # a valid path starts with an up-step, so its start is no corner
+    for j, s in enumerate(steps):
+        if s != prev:
+            is_peak = prev == UP and h == k
+            is_valley = prev == DOWN and h == k - 2
+            if is_peak and is_valley:
+                raise RuntimeError(f"point {j} classified as both peak and valley")
+            if is_peak:
+                new_steps[j - 1] -= 2
+                new_steps[j] += 2
+            elif is_valley:
+                new_steps[j - 1] += 2
+                new_steps[j] -= 2
+            prev = s
+        h += s
+    if not {UP, DOWN}.issuperset(new_steps):
+        j = next(j for j, d in enumerate(new_steps) if d not in (UP, DOWN))
+        raise RuntimeError(f"rewrite produced a non-unit step at {j}")
     return DyckPath(tuple(new_steps))
 
 
@@ -377,13 +448,12 @@ def build_table(
                 for kind in StatKind:
                     table.entries[(n, k, r, kind)] = 0
     if method == "enum":
+        _check_guard(n_max, guard)
         for n in range(n_max + 1):
-            for path in enumerate_paths(n, guard=guard):
-                profile = statistics(path)
+            for tally, ways in _enum_profiles(n, k_max):
                 for k in range(k_max + 1):
-                    for kind in StatKind:
-                        r = profile.count(kind, k)
-                        table.entries[(n, k, r, kind)] += 1
+                    table.entries[(n, k, tally[k], StatKind.PEAK)] += ways
+                    table.entries[(n, k, tally[k_max + 1 + k], StatKind.VALLEY)] += ways
     elif method == "dp":
         for n in range(n_max + 1):
             for k in range(k_max + 1):

@@ -98,23 +98,33 @@ def _check_three_way(report: VerifyReport, tables: dict, n_max: int, k_max: int)
 def _check_bijection(report: VerifyReport, n_max: int, guard: int) -> None:
     report.section("height-swap rewrite: involution and statistic exchange")
     n_cap = min(n_max, 10)
+    # One enumeration and one profile per path, every k checked on it. A
+    # sweep per k (k-major) would report the first counterexample of the
+    # smallest failing k, so that is the one kept: once k fails, only heights
+    # below k_end = k are checked further.
+    failure = None
+    k_end = 6
     checked = 0
-    for k in range(2, 6):
-        for n in range(n_cap + 1):
-            for path in enumerate_paths(n, guard=guard):
-                image = psi(path, k)
-                if psi(image, k) != path:
-                    report.fail(f"not an involution at k={k}, path {path}")
-                    return
-                before = statistics(path)
+    for path in (p for n in range(n_cap + 1) for p in enumerate_paths(n, guard=guard)):
+        before = statistics(path)
+        for k in range(2, k_end):
+            image = psi(path, k)
+            if psi(image, k) != path:
+                failure = f"not an involution at k={k}, path {path}"
+            else:
                 after = statistics(image)
                 if (
-                    after.count(StatKind.VALLEY, k - 2) != before.count(StatKind.PEAK, k)
-                    or after.count(StatKind.PEAK, k) != before.count(StatKind.VALLEY, k - 2)
+                    after.count(StatKind.VALLEY, k - 2) == before.count(StatKind.PEAK, k)
+                    and after.count(StatKind.PEAK, k) == before.count(StatKind.VALLEY, k - 2)
                 ):
-                    report.fail(f"statistics not exchanged at k={k}, path {path}")
-                    return
-                checked += 1
+                    checked += 1
+                    continue
+                failure = f"statistics not exchanged at k={k}, path {path}"
+            k_end = k
+            break
+    if failure is not None:
+        report.fail(failure)
+        return
     report.ok(
         f"involution and (peaks at k) <-> (valleys at k-2) exchange hold on "
         f"{checked} (path, k) cases, n <= {n_cap}, k in 2..5"

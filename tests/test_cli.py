@@ -71,6 +71,30 @@ def test_gf_input_errors_exit_1(capsys, argv, message):
     assert err.strip() == message
 
 
+@pytest.mark.parametrize("method", ["enum", "dp"])
+@pytest.mark.parametrize(
+    "n, k, r",
+    [("3", "-1", "0"), ("3", "1", "-1"), ("-1", "1", "0")],
+)
+def test_count_negative_input_exits_1(capsys, method, n, k, r):
+    # the enumeration route once printed 5 for k = -1 and 0 for r = -1
+    code, out, err = run(
+        capsys, "count", "--stat", "peak", "--k", k, "--r", r, "--n", n, "--method", method,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "error: n, k, r must be >= 0"
+
+
+def test_table_enum_guard_exits_1(capsys):
+    code, out, err = run(capsys, "table", "--n-max", "15", "--k-max", "2", "--method", "enum")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == (
+        "error: semilength 15 exceeds the enumeration guard 14; pass guard=15 to override deliberately"
+    )
+
+
 def test_count_empty_path(capsys):
     code, out, _ = run(
         capsys, "count", "--stat", "valley", "--k", "0", "--r", "0", "--n", "0",

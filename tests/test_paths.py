@@ -10,10 +10,12 @@ from dyckpeaks.paths import (
     DyckPath,
     PathError,
     StatKind,
+    StatProfile,
     UP,
     bounded_height_count,
     build_table,
     count_exact_dp,
+    count_exact_enum,
     enumerate_paths,
     parse_path,
     psi,
@@ -25,6 +27,10 @@ from dyckpeaks.paths import (
 CATALAN = [1]
 for _n in range(1, 15):
     CATALAN.append(sum(CATALAN[i] * CATALAN[_n - 1 - i] for i in range(_n)))
+
+
+# Long enough to reach far past the enumeration guard.
+LONG = 200
 
 
 @st.composite
@@ -122,6 +128,25 @@ def test_every_nonempty_path_has_a_peak_and_none_at_height_0(path):
     assert all(count > 0 for count in profile.valleys_by_height.values())
 
 
+def _recount(path):
+    """Peaks, valleys and max height from the height sequence alone."""
+    heights = path.heights()
+    peaks, valleys = {}, {}
+    for j in range(1, len(heights) - 1):
+        if heights[j - 1] < heights[j] > heights[j + 1]:
+            peaks[heights[j]] = peaks.get(heights[j], 0) + 1
+        elif heights[j - 1] > heights[j] < heights[j + 1]:
+            valleys[heights[j]] = valleys.get(heights[j], 0) + 1
+    return peaks, valleys, max(heights)
+
+
+@settings(deadline=None)
+@given(dyck_paths(LONG))
+def test_statistics_equals_a_recount_from_heights(path):
+    profile = statistics(path)
+    assert (profile.peaks_by_height, profile.valleys_by_height, profile.max_height) == _recount(path)
+
+
 # -- enumeration and DP oracles ----------------------------------------------
 
 
@@ -138,6 +163,68 @@ def test_enumeration_guard():
     with pytest.raises(ValueError):
         next(enumerate_paths(4, guard=3))
     assert sum(1 for _ in enumerate_paths(4, guard=4)) == CATALAN[4]
+
+
+def test_enum_table_equals_a_recount_of_explicit_paths():
+    # The recount classifies corners from heights() alone, so it shares no
+    # code with the tallying search or with statistics().
+    n_max, k_max = 9, 6
+    expected = {
+        (n, k, r, kind): 0
+        for n in range(n_max + 1)
+        for k in range(k_max + 1)
+        for r in range(n + 1)
+        for kind in StatKind
+    }
+    for n in range(n_max + 1):
+        for path in enumerate_paths(n):
+            peaks, valleys, _ = _recount(path)
+            for k in range(k_max + 1):
+                expected[(n, k, peaks.get(k, 0), StatKind.PEAK)] += 1
+                expected[(n, k, valleys.get(k, 0), StatKind.VALLEY)] += 1
+    assert build_table(n_max, k_max, "enum").entries == expected
+
+
+def test_enum_table_builds_no_path_objects(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the enumeration oracle built a path object")
+
+    reference = build_table(7, 4, "dp")
+    monkeypatch.setattr(DyckPath, "__post_init__", refuse)
+    monkeypatch.setattr(StatProfile, "__init__", refuse)
+    assert build_table(7, 4, "enum").entries == reference.entries
+    assert count_exact_enum(7, 2, 1, StatKind.VALLEY) == count_exact_dp(7, 2, 1, StatKind.VALLEY)
+
+
+def test_enum_table_guard():
+    with pytest.raises(ValueError) as exc:
+        build_table(15, 2, "enum")
+    assert str(exc.value) == (
+        "semilength 15 exceeds the enumeration guard 14; pass guard=15 to override deliberately"
+    )
+    with pytest.raises(ValueError) as exc:
+        next(enumerate_paths(15))
+    assert str(exc.value) == (
+        "semilength 15 exceeds the enumeration guard 14; pass guard=15 to override deliberately"
+    )
+    assert build_table(4, 2, "enum", guard=4).entries == build_table(4, 2, "dp").entries
+
+
+def test_count_exact_enum_matches_dp():
+    for n in range(8):
+        for k in range(4):
+            for kind in StatKind:
+                for r in range(n + 2):
+                    assert count_exact_enum(n, k, r, kind) == count_exact_dp(n, k, r, kind), (n, k, r, kind)
+
+
+def test_count_exact_enum_validates():
+    for args in ((-1, 1, 0), (3, -1, 0), (3, 1, -1)):
+        with pytest.raises(ValueError, match=r"^n, k, r must be >= 0$"):
+            count_exact_enum(*args, StatKind.PEAK)
+    with pytest.raises(ValueError, match="enumeration guard 3"):
+        count_exact_enum(4, 1, 0, StatKind.PEAK, guard=3)
+    assert count_exact_enum(4, 1, 0, StatKind.PEAK, guard=4) == count_exact_dp(4, 1, 0, StatKind.PEAK)
 
 
 def test_count_exact_dp_examples():
@@ -186,14 +273,22 @@ def test_psi_requires_k_at_least_2():
         psi(parse_path("UD"), 1)
 
 
+def test_psi_rejects_a_non_unit_step():
+    # DyckPath validates on construction, so bypass it to hand psi a bad step
+    bad = object.__new__(DyckPath)
+    object.__setattr__(bad, "steps", (UP, 2, DOWN, DOWN, DOWN))
+    with pytest.raises(RuntimeError, match=r"^rewrite produced a non-unit step at 1$"):
+        psi(bad, 2)
+
+
 @settings(deadline=None)
-@given(dyck_paths(), st.integers(2, 5))
+@given(dyck_paths(LONG), st.integers(2, 5))
 def test_psi_is_an_involution(path, k):
     assert psi(psi(path, k), k) == path
 
 
 @settings(deadline=None)
-@given(dyck_paths(), st.integers(2, 5))
+@given(dyck_paths(LONG), st.integers(2, 5))
 def test_psi_exchanges_the_two_statistics(path, k):
     before = statistics(path)
     after = statistics(psi(path, k))
@@ -250,7 +345,7 @@ def test_theta_roundtrip_and_counting():
 
 
 @settings(deadline=None)
-@given(dyck_paths())
+@given(dyck_paths(LONG))
 def test_theta_inverse_then_forward(path):
     assert theta_forward(theta_inverse(path)) == path
 
