@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .series import Series
+from .series import InvariantError, Series
 
 
 @dataclass(frozen=True)
@@ -120,25 +120,32 @@ def r_series(k: int, order: int) -> Series:
     Coefficient n counts Dyck paths of semilength n whose maximum height is
     at most k - 1. Computed two independent ways, by polynomial division and
     by iterating the step map R -> 1/(1 - x*R) k times from 0; the routes
-    must agree, which guards both the polynomial table and the iteration.
+    must agree (else :class:`InvariantError`), which guards both the
+    polynomial table and the iteration. No path of semilength <= order
+    reaches height order + 1, so any k above order + 1 is computed as
+    order + 1.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
         return Series.zero(order)
+    k = min(k, order + 1)
     by_ratio = q_poly(k - 1).to_series(order) / q_poly(k).to_series(order)
     by_iteration = Series.zero(order)
     for _ in range(k):
         by_iteration = (1 - by_iteration.shift(1)).reciprocal()
     if by_ratio != by_iteration:
-        raise RuntimeError(f"bounded-height series routes disagree at k={k}")
+        raise InvariantError(f"bounded-height series routes disagree at k={k}")
     return by_ratio
 
 
 def u_inv_sq_series(k: int, order: int) -> Series:
-    """Series of x^k / q_k(x)^2 for k >= 1; lowest nonzero exponent is k."""
+    """Series of x^k / q_k(x)^2 for k >= 1; lowest nonzero exponent is k,
+    so the series is zero when k exceeds the order."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k > order:
+        return Series.zero(order)
     qk = q_poly(k).to_series(order)
     return (qk * qk).reciprocal().shift(k)
 

@@ -5,7 +5,8 @@ exact count by any of three methods), ``table`` (a full count table),
 ``bijection`` (apply a path rewrite), ``cfrac`` (evaluate a JSON weight
 spec), and ``verify`` (the full cross-validation report).
 
-Exit codes: 0 success, 1 usage or input error, 2 verification failure.
+Exit codes: 0 success, 1 usage or input error, 2 verification failure (a
+failed ``verify`` report, or an internal check raising ``InvariantError``).
 JSON output renders counts and coefficients as decimal strings so arbitrary
 precision survives any JSON reader.
 """
@@ -32,7 +33,7 @@ from .paths import (
     statistics,
     theta_forward,
 )
-from .series import BivarSeries, Series
+from .series import BivarSeries, InvariantError, Series
 from .verify import run_verify
 
 _KINDS = {"peak": StatKind.PEAK, "valley": StatKind.VALLEY}
@@ -250,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code == 0 else 1
     try:
         return args.func(args)
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,9 +24,10 @@ import json
 from dataclasses import dataclass, field
 from io import StringIO
 from itertools import accumulate
+from operator import add
 from typing import Iterator, Literal
 
-from .series import catalan_series
+from .series import InvariantError, catalan_series
 
 DEFAULT_ENUM_GUARD = 14
 
@@ -254,40 +255,34 @@ def _dp_distribution(n: int, k: int, kind: StatKind, cap: int) -> list[int]:
 
     Returns a list of length cap + 1: index c < cap is the exact count of
     paths with c occurrences at height k, index cap collects "cap or more".
-    State is (height, occurrences-so-far capped, last step direction).
+    The state after each step is one height-indexed list per (occurrences
+    so far, capped; last step direction), trimmed to the heights from which
+    the path can still return to the axis.
     """
-    if n == 0:
-        out = [0] * (cap + 1)
-        out[0] = 1
-        return out
     peak = kind is StatKind.PEAK
-    # last-step axis: 0 = start of path, 1 = up, 2 = down
-    states: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
+    buckets = range(cap + 1)
+    # ``up[c][h]``: prefixes ending at height h by an up-step with c
+    # occurrences; the empty prefix counts as one, since no corner can
+    # follow it. ``down`` likewise for prefixes ending by a down-step.
+    up = [[0] for _ in buckets]
+    up[0][0] = 1
+    down = [[0] for _ in buckets]
     total_steps = 2 * n
     for pos in range(total_steps):
-        nxt: dict[tuple[int, int, int], int] = {}
-        remaining = total_steps - pos
-        for (h, c, last), ways in states.items():
-            # up-step; a down-then-up corner is a valley at the current height
-            if h + 1 <= remaining - 1:
-                c2 = c
-                if not peak and last == 2 and h == k:
-                    c2 = min(c + 1, cap)
-                key = (h + 1, c2, 1)
-                nxt[key] = nxt.get(key, 0) + ways
-            # down-step; an up-then-down corner is a peak at the current height
-            if h > 0:
-                c2 = c
-                if peak and last == 1 and h == k:
-                    c2 = min(c + 1, cap)
-                key = (h - 1, c2, 2)
-                nxt[key] = nxt.get(key, 0) + ways
-        states = nxt
-    out = [0] * (cap + 1)
-    for (h, c, _last), ways in states.items():
-        if h == 0:
-            out[c] += ways
-    return out
+        size = min(pos + 1, total_steps - pos - 1) + 1  # heights after this step
+        both = [list(map(add, u, d)) for u, d in zip(up, down)]
+        # An up-then-down corner at height k is a peak; down-then-up, a valley.
+        corner = up if peak else down
+        moved = [row[k] if k < len(row) else 0 for row in corner]
+        up = [([0] + b)[:size] for b in both]
+        down = [b[1 : size + 1] + [0] * (size + 1 - len(b)) for b in both]
+        # the corner's paths now sit one step away from height k
+        target, h = (down, k - 1) if peak else (up, k + 1)
+        if any(moved) and 0 <= h < size:
+            for c, ways in enumerate(moved):
+                target[c][h] -= ways
+                target[min(c + 1, cap)][h] += ways
+    return [u[0] + d[0] for u, d in zip(up, down)]
 
 
 def count_exact_dp(n: int, k: int, r: int, kind: StatKind) -> int:
@@ -346,7 +341,7 @@ def psi(path: DyckPath, k: int) -> DyckPath:
             is_peak = prev == UP and h == k
             is_valley = prev == DOWN and h == k - 2
             if is_peak and is_valley:
-                raise RuntimeError(f"point {j} classified as both peak and valley")
+                raise InvariantError(f"point {j} classified as both peak and valley")
             if is_peak:
                 new_steps[j - 1] -= 2
                 new_steps[j] += 2
@@ -357,7 +352,7 @@ def psi(path: DyckPath, k: int) -> DyckPath:
         h += s
     if not {UP, DOWN}.issuperset(new_steps):
         j = next(j for j, d in enumerate(new_steps) if d not in (UP, DOWN))
-        raise RuntimeError(f"rewrite produced a non-unit step at {j}")
+        raise InvariantError(f"rewrite produced a non-unit step at {j}")
     return DyckPath(tuple(new_steps))
 
 

@@ -4,14 +4,18 @@ Every series carries an explicit truncation order (the highest retained
 exponent), supplied by the caller on construction. Operations on operands of
 mixed order truncate to the smaller order, so precision loss is always
 visible in the result. Coefficients are exact: Python ints, or
-:class:`fractions.Fraction` when a denominator survives reduction. No
-floating point appears anywhere.
+:class:`fractions.Fraction` when a denominator survives reduction. Division
+by an integer series whose constant term is 1 or -1 (every denominator of
+the counting formulas) stays in the integers; a ``Fraction`` appears only
+when a non-unit constant term is inverted. No floating point appears
+anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
@@ -23,6 +27,12 @@ class NonInvertibleError(ValueError):
 
 class NonIntegralError(ValueError):
     """A series expected to be a counting series has a fractional coefficient."""
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: two routes to the same object
+    disagree, or a rewrite broke its own invariant. Signals a bug, not bad
+    input."""
 
 
 def _normalize(value: Rational) -> Rational:
@@ -49,7 +59,10 @@ class Series:
     def __post_init__(self) -> None:
         if self.order < 0:
             raise ValueError("order must be >= 0")
-        coeffs = tuple(_normalize(c) for c in self.coeffs)
+        coeffs = tuple(self.coeffs)
+        # Plain ints, the common case, need no per-coefficient normalization.
+        if not {int}.issuperset(map(type, coeffs)):
+            coeffs = tuple(map(_normalize, coeffs))
         if len(coeffs) != self.order + 1:
             raise ValueError(
                 f"expected {self.order + 1} coefficients for order {self.order}, "
@@ -172,20 +185,30 @@ class Series:
         """Multiplicative inverse up to the truncation order.
 
         The constant term must be nonzero; otherwise
-        :class:`NonInvertibleError` is raised.
+        :class:`NonInvertibleError` is raised. An integer series with
+        constant term 1 or -1 has an integer inverse, computed in ints; any
+        other constant term is inverted in ``Fraction`` arithmetic. Either
+        way the recurrence reads the divisor only up to its last nonzero
+        coefficient, so dividing by a polynomial of degree d costs d
+        products per coefficient.
         """
         a = self.coeffs
         if a[0] == 0:
             raise NonInvertibleError("series with zero constant term has no reciprocal")
-        inv0 = Fraction(1) / a[0]
-        out: list[Rational] = [inv0]
-        for n in range(1, self.order + 1):
-            acc = 0
-            for i in range(1, n + 1):
-                ai = a[i]
-                if ai:
-                    acc += ai * out[n - i]
-            out.append(-inv0 * acc)
+        top = self.order  # the divisor's last nonzero index
+        while not a[top]:
+            top -= 1
+        # 1/a0 is a0 itself for an all-int series with a0 = 1 or -1, so the
+        # recurrence out[n] = -inv0 * sum(a[i] * out[n - i], 1 <= i <= min(n, top))
+        # then never leaves the integers
+        if a[0] in (1, -1) and {int}.issuperset(map(type, a)):
+            inv0: Rational = a[0]
+        else:
+            inv0 = Fraction(1) / a[0]
+        tail = a[1 : top + 1]
+        out = [inv0]
+        for _ in range(self.order):
+            out.append(-inv0 * sum(map(mul, tail, reversed(out))))
         return Series(self.order, tuple(out))
 
     def __truediv__(self, other: Series) -> Series:
@@ -220,12 +243,13 @@ class Series:
 def catalan_series(order: int) -> Series:
     """Counting series of balanced up/down excursions, indexed by semilength.
 
-    Computed by the convolution recurrence c_0 = 1,
-    c_n = sum(c_i * c_{n-1-i} for i < n); all coefficients are positive ints.
+    Computed by the ratio recurrence c_0 = 1,
+    c_{n+1} = c_n * 2(2n + 1) / (n + 2), whose division is always exact, in
+    O(order) big-integer steps; all coefficients are positive ints.
     """
     cs = [1]
-    for n in range(1, order + 1):
-        cs.append(sum(cs[i] * cs[n - 1 - i] for i in range(n)))
+    for n in range(order):
+        cs.append(cs[-1] * 2 * (2 * n + 1) // (n + 2))
     return Series(order, tuple(cs))
 
 

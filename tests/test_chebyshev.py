@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dyckpeaks import chebyshev
 from dyckpeaks.chebyshev import IntPoly, f_series_t, q_poly, r_series, u_inv_sq_series
 from dyckpeaks.paths import bounded_height_count, enumerate_paths, statistics
 from dyckpeaks.series import Series
@@ -117,3 +118,24 @@ def test_f_series_t_matches_band_dp(k):
     coeffs = f_series_t(k, 30).as_integer_sequence()
     for n in range(31):
         assert coeffs[n] == bounded_height_count(n, k, k)
+
+
+@pytest.mark.parametrize("order", range(13))
+def test_unreachable_heights_match_the_unclamped_formulas(order):
+    # heights above the order are clamped; the formulas written out in full
+    # must give the same series
+    for k in range(order + 1, order + 5):
+        by_ratio = q_poly(k - 1).to_series(order) / q_poly(k).to_series(order)
+        iterated = Series.zero(order)
+        for _ in range(k):
+            iterated = (1 - iterated.shift(1)).reciprocal()
+        assert r_series(k, order) == by_ratio == iterated
+        q = q_poly(k).to_series(order)
+        assert u_inv_sq_series(k, order) == (q * q).reciprocal().shift(k)
+
+
+def test_unreachable_heights_do_not_grow_the_polynomial_table():
+    before = len(chebyshev._q_cache)
+    assert r_series(500, 5) == r_series(6, 5)
+    assert u_inv_sq_series(500, 5) == Series.zero(5)
+    assert len(chebyshev._q_cache) <= max(before, 7)

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from dyckpeaks import chebyshev
+from dyckpeaks.chebyshev import IntPoly
 from dyckpeaks.cli import main
 
 
@@ -93,6 +95,29 @@ def test_table_enum_guard_exits_1(capsys):
     assert err.strip() == (
         "error: semilength 15 exceeds the enumeration guard 14; pass guard=15 to override deliberately"
     )
+
+
+def test_failed_internal_check_exits_2(capsys, monkeypatch):
+    # a wrong polynomial table makes the two bounded-height routes disagree
+    monkeypatch.setattr(chebyshev, "q_poly", lambda k: IntPoly((1, -k)))
+    code, out, err = run(capsys, "series", "--stat", "valley", "--k", "1", "--r", "0", "--order", "6")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bounded-height series routes disagree at k=2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("series", "--stat", "valley", "--k", "2000", "--r", "0", "--order", "5"), "1,1,2,5,14,42"),
+        (("count", "--stat", "peak", "--k", "3000", "--r", "0", "--n", "5", "--method", "gf"), "42"),
+        (("count", "--stat", "peak", "--k", "3000", "--r", "1", "--n", "5", "--method", "gf"), "0"),
+    ],
+)
+def test_heights_above_the_order_give_the_k_free_answer(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.strip() == expected
 
 
 def test_count_empty_path(capsys):

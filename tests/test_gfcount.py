@@ -315,3 +315,13 @@ def test_gf_table_equals_dp_table():
 )
 def test_gf_equals_dp_at_n_200(kind, k, r):
     assert stat_gf(kind, k, r, 200).coefficient(200) == count_exact_dp(200, k, r, kind)
+
+
+@pytest.mark.parametrize("kind", list(StatKind))
+@pytest.mark.parametrize("order", [0, 1, 5, 12])
+def test_stat_gf_above_every_reachable_height(kind, order):
+    # no path of semilength <= order reaches height order + 1
+    for k in range(order + 1, order + 5):
+        for r in range(3):
+            coeffs = stat_gf(kind, k, r, order).as_integer_sequence()
+            assert coeffs == [count_exact_dp(n, k, r, kind) for n in range(order + 1)]

@@ -1,9 +1,12 @@
 """Tests for explicit paths, statistics, oracles, and the two rewrites."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyckpeaks.gfcount import stat_gf
 from dyckpeaks.paths import (
     CountTable,
     DOWN,
@@ -12,6 +15,7 @@ from dyckpeaks.paths import (
     StatKind,
     StatProfile,
     UP,
+    _dp_distribution,
     bounded_height_count,
     build_table,
     count_exact_dp,
@@ -23,6 +27,7 @@ from dyckpeaks.paths import (
     theta_forward,
     theta_inverse,
 )
+from dyckpeaks.series import InvariantError
 
 CATALAN = [1]
 for _n in range(1, 15):
@@ -247,6 +252,31 @@ def test_count_exact_dp_matches_enumeration():
                     assert count_exact_dp(n, k, r, kind) == enum_count, (n, k, r, kind)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 57, 200])
+def test_dp_distribution_sums_to_catalan(n):
+    for k in sorted({0, 1, 3, 8, n, n + 2}):
+        for cap in sorted({0, 1, 4, n + 1 if n <= 57 else 4}):
+            for kind in StatKind:
+                dist = _dp_distribution(n, k, kind, cap)
+                assert len(dist) == cap + 1
+                assert sum(dist) == comb(2 * n, n) // (n + 1), (n, k, cap, kind)
+
+
+@settings(deadline=None)
+@given(st.integers(0, LONG), st.integers(0, 10), st.integers(0, 5), st.sampled_from(list(StatKind)))
+def test_dp_equals_the_generating_function_past_the_enumeration_guard(n, k, r, kind):
+    assert count_exact_dp(n, k, r, kind) == stat_gf(kind, k, r, n).coefficient(n)
+
+
+def test_count_exact_dp_above_every_reachable_height():
+    # no semilength-n path climbs above n, so k > n sees no occurrence
+    for n in range(8):
+        for k in range(n + 1, n + 4):
+            for kind in StatKind:
+                assert count_exact_dp(n, k, 0, kind) == CATALAN[n]
+                assert all(count_exact_dp(n, k, r, kind) == 0 for r in range(1, n + 2))
+
+
 def test_bounded_height_count_examples():
     assert bounded_height_count(0, 3, 0) == 1
     assert bounded_height_count(3, 1, 1) == 1
@@ -277,7 +307,7 @@ def test_psi_rejects_a_non_unit_step():
     # DyckPath validates on construction, so bypass it to hand psi a bad step
     bad = object.__new__(DyckPath)
     object.__setattr__(bad, "steps", (UP, 2, DOWN, DOWN, DOWN))
-    with pytest.raises(RuntimeError, match=r"^rewrite produced a non-unit step at 1$"):
+    with pytest.raises(InvariantError, match=r"^rewrite produced a non-unit step at 1$"):
         psi(bad, 2)
 
 

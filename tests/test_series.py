@@ -1,11 +1,13 @@
 """Tests for the exact truncated-series layer."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dyckpeaks.series as series_module
 from dyckpeaks.series import (
     BivarSeries,
     NonIntegralError,
@@ -18,6 +20,10 @@ from dyckpeaks.series import (
 CATALAN = [1]
 for _n in range(1, 31):
     CATALAN.append(sum(CATALAN[i] * CATALAN[_n - 1 - i] for i in range(_n)))
+
+FIB = [1, 1]
+while len(FIB) < 41:
+    FIB.append(FIB[-1] + FIB[-2])
 
 
 def convolve(a, b):
@@ -85,6 +91,55 @@ def test_reciprocal_zero_constant_term_raises():
         Series.from_coeffs([0, 1], 3).reciprocal()
 
 
+class _FractionForbidden(Fraction):
+    """Stands in for Fraction where creating one would be a defect."""
+
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was created")
+
+
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [
+        ([1, -1, -1], lambda n: FIB[n]),  # 1/(1 - x - x^2)
+        ([-1, 2], lambda n: -(2**n)),  # 1/(-1 + 2x) = -1/(1 - 2x)
+    ],
+)
+def test_unit_constant_reciprocal_stays_in_ints(monkeypatch, coeffs, expected):
+    monkeypatch.setattr(series_module, "Fraction", _FractionForbidden)
+    inv = Series.from_coeffs(coeffs, 40).reciprocal()
+    assert all(type(c) is int for c in inv.coeffs)
+    assert list(inv.coeffs) == [expected(n) for n in range(41)]
+
+
+def test_non_unit_constant_reciprocal_is_exact_fractions():
+    inv = Series.from_coeffs([2, -1], 12).reciprocal()
+    # 1/(2 - x) = sum of x^n / 2^(n+1)
+    assert inv.coeffs == tuple(Fraction(1, 2 ** (n + 1)) for n in range(13))
+    assert all(type(c) is Fraction for c in inv.coeffs)
+
+
+def dense_reciprocal(coeffs):
+    """Reference inverse: the recurrence over every earlier coefficient."""
+    inv0 = Fraction(1) / coeffs[0]
+    out = [inv0]
+    for n in range(1, len(coeffs)):
+        out.append(-inv0 * sum(coeffs[i] * out[n - i] for i in range(1, n + 1)))
+    return out
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(-4, 4), min_size=1, max_size=8).filter(lambda cs: cs[0] != 0),
+    st.integers(0, 30),
+)
+def test_reciprocal_of_a_polynomial_matches_the_dense_recurrence(poly, extra):
+    # a polynomial padded with zeros up to the order: the sparse bound applies
+    order = len(poly) - 1 + extra
+    a = Series.from_coeffs(poly, order)
+    assert list(a.reciprocal().coeffs) == dense_reciprocal(list(a.coeffs))
+
+
 def test_power_binomial():
     assert Series.from_coeffs([1, 1], 2).power(2).coeffs == (1, 2, 1)
 
@@ -115,6 +170,14 @@ def test_catalan_series_values():
     assert list(catalan_series(30).coeffs) == CATALAN
 
 
+def test_catalan_series_matches_convolution_and_binomial_oracles():
+    oracle = [1]
+    for n in range(1, 301):
+        oracle.append(sum(oracle[i] * oracle[n - 1 - i] for i in range(n)))
+    assert list(catalan_series(300).coeffs) == oracle
+    assert oracle == [comb(2 * n, n) // (n + 1) for n in range(301)]
+
+
 def test_coefficient_access():
     c = catalan_series(5)
     assert c.coefficient(3) == 5
@@ -136,6 +199,15 @@ def test_fraction_coefficients_normalize_to_int():
     s = Series.from_coeffs([Fraction(4, 2), Fraction(1, 3)], 1)
     assert s.coeffs[0] == 2 and isinstance(s.coeffs[0], int)
     assert s.coeffs[1] == Fraction(1, 3)
+
+
+def test_constructor_rejects_non_rational_coefficients():
+    with pytest.raises(TypeError):
+        Series(1, (1, 0.5))
+    with pytest.raises(TypeError):
+        Series(0, (1.0,))
+    with pytest.raises(TypeError):
+        Series(0, ("1",))
 
 
 def test_constructor_validates_length_and_order():
