@@ -436,6 +436,8 @@ def build_table(
     exhaustive enumeration, the dynamic program, and generating-function
     coefficients.
     """
+    if n_max < 0 or k_max < 0:
+        raise ValueError("n_max and k_max must be >= 0")
     table = CountTable()
     for n in range(n_max + 1):
         for k in range(k_max + 1):

@@ -9,6 +9,10 @@ by an integer series whose constant term is 1 or -1 (every denominator of
 the counting formulas) stays in the integers; a ``Fraction`` appears only
 when a non-unit constant term is inverted. No floating point appears
 anywhere.
+
+One truncated convolution and one inversion recurrence serve both series
+types: a :class:`Series` runs them on its coefficients, a
+:class:`BivarSeries` on its z-entries, which are themselves Series.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -42,6 +46,36 @@ def _normalize(value: Rational) -> Rational:
     if isinstance(value, int):
         return value
     raise TypeError(f"coefficient must be int or Fraction, got {type(value).__name__}")
+
+
+def _product(a: Sequence, b: Sequence, zero) -> list:
+    """Cauchy product of two coefficient sequences, truncated to the shorter
+    one and skipping zero terms; ``zero`` is the additive identity."""
+    out = []
+    for n in range(min(len(a), len(b))):
+        acc = zero
+        for i in range(n + 1):
+            ai = a[i]
+            if ai:
+                bj = b[n - i]
+                if bj:
+                    acc += ai * bj
+        out.append(acc)
+    return out
+
+
+def _inverse(a: Sequence, inv0, zero) -> list:
+    """Inverse of a coefficient sequence to its own length, given ``inv0`` =
+    1/a[0]: out[n] = -inv0 * sum(a[i] * out[n - i], 1 <= i <= min(n, top)),
+    with ``top`` the last nonzero index of ``a``."""
+    top = len(a) - 1
+    while not a[top]:
+        top -= 1
+    tail = a[1 : top + 1]
+    out = [inv0]
+    for _ in range(len(a) - 1):
+        out.append(-inv0 * sum(map(mul, tail, reversed(out)), zero))
+    return out
 
 
 @dataclass(frozen=True)
@@ -99,9 +133,12 @@ class Series:
 
     # -- basic queries ----------------------------------------------------
 
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self
 
     def coefficient(self, n: int) -> Rational:
         """Coefficient of the n-th power; ``n`` must be within the order."""
@@ -151,9 +188,7 @@ class Series:
         return Series(self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: Series | Rational) -> Series:
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
-        if not isinstance(other, Series):
+        if not isinstance(other, (Series, int, Fraction)):
             return NotImplemented
         return self + (-other)
 
@@ -166,18 +201,7 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         order = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for n in range(order + 1):
-            acc = 0
-            for i in range(n + 1):
-                ai = a[i]
-                if ai:
-                    bj = b[n - i]
-                    if bj:
-                        acc += ai * bj
-            out.append(acc)
-        return Series(order, tuple(out))
+        return Series(order, tuple(_product(self.coeffs, other.coeffs, 0)))
 
     __rmul__ = __mul__
 
@@ -195,21 +219,13 @@ class Series:
         a = self.coeffs
         if a[0] == 0:
             raise NonInvertibleError("series with zero constant term has no reciprocal")
-        top = self.order  # the divisor's last nonzero index
-        while not a[top]:
-            top -= 1
         # 1/a0 is a0 itself for an all-int series with a0 = 1 or -1, so the
-        # recurrence out[n] = -inv0 * sum(a[i] * out[n - i], 1 <= i <= min(n, top))
-        # then never leaves the integers
+        # recurrence then never leaves the integers
         if a[0] in (1, -1) and {int}.issuperset(map(type, a)):
             inv0: Rational = a[0]
         else:
             inv0 = Fraction(1) / a[0]
-        tail = a[1 : top + 1]
-        out = [inv0]
-        for _ in range(self.order):
-            out.append(-inv0 * sum(map(mul, tail, reversed(out))))
-        return Series(self.order, tuple(out))
+        return Series(self.order, tuple(_inverse(a, inv0, 0)))
 
     def __truediv__(self, other: Series) -> Series:
         if not isinstance(other, Series):
@@ -380,16 +396,7 @@ class BivarSeries:
         if rhs is None:
             return NotImplemented
         a, b = self._match(rhs)
-        zero = Series.zero(a.x_order)
-        out = [zero] * (a.z_order + 1)
-        for i, ei in enumerate(a.entries):
-            if ei.is_zero:
-                continue
-            for j in range(a.z_order + 1 - i):
-                fj = b.entries[j]
-                if fj.is_zero:
-                    continue
-                out[i + j] = out[i + j] + ei * fj
+        out = _product(a.entries, b.entries, Series.zero(a.x_order))
         return BivarSeries(a.z_order, a.x_order, tuple(out))
 
     __rmul__ = __mul__
@@ -404,13 +411,5 @@ class BivarSeries:
             raise NonInvertibleError(
                 "bivariate series with zero constant term has no reciprocal"
             )
-        inv0 = a0.reciprocal()
-        out = [inv0]
-        for j in range(1, self.z_order + 1):
-            acc = Series.zero(self.x_order)
-            for i in range(1, j + 1):
-                ai = self.entries[i]
-                if not ai.is_zero:
-                    acc = acc + ai * out[j - i]
-            out.append(-(inv0 * acc))
+        out = _inverse(self.entries, a0.reciprocal(), Series.zero(self.x_order))
         return BivarSeries(self.z_order, self.x_order, tuple(out))

@@ -244,7 +244,14 @@ def run_verify(
     order: int = 30,
     guard: int = DEFAULT_ENUM_GUARD,
 ) -> VerifyReport:
-    """Run the full cross-check suite and return the assembled report."""
+    """Run the full cross-check suite and return the assembled report; the
+    bounds n_max >= 0, k_max >= 1 and 0 <= r_max <= order are checked first."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    if not 0 <= r_max <= order:
+        raise ValueError("r_max must be between 0 and order")
     report = VerifyReport()
     report.lines.append(
         f"cross-validation report (n_max={n_max}, k_max={k_max}, r_max={r_max}, "

@@ -139,8 +139,8 @@ def test_criterion_7_lemma_identity():
 def test_criterion_8_bounded_height_layer():
     with criterion(8, "polynomial ratios and band series match path counts"):
         for k in range(1, 11):
-            lhs = q_poly(k).to_series(50) * r_series(k, 50)
-            assert lhs == q_poly(k - 1).to_series(50), k
+            lhs = Series.from_coeffs(q_poly(k), 50) * r_series(k, 50)
+            assert lhs == Series.from_coeffs(q_poly(k - 1), 50), k
         # distribution of max heights from one enumeration sweep
         max_height_counts = {}
         for n in range(11):

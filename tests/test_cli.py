@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+from contextlib import redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyckpeaks import chebyshev
-from dyckpeaks.chebyshev import IntPoly
 from dyckpeaks.cli import main
+from dyckpeaks.gfcount import stat_gf
+from dyckpeaks.paths import StatKind, build_table, count_exact_dp
 
 
 def run(capsys, *argv):
@@ -99,7 +104,7 @@ def test_table_enum_guard_exits_1(capsys):
 
 def test_failed_internal_check_exits_2(capsys, monkeypatch):
     # a wrong polynomial table makes the two bounded-height routes disagree
-    monkeypatch.setattr(chebyshev, "q_poly", lambda k: IntPoly((1, -k)))
+    monkeypatch.setattr(chebyshev, "q_poly", lambda k: (1, -k))
     code, out, err = run(capsys, "series", "--stat", "valley", "--k", "1", "--r", "0", "--order", "6")
     assert code == 2
     assert out == ""
@@ -255,3 +260,91 @@ def test_verify_small_run_is_deterministic(capsys):
     assert "WARN" in out1
     assert "FAIL" not in out1
     assert "OK: 0 failures" in out1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--k-max", "0"), "error: k_max must be >= 1"),
+        (("--k-max", "-1"), "error: k_max must be >= 1"),
+        (("--order", "3"), "error: r_max must be between 0 and order"),
+        (("--r-max", "-1"), "error: r_max must be between 0 and order"),
+        (("--n-max", "-1"), "error: n_max must be >= 0"),
+    ],
+)
+def test_verify_bounds_exit_1(capsys, argv, message):
+    # k_max 0 once printed four false FAIL lines; order 3 died in a z-slice
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == message + "\n"
+
+
+@pytest.mark.parametrize("argv", [("--k-max", "1"), ("--order", "0", "--r-max", "0")])
+def test_verify_at_the_bounds_passes(capsys, argv):
+    code, out, _ = run(capsys, "verify", "--n-max", "6", *argv)
+    assert code == 0
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("method", ["enum", "dp", "gf"])
+@pytest.mark.parametrize("n_max, k_max", [("-1", "2"), ("2", "-1")])
+def test_table_negative_bounds_exit_1(capsys, method, n_max, k_max):
+    # k_max -1 once printed a header-only table and exited 0
+    code, out, err = run(
+        capsys, "table", "--n-max", n_max, "--k-max", k_max, "--method", method,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: n_max and k_max must be >= 0\n"
+
+
+def cli_out(*argv):
+    """Stdout of a CLI run that must succeed; Hypothesis tests cannot share
+    the function-scoped capsys fixture across examples."""
+    buffer = StringIO()
+    with redirect_stdout(buffer):
+        assert main(list(argv)) == 0
+    return buffer.getvalue()
+
+
+kinds = st.sampled_from(["peak", "valley"])
+
+
+@settings(deadline=None, max_examples=40)
+@given(kinds, st.integers(0, 6), st.integers(0, 6), st.integers(0, 20))
+def test_series_json_equals_stat_gf(kind, k, r, order):
+    doc = json.loads(cli_out(
+        "series", "--stat", kind, "--k", str(k), "--r", str(r), "--order", str(order),
+        "--format", "json",
+    ))
+    expected = stat_gf(StatKind(kind), k, r, order)
+    assert doc["order"] == order
+    assert doc["coefficients"] == [str(c) for c in expected.coeffs]
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 7), st.integers(0, 4), st.sampled_from(["enum", "dp", "gf"]))
+def test_table_json_equals_build_table(n_max, k_max, method):
+    doc = json.loads(cli_out(
+        "table", "--n-max", str(n_max), "--k-max", str(k_max), "--method", method,
+        "--format", "json",
+    ))
+    from_json = {
+        (row["n"], row["k"], row["r"], StatKind(row["kind"])): int(row["count"])
+        for row in doc["entries"]
+    }
+    assert from_json == build_table(n_max, k_max, method).entries
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    kinds, st.integers(0, 10), st.integers(0, 6), st.integers(0, 11),
+    st.sampled_from(["enum", "dp", "gf"]),
+)
+def test_count_equals_count_exact_dp(kind, n, k, r, method):
+    out = cli_out(
+        "count", "--stat", kind, "--k", str(k), "--r", str(r), "--n", str(n),
+        "--method", method,
+    )
+    assert out == f"{count_exact_dp(n, k, r, StatKind(kind))}\n"

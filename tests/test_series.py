@@ -320,3 +320,43 @@ def test_bivar_subs_z_one_sums_entries():
 def test_bivar_slice_out_of_range():
     with pytest.raises(ValueError):
         BivarSeries.one(1, 1).z_slice(2)
+
+
+@st.composite
+def bivar_pairs(draw):
+    """Two BivarSeries of one shape whose z-entries are often zero,
+    including interior ones; the first has constant term 1 or -1."""
+    z_order = draw(st.integers(0, 4))
+    x_order = draw(st.integers(0, 6))
+    entry = st.one_of(
+        st.just([0] * (x_order + 1)),
+        st.lists(st.integers(-4, 4), min_size=x_order + 1, max_size=x_order + 1),
+    )
+
+    def draw_entries():
+        return [draw(entry) for _ in range(z_order + 1)]
+
+    ea, eb = draw_entries(), draw_entries()
+    ea[0][0] = draw(st.sampled_from([1, -1]))
+    return ea, eb
+
+
+def _bivar(entries):
+    x_order = len(entries[0]) - 1
+    return BivarSeries(
+        len(entries) - 1, x_order, tuple(Series.from_coeffs(e, x_order) for e in entries)
+    )
+
+
+@settings(deadline=None)
+@given(bivar_pairs())
+def test_bivar_product_and_reciprocal_with_zero_entries(pair):
+    ea, eb = pair
+    a, b = _bivar(ea), _bivar(eb)
+    product = a * b
+    for j in range(len(ea)):
+        expected = [0] * len(ea[0])
+        for i in range(j + 1):
+            expected = [s + t for s, t in zip(expected, convolve(ea[i], eb[j - i]))]
+        assert list(product.z_slice(j).coeffs) == expected
+    assert a * a.reciprocal() == BivarSeries.one(a.z_order, a.x_order)
