@@ -6,10 +6,24 @@ mu_j; the weighted path-counting series is then the nested fraction
 
     1 / (1 - (mu_1 - lambda_1) - lambda_1 / (1 - (mu_2 - lambda_2) - ...))
 
-with one level per height. Evaluation here is bottom-up over ``depth``
-levels with an explicit tail: the tail is the value standing in for the
-whole fraction below the last level, so a closed-form continuation (such as
-the full path series for unmarked lower levels) costs nothing.
+with one level per height. Evaluation covers ``depth`` levels with an
+explicit tail: the tail is the value standing in for the whole fraction
+below the last level, so a closed-form continuation (such as the full path
+series for unmarked lower levels) costs nothing.
+
+The fraction is carried as its Euler-Wallis continuants, built from the
+innermost level outwards, and divided once at the end. With
+d_j = 1 - (mu_j - lambda_j) and T the tail,
+
+    K_j = d_j * K_{j+1} - lambda_j * K_{j+2},   K_{depth+1} = 1, K_{depth+2} = T,
+
+the value of levels j..depth is K_{j+1} / K_j, so the whole fraction is
+K_2 / K_1. A level costs two products, and a weight that is a polynomial
+of t terms costs t passes over the series it multiplies, since the product
+kernel walks only nonzero terms. The peak fraction has lambda = x at every
+level and d_j = 1 except d_k = 1 + x - x*z, so every level step is a
+polynomial times a series and K stays affine in z; the final division then
+costs one dense reciprocal and at most z_order + 3 products.
 
 Conventions: ``lambdas[i]`` and ``mus[i]`` are the weights for height i + 1
 (level 1 is the outermost). The peak-marking fraction uses mu_k = x*z so
@@ -45,25 +59,27 @@ class WeightSpec:
 
 
 def rv_cfrac(w: WeightSpec, x_order: int, z_order: int) -> BivarSeries:
-    """Evaluate the weighted fraction bottom-up for ``w.depth`` levels.
+    """Evaluate the weighted fraction over ``w.depth`` levels and its tail.
 
-    When every lambda weight has lowest x-degree >= 1 and depth >= x_order+1,
-    coefficients up to x_order are exact regardless of the tail. Raises
-    :class:`NonInvertibleError` naming the level whose denominator has a
-    vanishing constant term.
+    Runs the continuant recurrence of the module docstring from level
+    ``w.depth`` up to level 1 and divides once. Level j's denominator is
+    K_j / K_{j+1}, so its constant term vanishes exactly when the (x^0, z^0)
+    constant of K_j does; :class:`NonInvertibleError` names the deepest
+    such level. When every lambda weight has lowest x-degree >= 1 and
+    depth >= x_order+1, coefficients up to x_order are exact regardless of
+    the tail.
     """
     used = list(w.lambdas[: w.depth]) + list(w.mus[: w.depth]) + [w.tail]
     eff_x = min([x_order] + [u.x_order for u in used])
     eff_z = min([z_order] + [u.z_order for u in used])
-    value = w.tail.truncate(eff_z, eff_x)
+    k_next, k = w.tail.truncate(eff_z, eff_x), BivarSeries.one(eff_z, eff_x)
     for level in range(w.depth, 0, -1):
         lam = w.lambdas[level - 1].truncate(eff_z, eff_x)
-        mu = w.mus[level - 1].truncate(eff_z, eff_x)
-        den = 1 - (mu - lam) - lam * value
-        if den.entries[0].coeffs[0] == 0:
+        d = 1 - (w.mus[level - 1].truncate(eff_z, eff_x) - lam)
+        k_next, k = k, d * k - lam * k_next
+        if k.entries[0].coeffs[0] == 0:
             raise NonInvertibleError(f"denominator at level {level} is not invertible")
-        value = den.reciprocal()
-    return value
+    return k_next / k
 
 
 def catalan_cfrac(depth: int, order: int) -> Series:
@@ -124,26 +140,23 @@ def lemma_rhs(k: int, a: Series, x_order: int, z_order: int) -> BivarSeries:
 
     numerator = affine(r_lo)
     denominator = affine(r_hi)
-    return BivarSeries.from_series(r_hi, z_order) * numerator * denominator.reciprocal()
+    return BivarSeries.from_series(r_hi, z_order) * numerator / denominator
 
 
 def lemma_iterated_cfrac(k: int, a: Series, x_order: int, z_order: int) -> BivarSeries:
-    """Direct bottom-up evaluation of the same k-level fraction.
+    """Direct evaluation of the same k-level fraction by :func:`rv_cfrac`.
 
-    Innermost value is 1 / (1 - z - x*A); each outer level wraps it as
-    1 / (1 - x * inner).
+    Every level has lambda = x; mu = x above level k and mu_k = x + z, and
+    the tail is A, so the innermost denominator is 1 - z - x*A and each
+    outer level wraps the value below it as 1 / (1 - x * inner).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     order = min(x_order, a.order)
-    a = a.truncate(order)
-    one = Series.one(order)
-    inner_den = _z_affine(one - a.shift(1), -one, z_order)
-    value = inner_den.reciprocal()
     x = BivarSeries.monomial(1, 1, 0, z_order, order)
-    for _ in range(k - 1):
-        value = (1 - x * value).reciprocal()
-    return value
+    z = BivarSeries.monomial(1, 0, 1, z_order, order)
+    tail = BivarSeries.from_series(a.truncate(order), z_order)
+    return rv_cfrac(WeightSpec((x,) * k, (x,) * (k - 1) + (x + z,), k, tail), order, z_order)
 
 
 # -- JSON weight specifications ------------------------------------------

@@ -10,9 +10,13 @@ the counting formulas) stays in the integers; a ``Fraction`` appears only
 when a non-unit constant term is inverted. No floating point appears
 anywhere.
 
-One truncated convolution and one inversion recurrence serve both series
+One truncated convolution and one quotient recurrence serve both series
 types: a :class:`Series` runs them on its coefficients, a
-:class:`BivarSeries` on its z-entries, which are themselves Series.
+:class:`BivarSeries` on its z-entries, which are themselves Series. The
+convolution visits only pairs of nonzero terms, so a polynomial times a
+series costs its number of terms times the order. A reciprocal is the
+quotient of 1, and a quotient ``a / b`` is one pass of the recurrence, not a
+reciprocal followed by a product.
 """
 
 from __future__ import annotations
@@ -50,31 +54,43 @@ def _normalize(value: Rational) -> Rational:
 
 def _product(a: Sequence, b: Sequence, zero) -> list:
     """Cauchy product of two coefficient sequences, truncated to the shorter
-    one and skipping zero terms; ``zero`` is the additive identity."""
-    out = []
-    for n in range(min(len(a), len(b))):
-        acc = zero
-        for i in range(n + 1):
-            ai = a[i]
-            if ai:
-                bj = b[n - i]
-                if bj:
-                    acc += ai * bj
-        out.append(acc)
+    one; ``zero`` is the additive identity.
+
+    Only pairs of nonzero terms are visited: the outer loop walks the
+    support of the sparser operand, the inner one the support of the other,
+    so a polynomial of d terms times a series of length n costs O(d*n).
+    """
+    n = min(len(a), len(b))
+    support_a = [i for i in range(n) if a[i]]
+    support_b = [j for j in range(n) if b[j]]
+    if len(support_b) < len(support_a):
+        a, b, support_a, support_b = b, a, support_b, support_a
+    out = [zero] * n
+    for i in support_a:
+        ai = a[i]
+        for j in support_b:
+            if i + j >= n:
+                break
+            out[i + j] += ai * b[j]
     return out
 
 
-def _inverse(a: Sequence, inv0, zero) -> list:
-    """Inverse of a coefficient sequence to its own length, given ``inv0`` =
-    1/a[0]: out[n] = -inv0 * sum(a[i] * out[n - i], 1 <= i <= min(n, top)),
-    with ``top`` the last nonzero index of ``a``."""
-    top = len(a) - 1
-    while not a[top]:
+def _quotient(num: Sequence, den: Sequence, inv0, zero) -> list:
+    """Quotient num/den to the length of ``den``, given ``inv0`` = 1/den[0].
+
+    With the divisor pre-scaled to s_i = -inv0 * den[i], the recurrence is
+    out[n] = inv0 * num[n] + sum(s_i * out[n - i], 1 <= i <= min(n, top)),
+    ``top`` being the last nonzero index of ``den``: dividing by a
+    polynomial of degree d costs d products per coefficient.
+    """
+    top = len(den) - 1
+    while not den[top]:
         top -= 1
-    tail = a[1 : top + 1]
-    out = [inv0]
-    for _ in range(len(a) - 1):
-        out.append(-inv0 * sum(map(mul, tail, reversed(out)), zero))
+    scaled = [-(inv0 * d) for d in den[1 : top + 1]]
+    out: list = []
+    for n in range(len(den)):
+        start = inv0 * num[n] if num[n] else zero
+        out.append(sum(map(mul, scaled, reversed(out)), start))
     return out
 
 
@@ -206,31 +222,35 @@ class Series:
     __rmul__ = __mul__
 
     def reciprocal(self) -> Series:
-        """Multiplicative inverse up to the truncation order.
+        """Multiplicative inverse up to the truncation order: the quotient 1/self.
 
         The constant term must be nonzero; otherwise
-        :class:`NonInvertibleError` is raised. An integer series with
-        constant term 1 or -1 has an integer inverse, computed in ints; any
-        other constant term is inverted in ``Fraction`` arithmetic. Either
-        way the recurrence reads the divisor only up to its last nonzero
-        coefficient, so dividing by a polynomial of degree d costs d
-        products per coefficient.
+        :class:`NonInvertibleError` is raised.
         """
-        a = self.coeffs
-        if a[0] == 0:
-            raise NonInvertibleError("series with zero constant term has no reciprocal")
-        # 1/a0 is a0 itself for an all-int series with a0 = 1 or -1, so the
-        # recurrence then never leaves the integers
-        if a[0] in (1, -1) and {int}.issuperset(map(type, a)):
-            inv0: Rational = a[0]
-        else:
-            inv0 = Fraction(1) / a[0]
-        return Series(self.order, tuple(_inverse(a, inv0, 0)))
+        return Series.one(self.order) / self
 
     def __truediv__(self, other: Series) -> Series:
+        """Quotient self/other in one pass of the quotient recurrence.
+
+        An integer divisor with constant term 1 or -1 keeps an integer
+        dividend in the integers; any other constant term is inverted in
+        ``Fraction`` arithmetic. The recurrence reads the divisor only up to
+        its last nonzero coefficient, so dividing by a polynomial of degree
+        d costs d products per coefficient.
+        """
         if not isinstance(other, Series):
             return NotImplemented
-        return self * other.reciprocal()
+        order = min(self.order, other.order)
+        den = other.coeffs[: order + 1]
+        if den[0] == 0:
+            raise NonInvertibleError("series with zero constant term has no reciprocal")
+        # 1/den[0] is den[0] itself for an all-int divisor with den[0] = 1 or
+        # -1, so the recurrence then never leaves the integers
+        if den[0] in (1, -1) and {int}.issuperset(map(type, den)):
+            inv0: Rational = den[0]
+        else:
+            inv0 = Fraction(1) / den[0]
+        return Series(order, tuple(_quotient(self.coeffs, den, inv0, 0)))
 
     def power(self, m: int) -> Series:
         """m-th power by repeated truncated multiplication; ``a.power(0)`` is 1."""
@@ -402,14 +422,27 @@ class BivarSeries:
     __rmul__ = __mul__
 
     def reciprocal(self) -> BivarSeries:
-        """Multiplicative inverse, truncated in both variables.
+        """Multiplicative inverse, truncated in both variables: the quotient 1/self.
 
         Requires the (z^0, x^0) constant to be nonzero.
         """
-        a0 = self.entries[0]
-        if a0.coeffs[0] == 0:
+        return BivarSeries.one(self.z_order, self.x_order) / self
+
+    def __truediv__(self, other: BivarSeries | Series | Rational) -> BivarSeries:
+        """Quotient in one pass of the quotient recurrence over z-entries.
+
+        Costs one univariate reciprocal of the divisor's z^0 entry; for a
+        divisor affine in z, at most z_order + 3 entry products follow.
+        Requires the divisor's (z^0, x^0) constant to be nonzero.
+        """
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        a, b = self._match(rhs)
+        b0 = b.entries[0]
+        if b0.coeffs[0] == 0:
             raise NonInvertibleError(
                 "bivariate series with zero constant term has no reciprocal"
             )
-        out = _inverse(self.entries, a0.reciprocal(), Series.zero(self.x_order))
-        return BivarSeries(self.z_order, self.x_order, tuple(out))
+        out = _quotient(a.entries, b.entries, b0.reciprocal(), Series.zero(a.x_order))
+        return BivarSeries(a.z_order, a.x_order, tuple(out))

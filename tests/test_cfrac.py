@@ -1,6 +1,8 @@
 """Tests for weighted continued-fraction evaluation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyckpeaks.cfrac import (
     WeightSpec,
@@ -12,7 +14,8 @@ from dyckpeaks.cfrac import (
     weight_spec_from_json,
 )
 from dyckpeaks.chebyshev import r_series
-from dyckpeaks.gfcount import peak_gf
+from dyckpeaks.gfcount import peak_gf, stat_family
+from dyckpeaks.paths import StatKind
 from dyckpeaks.series import BivarSeries, NonInvertibleError, Series, catalan_series
 
 
@@ -67,6 +70,7 @@ def test_catalan_cfrac():
     assert list(catalan_cfrac(5, 4).coeffs) == [1, 1, 2, 5, 14]
     assert list(catalan_cfrac(1, 0).coeffs) == [1]
     assert catalan_cfrac(31, 30) == catalan_series(30)
+    assert catalan_cfrac(201, 200) == catalan_series(200)
 
 
 @pytest.mark.parametrize("k", range(1, 5))
@@ -75,6 +79,13 @@ def test_peak_bivar_cfrac_slices(k):
     marked = peak_bivar_cfrac(k, order, 4)
     for r in range(5):
         assert marked.z_slice(r) == peak_gf(k, r, order), (k, r)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_peak_bivar_cfrac_equals_the_gf_family_at_n_200(k):
+    marked = peak_bivar_cfrac(k, 200, 4)
+    family = stat_family(StatKind.PEAK, k, 200, 4)
+    assert tuple(marked.z_slice(r) for r in range(5)) == family
 
 
 def test_peak_bivar_cfrac_z0_slices():
@@ -108,6 +119,69 @@ def test_raw_mark_convention_differs_by_x_power():
         assert raw.z_slice(r).shift(r) == peak_gf(k, r, order)
     assert raw.z_slice(1) != peak_gf(k, 1, order)
     assert raw.z_slice(0) == peak_gf(k, 0, order)
+
+
+# -- rv_cfrac against the level-by-level reference -------------------------
+
+
+def bottom_up_cfrac(w, x_order, z_order):
+    """Reference evaluator: from the tail upwards, one bivariate reciprocal
+    per level, raising at the first level whose denominator has a zero
+    constant term."""
+    used = list(w.lambdas[: w.depth]) + list(w.mus[: w.depth]) + [w.tail]
+    eff_x = min([x_order] + [u.x_order for u in used])
+    eff_z = min([z_order] + [u.z_order for u in used])
+    value = w.tail.truncate(eff_z, eff_x)
+    for level in range(w.depth, 0, -1):
+        lam = w.lambdas[level - 1].truncate(eff_z, eff_x)
+        mu = w.mus[level - 1].truncate(eff_z, eff_x)
+        den = 1 - (mu - lam) - lam * value
+        if den.entries[0].coeffs[0] == 0:
+            raise NonInvertibleError(f"denominator at level {level} is not invertible")
+        value = den.reciprocal()
+    return value
+
+
+@st.composite
+def weight_specs(draw, z_order, x_order):
+    """Random specs over small-integer bivariate weights, some with a
+    non-unit or zero constant term, some plus the dense C or xC2. Weights
+    are built at or above the given orders; the tail sometimes has lower
+    orders of its own."""
+
+    def weight(z_order, x_order):
+        total = BivarSeries.zero(z_order, x_order)
+        for _ in range(draw(st.integers(0, 3))):
+            coeff = draw(st.integers(-3, 3))
+            x_power, z_power = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+            total = total + BivarSeries.monomial(coeff, x_power, z_power, z_order, x_order)
+        dense = draw(st.sampled_from([None, None, "C", "xC2"]))
+        if dense is not None:
+            c = catalan_series(x_order)
+            total = total + BivarSeries.from_series(c if dense == "C" else (c * c).shift(2), z_order)
+        return total
+
+    depth = draw(st.integers(0, 8))
+    orders = (z_order + draw(st.integers(0, 1)), x_order + draw(st.integers(0, 2)))
+    lambdas = tuple(weight(*orders) for _ in range(depth))
+    mus = tuple(weight(*orders) for _ in range(depth))
+    own_orders = (draw(st.integers(0, z_order)), draw(st.integers(0, x_order)))
+    tail = weight(*draw(st.sampled_from([orders, orders, own_orders])))
+    return WeightSpec(lambdas, mus, depth, tail)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 20), st.integers(0, 3), st.data())
+def test_rv_cfrac_equals_the_bottom_up_reference(x_order, z_order, data):
+    spec = data.draw(weight_specs(z_order, x_order))
+    try:
+        expected = bottom_up_cfrac(spec, x_order, z_order)
+    except NonInvertibleError as exc:
+        with pytest.raises(NonInvertibleError) as got:
+            rv_cfrac(spec, x_order, z_order)
+        assert str(got.value) == str(exc)
+    else:
+        assert rv_cfrac(spec, x_order, z_order) == expected
 
 
 # -- the k-level closed form -----------------------------------------------

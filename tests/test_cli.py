@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+from hashlib import sha256
 from contextlib import redirect_stdout
 from io import StringIO
 
@@ -230,6 +231,52 @@ def test_cfrac_marked_spec(capsys, tmp_path):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "z^0: 1,0,1,2,6,18,57"
+
+
+DENSE_LAMBDA_SPEC = (
+    '{"depth": 5, "lambdas": ["C", "x", "xC2", "x", ["x", "xC2"]], '
+    '"mus": ["x", "x*z", "x", ["x","z"], "x"], "tail": "C"}'
+)
+NON_UNIT_SPEC = (
+    '{"depth": 4, "lambdas": ["2*x", "3", "x", "x^2"], '
+    '"mus": ["5", ["x", "z"], "-2", "x"], "tail": 3}'
+)
+LEVEL_2_SINGULAR_SPEC = '{"depth": 3, "lambdas": ["x", "x", "x"], "mus": ["x", 1, "x"], "tail": 1}'
+
+
+# sha256 of the csv bytes as computed by the level-by-level evaluator (one
+# bivariate reciprocal per level); the continuant recurrence must reproduce
+# them exactly, Fraction coefficients included
+@pytest.mark.parametrize(
+    "text, argv, digest",
+    [
+        (DENSE_LAMBDA_SPEC, ("--order", "30", "--z-order", "2"),
+         "cb57d02f89c063a805ee206a658be4767cb7ffcd83122d909924442a8f304836"),
+        (NON_UNIT_SPEC, ("--order", "12", "--z-order", "1"),
+         "9a4eed918d6144e06186215c87c9f4526c6a89b933a1822b5c1abaa4542527f0"),
+    ],
+)
+def test_cfrac_csv_bytes_are_pinned(capsys, tmp_path, text, argv, digest):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    code, out, _ = run(capsys, "cfrac", "--spec", str(spec), *argv, "--format", "csv")
+    assert code == 0
+    assert sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        (LEVEL_2_SINGULAR_SPEC, (), "error: denominator at level 2 is not invertible"),
+        (DENSE_LAMBDA_SPEC, ("--order", "-1"), "error: order must be >= 0"),
+        (DENSE_LAMBDA_SPEC, ("--z-order", "-1"), "error: z_order must be >= 0"),
+    ],
+)
+def test_cfrac_errors_exit_1(capsys, tmp_path, text, argv, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    code, out, err = run(capsys, "cfrac", "--spec", str(spec), *argv)
+    assert (code, out, err) == (1, "", message + "\n")
 
 
 def test_cfrac_missing_file(capsys, tmp_path):

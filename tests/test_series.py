@@ -360,3 +360,58 @@ def test_bivar_product_and_reciprocal_with_zero_entries(pair):
             expected = [s + t for s, t in zip(expected, convolve(ea[i], eb[j - i]))]
         assert list(product.z_slice(j).coeffs) == expected
     assert a * a.reciprocal() == BivarSeries.one(a.z_order, a.x_order)
+    assert (b / a) * a == b
+
+
+# -- the two kernels -----------------------------------------------------------
+
+
+@st.composite
+def sparse_and_dense(draw):
+    """A polynomial with a few nonzero terms and a dense sequence, in either
+    order and of possibly different lengths, with int or Fraction terms."""
+    value = st.one_of(
+        st.integers(-50, 50),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    )
+    n_sparse = draw(st.integers(1, 30))
+    sparse = [0] * n_sparse
+    for i in draw(st.lists(st.integers(0, n_sparse - 1), max_size=4)):
+        sparse[i] = draw(value)
+    dense = draw(st.lists(value, min_size=1, max_size=30))
+    return (sparse, dense) if draw(st.booleans()) else (dense, sparse)
+
+
+@settings(deadline=None)
+@given(sparse_and_dense())
+def test_product_kernel_matches_a_double_loop(pair):
+    a, b = pair
+    n = min(len(a), len(b))
+    expected = [sum((a[i] * b[m - i] for i in range(m + 1)), 0) for m in range(n)]
+    assert series_module._product(a, b, 0) == expected
+    assert series_module._product(b, a, 0) == expected
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=25),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=25),
+    st.sampled_from([1, -1, 2, -3, 5]),
+)
+def test_division_is_the_product_with_the_reciprocal(ca, cb, b0):
+    # unit constants divide in the integers, the others through Fraction
+    order = min(len(ca), len(cb)) - 1
+    a = Series.from_coeffs(ca, order)
+    b = Series.from_coeffs([b0] + cb[1:], order)
+    quotient = a / b
+    assert quotient == a * b.reciprocal()
+    assert quotient * b == a
+    if b0 in (1, -1):
+        assert all(type(c) is int for c in quotient.coeffs)
+
+
+def test_division_by_a_zero_constant_raises():
+    with pytest.raises(NonInvertibleError):
+        Series.one(3) / Series.from_coeffs([0, 1], 3)
+    with pytest.raises(NonInvertibleError):
+        BivarSeries.one(1, 3) / BivarSeries.monomial(1, 1, 0, 1, 3)
