@@ -17,9 +17,10 @@ from .paths import StatKind
 from .series import Series, catalan_series
 
 
-def _band_denominator(height_ratio: Series, excursions: Series) -> Series:
-    """The factor 1 - x*(R - 1)*C shared by the exact valley formulas."""
-    return 1 - ((height_ratio - 1) * excursions).shift(1)
+def _band_quotient(height_ratio: Series, excursions: Series) -> Series:
+    """C / (1 - x*(R - 1)*C), shared by the exact valley formulas, in one
+    division."""
+    return excursions / (1 - ((height_ratio - 1) * excursions).shift(1))
 
 
 def _one_minus_x2c2(order: int) -> Series:
@@ -63,7 +64,7 @@ def stat_family(kind: StatKind, k: int, order: int, r_max: int) -> tuple[Series,
         return stat_family(StatKind.VALLEY, k - 2, order, r_max)
     c = catalan_series(order)
     ratio = r_series(k + 1, order)
-    cd = c * _band_denominator(ratio, c).reciprocal()
+    cd = _band_quotient(ratio, c)
     slices = _geometric(cd * u_inv_sq_series(k + 1, order), cd.shift(1), r_max)
     slices[0] = ratio + slices[0]
     return tuple(slices)
@@ -115,8 +116,7 @@ def no_valley_band_gf(k: int, order: int) -> Series:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    c = catalan_series(order)
-    return c * _band_denominator(r_series(k + 1, order), c).reciprocal()
+    return _band_quotient(r_series(k + 1, order), catalan_series(order))
 
 
 def catalan_power_coefficient(m: int, j: int) -> int:
@@ -165,15 +165,3 @@ def valley0_binomial_literal(n: int, r: int) -> Fraction:
     binom = comb(top, n + 1) if top >= 0 else 0
     return Fraction(r + 1, n) * binom
 
-
-def peak_k0_via_remark(k: int, order: int) -> Series:
-    """No-peaks-at-height-k series (k >= 2) by the direct shifted formula.
-
-    Evaluates R_{k-1} + C * x^{k-1}/q_{k-1}^2 / (1 - x*(R_{k-1}-1)*C),
-    which must agree with ``peak_gf(k, 0)``; the tests assert it does.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    c = catalan_series(order)
-    ratio = r_series(k - 1, order)
-    return ratio + c * u_inv_sq_series(k - 1, order) * _band_denominator(ratio, c).reciprocal()

@@ -250,14 +250,17 @@ def count_exact_enum(n: int, k: int, r: int, kind: StatKind, *, guard: int = DEF
     return sum(ways for tally, ways in _enum_profiles(n, k) if tally[index] == r)
 
 
-def _dp_distribution(n: int, k: int, kind: StatKind, cap: int) -> list[int]:
-    """Counts of semilength-n paths by number of occurrences of the statistic.
+def _dp_distribution(n: int, k: int, kind: StatKind, cap: int) -> list[list[int]]:
+    """Counts of paths by number of occurrences of the statistic, for every
+    semilength m = 0..n from one sweep of 2n steps.
 
-    Returns a list of length cap + 1: index c < cap is the exact count of
-    paths with c occurrences at height k, index cap collects "cap or more".
+    Row m is a list of length cap + 1: index c < cap is the exact count of
+    semilength-m paths with c occurrences at height k, index cap collects
+    "cap or more". It is read at height 0 after step 2m; that endpoint is no
+    corner yet, since a corner is counted only when the next step is taken.
     The state after each step is one height-indexed list per (occurrences
     so far, capped; last step direction), trimmed to the heights from which
-    the path can still return to the axis.
+    the path can still return to the axis by step 2n.
     """
     peak = kind is StatKind.PEAK
     buckets = range(cap + 1)
@@ -267,6 +270,7 @@ def _dp_distribution(n: int, k: int, kind: StatKind, cap: int) -> list[int]:
     up = [[0] for _ in buckets]
     up[0][0] = 1
     down = [[0] for _ in buckets]
+    rows = [[1] + [0] * cap]  # the empty path
     total_steps = 2 * n
     for pos in range(total_steps):
         size = min(pos + 1, total_steps - pos - 1) + 1  # heights after this step
@@ -282,20 +286,22 @@ def _dp_distribution(n: int, k: int, kind: StatKind, cap: int) -> list[int]:
             for c, ways in enumerate(moved):
                 target[c][h] -= ways
                 target[min(c + 1, cap)][h] += ways
-    return [u[0] + d[0] for u, d in zip(up, down)]
+        if pos % 2:
+            rows.append([u[0] + d[0] for u, d in zip(up, down)])
+    return rows
 
 
 def count_exact_dp(n: int, k: int, r: int, kind: StatKind) -> int:
     """Number of semilength-n paths with exactly r occurrences at height k.
 
-    Polynomial-time dynamic program; the occurrence axis is capped at r + 1
-    (an overflow bucket), so the cost does not grow with n beyond the state
-    space.
+    Row n of the dynamic program's sweep; the occurrence axis is capped at
+    r + 1 (an overflow bucket), so the cost does not grow with n beyond the
+    state space.
     """
     _check_count_args(n, k, r)
     if r > n:
         return 0
-    return _dp_distribution(n, k, kind, r + 1)[r]
+    return _dp_distribution(n, k, kind, r + 1)[n][r]
 
 
 def bounded_height_count(n_steps: int, k: int, end_height: int) -> int:
@@ -434,7 +440,8 @@ def build_table(
 
     The three methods are independent routes to the same numbers:
     exhaustive enumeration, the dynamic program, and generating-function
-    coefficients.
+    coefficients. The last two make one pass per (k, kind), a DP sweep to
+    n_max or a series family, and read every semilength from it.
     """
     if n_max < 0 or k_max < 0:
         raise ValueError("n_max and k_max must be >= 0")
@@ -452,10 +459,9 @@ def build_table(
                     table.entries[(n, k, tally[k], StatKind.PEAK)] += ways
                     table.entries[(n, k, tally[k_max + 1 + k], StatKind.VALLEY)] += ways
     elif method == "dp":
-        for n in range(n_max + 1):
-            for k in range(k_max + 1):
-                for kind in StatKind:
-                    dist = _dp_distribution(n, k, kind, n + 1)
+        for k in range(k_max + 1):
+            for kind in StatKind:
+                for n, dist in enumerate(_dp_distribution(n_max, k, kind, n_max + 1)):
                     for r in range(n + 1):
                         table.entries[(n, k, r, kind)] = dist[r]
     elif method == "gf":

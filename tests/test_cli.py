@@ -160,6 +160,19 @@ def test_table_csv(capsys):
     assert "6,1,0,peak,57" in lines
 
 
+def test_table_dp_csv_equals_gf_csv_byte_for_byte(capsys):
+    argv = ("table", "--n-max", "40", "--k-max", "5", "--format", "csv", "--method")
+    code, dp, _ = run(capsys, *argv, "dp")
+    assert code == 0
+    code, gf, _ = run(capsys, *argv, "gf")
+    assert code == 0
+    assert dp == gf
+    # the gf-table bytes that perfbench/expected.json pins
+    assert sha256(dp.encode()).hexdigest() == (
+        "f2bea75dcce5854a2f3e50f39ca88d070c7d97b5df0ab13e6af5cacebfed076c"
+    )
+
+
 def test_table_json_and_plain_agree(capsys):
     code, plain, _ = run(capsys, "table", "--n-max", "3", "--k-max", "2", "--method", "gf")
     assert code == 0

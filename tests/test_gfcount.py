@@ -9,7 +9,6 @@ from dyckpeaks.gfcount import (
     catalan_power_coefficient,
     no_valley_band_gf,
     peak_gf,
-    peak_k0_via_remark,
     peak1_nonempty_blocks_gf,
     stat_family,
     stat_gf,
@@ -72,6 +71,8 @@ def test_valley_gf_grid_matches_enumeration(k, r):
 
 def test_peak_gf_fine_numbers():
     assert list(peak_gf(1, 0, 6).coeffs) == [1, 0, 1, 2, 6, 18, 57]
+    # no peak at height 2; at n = 3 these are UDUDUD and UUUDDD
+    assert list(peak_gf(2, 0, 5).coeffs) == [1, 1, 1, 2, 5, 14]
 
 
 def test_peak_gf_height0():
@@ -219,25 +220,6 @@ def test_catalan_power_coefficient_validates():
         catalan_power_coefficient(-1, 2)
 
 
-# -- remark formula -------------------------------------------------------------
-
-
-def test_peak_k0_via_remark_examples():
-    assert list(peak_k0_via_remark(2, 5).coeffs) == [1, 1, 1, 2, 5, 14]
-    assert peak_k0_via_remark(3, 5) == valley_gf(1, 0, 5)
-    assert peak_k0_via_remark(2, 4).coefficient(0) == 1
-
-
-@pytest.mark.parametrize("k", range(2, 8))
-def test_peak_k0_via_remark_equals_peak_gf(k):
-    assert peak_k0_via_remark(k, 30) == peak_gf(k, 0, 30)
-
-
-def test_peak_k0_via_remark_requires_k_at_least_2():
-    with pytest.raises(ValueError):
-        peak_k0_via_remark(1, 5)
-
-
 def test_dp_and_series_agree_beyond_64_bit_range():
     # arbitrary-precision check: the counts here are far past 2**63
     from dyckpeaks.paths import count_exact_dp
@@ -307,7 +289,7 @@ def test_stat_gf_past_the_order_is_zero():
 
 
 def test_gf_table_equals_dp_table():
-    assert build_table(30, 5, "gf").entries == build_table(30, 5, "dp").entries
+    assert build_table(60, 8, "gf").entries == build_table(60, 8, "dp").entries
 
 
 @pytest.mark.parametrize(

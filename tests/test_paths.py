@@ -257,9 +257,39 @@ def test_dp_distribution_sums_to_catalan(n):
     for k in sorted({0, 1, 3, 8, n, n + 2}):
         for cap in sorted({0, 1, 4, n + 1 if n <= 57 else 4}):
             for kind in StatKind:
-                dist = _dp_distribution(n, k, kind, cap)
-                assert len(dist) == cap + 1
-                assert sum(dist) == comb(2 * n, n) // (n + 1), (n, k, cap, kind)
+                rows = _dp_distribution(n, k, kind, cap)
+                assert len(rows) == n + 1
+                for m, dist in enumerate(rows):
+                    assert len(dist) == cap + 1
+                    assert sum(dist) == comb(2 * m, m) // (m + 1), (n, m, k, cap, kind)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 6))
+def test_dp_table_rows_do_not_depend_on_n_max(a, b, k):
+    # the sweep trims its heights by n_max, so a shorter table must be a
+    # prefix of a longer one; single counts use the overflow bucket r + 1
+    a, b = min(a, b), max(a, b)
+    small = build_table(a, k, "dp").entries
+    large = build_table(b, k, "dp").entries
+    assert small == {key: count for key, count in large.items() if key[0] <= a}
+    for (n, k_, r, kind), count in small.items():
+        assert count_exact_dp(n, k_, r, kind) == count, (n, k_, r, kind)
+
+
+def test_dp_table_sweeps_once_per_height_and_kind(monkeypatch):
+    import dyckpeaks.paths as paths
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _dp_distribution(*args)
+
+    monkeypatch.setattr(paths, "_dp_distribution", counting)
+    build_table(9, 4, "dp")
+    assert len(calls) == 2 * (4 + 1)
+    assert {args[0] for args in calls} == {9} and {args[3] for args in calls} == {10}
 
 
 @settings(deadline=None)
