@@ -9,22 +9,21 @@ is an honest integer-coefficient object. Three families are derived from it:
 * ``r_series(k)``: the ratio q_{k-1}/q_k, whose n-th coefficient counts
   Dyck paths of semilength n with maximum height at most k - 1;
 * ``u_inv_sq_series(k)``: x^k / q_k(x)^2, the squared-denominator factor
-  of the exact peak/valley formulas;
+  of the exact peak/valley formulas (1 at k = 0, where the peak family at
+  height 1 reads it);
 * ``f_series_t(k)``: t^k / q_{k+1}(t^2), a series in the single-step
   variable t (x = t^2) counting paths from height 0 to height k confined
   to the band [0, k].
+
+Every function here is pure: q_k is recomputed on each call and the module
+keeps no state between calls.
 """
 
 from __future__ import annotations
 
-import threading
 from itertools import zip_longest
 
 from .series import InvariantError, Series
-
-
-_q_cache: list[tuple[int, ...]] = [(1,), (1,)]
-_q_lock = threading.Lock()
 
 
 def q_poly(k: int) -> tuple[int, ...]:
@@ -33,16 +32,14 @@ def q_poly(k: int) -> tuple[int, ...]:
 
     q_k(0) = 1 for every k, so each q_k is invertible as a series, and
     deg(q_k) = k // 2: the tuple has k // 2 + 1 entries and no trailing
-    zero. The memo table is extended under a lock so concurrent callers stay
-    safe.
+    zero. Each call runs the recurrence afresh, in O(k^2) integer steps.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    with _q_lock:
-        while len(_q_cache) <= k:
-            q, shifted = _q_cache[-1], (0,) + _q_cache[-2]
-            _q_cache.append(tuple(a - b for a, b in zip_longest(q, shifted, fillvalue=0)))
-        return _q_cache[k]
+    prev, q = (1,), (1,)
+    for _ in range(k - 1):
+        prev, q = q, tuple(a - b for a, b in zip_longest(q, (0,) + prev, fillvalue=0))
+    return q
 
 
 def r_series(k: int, order: int) -> Series:
@@ -52,7 +49,7 @@ def r_series(k: int, order: int) -> Series:
     at most k - 1. Computed two independent ways, by polynomial division and
     by iterating the step map R -> 1/(1 - x*R) k times from 0; the routes
     must agree (else :class:`InvariantError`), which guards both the
-    polynomial table and the iteration. No path of semilength <= order
+    polynomial recurrence and the iteration. No path of semilength <= order
     reaches height order + 1, so any k above order + 1 is computed as
     order + 1.
     """
@@ -71,10 +68,10 @@ def r_series(k: int, order: int) -> Series:
 
 
 def u_inv_sq_series(k: int, order: int) -> Series:
-    """Series of x^k / q_k(x)^2 for k >= 1; lowest nonzero exponent is k,
-    so the series is zero when k exceeds the order."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    """Series of x^k / q_k(x)^2 for k >= 0; lowest nonzero exponent is k,
+    so the series is zero when k exceeds the order, and k = 0 gives 1."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if k > order:
         return Series.zero(order)
     qk = Series.from_coeffs(q_poly(k), order)
@@ -87,10 +84,14 @@ def f_series_t(k: int, order: int) -> Series:
     Returns t^k / q_{k+1}(t^2) truncated at ``order``: the coefficient of
     t^n is the number of n-step paths from height 0 to height k that stay
     inside the band [0, k]. Paths ending at odd height have odd step count,
-    which is why this one series lives in t rather than x = t^2.
+    which is why this one series lives in t rather than x = t^2. The
+    lowest nonzero exponent is k, so the series is zero when k exceeds the
+    order.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    if k > order:
+        return Series.zero(order)
     spaced: list[int] = []
     for c in q_poly(k + 1):
         spaced.append(c)

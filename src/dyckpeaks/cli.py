@@ -6,7 +6,8 @@ exact count by any of three methods), ``table`` (a full count table),
 spec), and ``verify`` (the full cross-validation report).
 
 Exit codes: 0 success, 1 usage or input error, 2 verification failure (a
-failed ``verify`` report, or an internal check raising ``InvariantError``).
+failed ``verify`` report, an internal check raising ``InvariantError``, or a
+counting series with a fractional coefficient raising ``NonIntegralError``).
 JSON output renders counts and coefficients as decimal strings so arbitrary
 precision survives any JSON reader.
 """
@@ -33,7 +34,7 @@ from .paths import (
     statistics,
     theta_forward,
 )
-from .series import BivarSeries, InvariantError, Series
+from .series import BivarSeries, InvariantError, NonIntegralError, Series
 from .verify import run_verify
 
 _KINDS = {"peak": StatKind.PEAK, "valley": StatKind.VALLEY}
@@ -251,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code == 0 else 1
     try:
         return args.func(args)
-    except InvariantError as exc:
+    except (InvariantError, NonIntegralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, OSError) as exc:

@@ -23,33 +23,22 @@ def _band_quotient(height_ratio: Series, excursions: Series) -> Series:
     return excursions / (1 - ((height_ratio - 1) * excursions).shift(1))
 
 
-def _one_minus_x2c2(order: int) -> Series:
-    """1 - x^2*C(x)^2, the no-peak-at-height-1 denominator."""
-    c = catalan_series(order)
-    return 1 - (c * c).shift(2)
-
-
-def _geometric(first: Series, step: Series, r_max: int) -> list[Series]:
-    """The slices first * step^r for r = 0..r_max, one multiplication each."""
-    slices = [first]
-    for _ in range(r_max):
-        slices.append(slices[-1] * step)
-    return slices
-
-
 def stat_family(kind: StatKind, k: int, order: int, r_max: int) -> tuple[Series, ...]:
     """Series counting paths with exactly r occurrences at height k, for
     every r = 0..r_max at once; entry r is the r-th slice.
 
-    Every family is geometric in r. Valleys at height k give
-    delta(r=0)*R_{k+1} + C*D*U * (x*C*D)^r, with U = x^{k+1}/q_{k+1}^2,
-    D = 1/(1 - x*(R_{k+1}-1)*C), and R and q from the bounded-height layer.
-    Peaks at height 1 give P * (x*P)^r with P = 1/(1 - x^2*C^2): a path with
-    exactly r peaks at height 1 is r bare up-down arches interleaved with
-    r + 1 possibly empty peak-at-1-free blocks, each counted by P. Peaks at
-    height k >= 2 are the valley family at height k - 2 (see
-    :func:`dyckpeaks.paths.psi` for the certifying involution). Height 0 is
-    degenerate: no path has a peak there, so only the r = 0 slice is nonzero.
+    Every family is geometric in r, and one closed form gives them all.
+    Valleys at height k give delta(r=0)*R_{k+1} + C*D*U * (x*C*D)^r, with
+    U = x^{k+1}/q_{k+1}^2, D = 1/(1 - x*(R_{k+1}-1)*C), and R and q from the
+    bounded-height layer. Peaks at height k >= 1 are that valley form read at
+    height k - 2 (see :func:`dyckpeaks.paths.psi` for the certifying
+    involution when k >= 2). At height 1 the form is read at height -1:
+    R_0 = 0 and q_0 = 1, so U = 1 and C*D = C/(1 + x*C), which is
+    P = 1/(1 - x^2*C^2) because 1 - x*C = 1/C; the family is P * (x*P)^r.
+    Read as blocks and arches, a path with exactly r peaks at height 1 is
+    r bare up-down arches interleaved with r + 1 possibly empty
+    peak-at-1-free blocks, each counted by P. Height 0 is degenerate: no
+    path has a peak there, so only the r = 0 slice is nonzero.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -58,14 +47,13 @@ def stat_family(kind: StatKind, k: int, order: int, r_max: int) -> tuple[Series,
     if kind is StatKind.PEAK:
         if k == 0:
             return (catalan_series(order),) + (Series.zero(order),) * r_max
-        if k == 1:
-            blocks = _one_minus_x2c2(order).reciprocal()
-            return tuple(_geometric(blocks, blocks.shift(1), r_max))
-        return stat_family(StatKind.VALLEY, k - 2, order, r_max)
-    c = catalan_series(order)
+        k -= 2
     ratio = r_series(k + 1, order)
-    cd = _band_quotient(ratio, c)
-    slices = _geometric(cd * u_inv_sq_series(k + 1, order), cd.shift(1), r_max)
+    cd = _band_quotient(ratio, catalan_series(order))
+    step = cd.shift(1)
+    slices = [cd * u_inv_sq_series(k + 1, order)]
+    for _ in range(r_max):
+        slices.append(slices[-1] * step)
     slices[0] = ratio + slices[0]
     return tuple(slices)
 
@@ -99,7 +87,8 @@ def peak1_nonempty_blocks_gf(r: int, order: int) -> Series:
     if r < 0:
         raise ValueError("r must be >= 0")
     c = catalan_series(order)
-    main = _one_minus_x2c2(order).reciprocal().power(r + 1) * c.power(2 * r + 2).shift(3 * r + 2)
+    blocks = (1 - (c * c).shift(2)).reciprocal()
+    main = blocks.power(r + 1) * c.power(2 * r + 2).shift(3 * r + 2)
     if r == 0:
         return main + 1
     return main

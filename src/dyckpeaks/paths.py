@@ -61,6 +61,8 @@ class DyckPath:
 
     def __post_init__(self) -> None:
         steps = tuple(self.steps)
+        if steps is not self.steps:
+            object.__setattr__(self, "steps", steps)
         # Accept at C speed (unit steps, as many ups as downs, no prefix
         # below the axis); the walk below runs only to locate a rejection.
         ups = steps.count(UP)

@@ -34,7 +34,8 @@ class NonInvertibleError(ValueError):
 
 
 class NonIntegralError(ValueError):
-    """A series expected to be a counting series has a fractional coefficient."""
+    """A series expected to be a counting series has a fractional coefficient.
+    Signals a bug in a counting formula, not bad input."""
 
 
 class InvariantError(RuntimeError):

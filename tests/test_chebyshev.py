@@ -78,9 +78,11 @@ def test_u_inv_sq_small_cases():
     assert list(u_inv_sq_series(3, 5).coeffs) == [0, 0, 0, 1, 4, 12]
 
 
-def test_u_inv_sq_requires_k_at_least_1():
+def test_u_inv_sq_at_k_0_is_one():
+    # x^0 / q_0^2 = 1, the factor the peak family at height 1 reads
+    assert u_inv_sq_series(0, 4) == Series.one(4)
     with pytest.raises(ValueError):
-        u_inv_sq_series(0, 4)
+        u_inv_sq_series(-1, 4)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -121,10 +123,20 @@ def test_unreachable_heights_match_the_unclamped_formulas(order):
         assert r_series(k, order) == by_ratio == iterated
         q = Series.from_coeffs(q_poly(k), order)
         assert u_inv_sq_series(k, order) == (q * q).reciprocal().shift(k)
+        spaced = [c for a in q_poly(k + 1) for c in (a, 0)]
+        assert f_series_t(k, order) == Series.from_coeffs(spaced, order).reciprocal().shift(k)
 
 
-def test_unreachable_heights_do_not_grow_the_polynomial_table():
-    before = len(chebyshev._q_cache)
+def test_unreachable_heights_ask_for_no_high_polynomial(monkeypatch):
+    asked = []
+    real = chebyshev.q_poly
+
+    def spy(k):
+        asked.append(k)
+        return real(k)
+
+    monkeypatch.setattr(chebyshev, "q_poly", spy)
+    assert f_series_t(2000, 5) == Series.zero(5)
     assert r_series(500, 5) == r_series(6, 5)
     assert u_inv_sq_series(500, 5) == Series.zero(5)
-    assert len(chebyshev._q_cache) <= max(before, 7)
+    assert asked and max(asked) <= 6

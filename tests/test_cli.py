@@ -3,16 +3,18 @@
 import json
 from hashlib import sha256
 from contextlib import redirect_stdout
+from fractions import Fraction
 from io import StringIO
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyckpeaks import chebyshev
+from dyckpeaks import chebyshev, cli
 from dyckpeaks.cli import main
 from dyckpeaks.gfcount import stat_gf
 from dyckpeaks.paths import StatKind, build_table, count_exact_dp
+from dyckpeaks.series import Series
 
 
 def run(capsys, *argv):
@@ -112,6 +114,19 @@ def test_failed_internal_check_exits_2(capsys, monkeypatch):
     assert err == "error: bounded-height series routes disagree at k=2\n"
 
 
+def test_non_integral_counting_series_exits_2(capsys, monkeypatch):
+    # a fractional coefficient in a counting series is a formula bug
+    monkeypatch.setattr(
+        cli, "stat_gf", lambda kind, k, r, order: Series.from_coeffs([1, Fraction(1, 2)], order)
+    )
+    code, out, err = run(
+        capsys, "count", "--stat", "peak", "--k", "1", "--r", "0", "--n", "3", "--method", "gf",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: coefficient of order 1 is non-integral: 1/2\n"
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -170,6 +185,15 @@ def test_table_dp_csv_equals_gf_csv_byte_for_byte(capsys):
     # the gf-table bytes that perfbench/expected.json pins
     assert sha256(dp.encode()).hexdigest() == (
         "f2bea75dcce5854a2f3e50f39ca88d070c7d97b5df0ab13e6af5cacebfed076c"
+    )
+
+
+def test_default_verify_report_bytes_are_pinned(capsys):
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    # the verify-default bytes that perfbench/expected.json pins
+    assert sha256(out.encode()).hexdigest() == (
+        "4155400197daac625527afbfb7f6657d697d3132fa51113442a7d1e0b2784614"
     )
 
 

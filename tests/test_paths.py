@@ -101,6 +101,13 @@ def test_direct_construction_validates():
         DyckPath((UP, 2))
 
 
+def test_list_input_is_stored_as_the_validated_tuple():
+    path = DyckPath([UP, DOWN])
+    assert type(path.steps) is tuple
+    assert path == DyckPath((UP, DOWN))
+    assert hash(path) == hash(DyckPath((UP, DOWN)))
+
+
 # -- statistics ---------------------------------------------------------------
 
 
