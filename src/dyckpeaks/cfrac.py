@@ -23,7 +23,17 @@ of t terms costs t passes over the series it multiplies, since the product
 kernel walks only nonzero terms. The peak fraction has lambda = x at every
 level and d_j = 1 except d_k = 1 + x - x*z, so every level step is a
 polynomial times a series and K stays affine in z; the final division then
-costs one dense reciprocal and at most z_order + 3 products.
+costs one dense reciprocal and at most z_order + 3 products. The series
+arithmetic truncates every result to the smaller orders of its operands, so
+weights, tail and requested orders may differ and the value comes out at the
+smallest of them.
+
+Every fraction the library builds itself is one marked fraction: all
+down-steps weigh x, except the peak down-step at the innermost level k,
+which carries a mark, and a tail stands in for the levels below. Mark x with
+tail 1 is the uniform path fraction; mark x*z with tail C counts peaks at
+height k; mark x + z with tail A gives the innermost denominator
+1 - (z + x*A) of the lemma, whose closed form is :func:`lemma_rhs`.
 
 Conventions: ``lambdas[i]`` and ``mus[i]`` are the weights for height i + 1
 (level 1 is the outermost). The peak-marking fraction uses mu_k = x*z so
@@ -65,21 +75,29 @@ def rv_cfrac(w: WeightSpec, x_order: int, z_order: int) -> BivarSeries:
     ``w.depth`` up to level 1 and divides once. Level j's denominator is
     K_j / K_{j+1}, so its constant term vanishes exactly when the (x^0, z^0)
     constant of K_j does; :class:`NonInvertibleError` names the deepest
-    such level. When every lambda weight has lowest x-degree >= 1 and
+    such level. The result is truncated at the smallest of ``x_order``,
+    ``z_order`` and the orders of the tail and the weights of levels
+    1..depth. When every lambda weight has lowest x-degree >= 1 and
     depth >= x_order+1, coefficients up to x_order are exact regardless of
     the tail.
     """
-    used = list(w.lambdas[: w.depth]) + list(w.mus[: w.depth]) + [w.tail]
-    eff_x = min([x_order] + [u.x_order for u in used])
-    eff_z = min([z_order] + [u.z_order for u in used])
-    k_next, k = w.tail.truncate(eff_z, eff_x), BivarSeries.one(eff_z, eff_x)
+    k_next, k = w.tail, BivarSeries.one(z_order, x_order)
     for level in range(w.depth, 0, -1):
-        lam = w.lambdas[level - 1].truncate(eff_z, eff_x)
-        d = 1 - (w.mus[level - 1].truncate(eff_z, eff_x) - lam)
+        lam = w.lambdas[level - 1]
+        d = 1 - (w.mus[level - 1] - lam)
         k_next, k = k, d * k - lam * k_next
         if k.entries[0].coeffs[0] == 0:
             raise NonInvertibleError(f"denominator at level {level} is not invertible")
     return k_next / k
+
+
+def _marked_fraction(depth: int, mark: BivarSeries, tail: BivarSeries) -> BivarSeries:
+    """The fraction with every down-step weighing x except the peak
+    down-step at level ``depth``, which weighs ``mark``; the orders are the
+    tail's."""
+    x = BivarSeries.monomial(1, 1, 0, tail.z_order, tail.x_order)
+    spec = WeightSpec((x,) * depth, (x,) * (depth - 1) + (mark,), depth, tail)
+    return rv_cfrac(spec, tail.x_order, tail.z_order)
 
 
 def catalan_cfrac(depth: int, order: int) -> Series:
@@ -89,8 +107,7 @@ def catalan_cfrac(depth: int, order: int) -> Series:
     depth >= order + 1.
     """
     x = BivarSeries.monomial(1, 1, 0, 0, order)
-    spec = WeightSpec((x,) * depth, (x,) * depth, depth, BivarSeries.one(0, order))
-    return rv_cfrac(spec, order, 0).z_slice(0)
+    return _marked_fraction(depth, x, BivarSeries.one(0, order)).z_slice(0)
 
 
 def peak_bivar_cfrac(k: int, x_order: int, z_order: int) -> BivarSeries:
@@ -104,59 +121,41 @@ def peak_bivar_cfrac(k: int, x_order: int, z_order: int) -> BivarSeries:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    x = BivarSeries.monomial(1, 1, 0, z_order, x_order)
     marked = BivarSeries.monomial(1, 1, 1, z_order, x_order)
     tail = BivarSeries.from_series(catalan_series(x_order), z_order)
-    spec = WeightSpec((x,) * k, (x,) * (k - 1) + (marked,), k, tail)
-    return rv_cfrac(spec, x_order, z_order)
-
-
-def _z_affine(constant: Series, z_coeff: Series, z_order: int) -> BivarSeries:
-    """The bivariate value ``constant + z * z_coeff`` (z_coeff dropped at z_order 0)."""
-    zero = Series.zero(constant.order)
-    entries = [constant] + [z_coeff if j == 1 else zero for j in range(1, z_order + 1)]
-    return BivarSeries(z_order, constant.order, tuple(entries))
+    return _marked_fraction(k, marked, tail)
 
 
 def lemma_rhs(k: int, a: Series, x_order: int, z_order: int) -> BivarSeries:
     """Closed form for the k-level fraction whose innermost denominator is
-    1 - z - x*A.
+    1 - (z + x*A).
 
-    Returns R_k * (1 - z*R_{k-1} - x*A*R_{k-1}) / (1 - z*R_k - x*A*R_k),
-    with R the bounded-height ratios. Must coincide with
-    :func:`lemma_iterated_cfrac`; the tests and the verify report check the
-    two against each other coefficientwise.
+    Returns R_k * (1 - R_{k-1} * (z + x*A)) / (1 - R_k * (z + x*A)), with R
+    the bounded-height ratios, at x-order min(x_order, a.order). Must
+    coincide with :func:`lemma_iterated_cfrac`; the tests and the verify
+    report check the two against each other coefficientwise.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     order = min(x_order, a.order)
-    a = a.truncate(order)
+    inner = BivarSeries.monomial(1, 0, 1, z_order, order) + a.shift(1)
     r_hi = r_series(k, order)
     r_lo = r_series(k - 1, order)
-
-    def affine(ratio: Series) -> BivarSeries:
-        const = 1 - (a * ratio).shift(1)
-        return _z_affine(const, -ratio, z_order)
-
-    numerator = affine(r_lo)
-    denominator = affine(r_hi)
-    return BivarSeries.from_series(r_hi, z_order) * numerator / denominator
+    return r_hi * (1 - r_lo * inner) / (1 - r_hi * inner)
 
 
 def lemma_iterated_cfrac(k: int, a: Series, x_order: int, z_order: int) -> BivarSeries:
     """Direct evaluation of the same k-level fraction by :func:`rv_cfrac`.
 
     Every level has lambda = x; mu = x above level k and mu_k = x + z, and
-    the tail is A, so the innermost denominator is 1 - z - x*A and each
+    the tail is A, so the innermost denominator is 1 - (z + x*A) and each
     outer level wraps the value below it as 1 / (1 - x * inner).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     order = min(x_order, a.order)
-    x = BivarSeries.monomial(1, 1, 0, z_order, order)
-    z = BivarSeries.monomial(1, 0, 1, z_order, order)
-    tail = BivarSeries.from_series(a.truncate(order), z_order)
-    return rv_cfrac(WeightSpec((x,) * k, (x,) * (k - 1) + (x + z,), k, tail), order, z_order)
+    mark = BivarSeries.monomial(1, 1, 0, z_order, order) + BivarSeries.monomial(1, 0, 1, z_order, order)
+    return _marked_fraction(k, mark, BivarSeries.from_series(a.truncate(order), z_order))
 
 
 # -- JSON weight specifications ------------------------------------------
@@ -247,8 +246,6 @@ def weight_spec_from_json(text: str, x_order: int, z_order: int) -> WeightSpec:
     if "depth" not in doc or not isinstance(doc["depth"], int) or isinstance(doc["depth"], bool):
         raise ValueError("weight spec needs an integer `depth`")
     depth = doc["depth"]
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     if "lambdas" not in doc or "mus" not in doc:
         raise ValueError("weight spec needs `lambdas` and `mus`")
     lambdas = _parse_weight_list(doc["lambdas"], depth, z_order, x_order, "lambdas")

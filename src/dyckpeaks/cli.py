@@ -26,6 +26,7 @@ from .gfcount import stat_gf
 from .paths import (
     DEFAULT_ENUM_GUARD,
     StatKind,
+    _check_count_args,
     build_table,
     count_exact_dp,
     count_exact_enum,
@@ -115,6 +116,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_count(args) -> int:
     kind = _KINDS[args.stat]
+    _check_count_args(args.n, args.k, args.r)
     if args.method == "enum":
         count = count_exact_enum(args.n, args.k, args.r, kind, guard=args.enum_guard)
     elif args.method == "dp":

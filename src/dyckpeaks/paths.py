@@ -348,8 +348,6 @@ def psi(path: DyckPath, k: int) -> DyckPath:
         if s != prev:
             is_peak = prev == UP and h == k
             is_valley = prev == DOWN and h == k - 2
-            if is_peak and is_valley:
-                raise InvariantError(f"point {j} classified as both peak and valley")
             if is_peak:
                 new_steps[j - 1] -= 2
                 new_steps[j] += 2
@@ -358,10 +356,10 @@ def psi(path: DyckPath, k: int) -> DyckPath:
                 new_steps[j] -= 2
             prev = s
         h += s
-    if not {UP, DOWN}.issuperset(new_steps):
-        j = next(j for j, d in enumerate(new_steps) if d not in (UP, DOWN))
-        raise InvariantError(f"rewrite produced a non-unit step at {j}")
-    return DyckPath(tuple(new_steps))
+    try:
+        return DyckPath(tuple(new_steps))
+    except PathError as exc:
+        raise InvariantError(f"rewrite produced an invalid path: {exc}") from exc
 
 
 def theta_forward(path: DyckPath) -> DyckPath | None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cfrac import catalan_cfrac, lemma_iterated_cfrac, lemma_rhs, peak_bivar_cfrac, rv_cfrac, WeightSpec
+from .cfrac import _marked_fraction, catalan_cfrac, lemma_iterated_cfrac, lemma_rhs, peak_bivar_cfrac
 from .gfcount import (
     peak1_nonempty_blocks_gf,
     stat_family,
@@ -63,7 +63,7 @@ class VerifyReport:
 
 def _check_three_way(report: VerifyReport, tables: dict, n_max: int, k_max: int) -> None:
     report.section("three-way agreement: enumeration vs dynamic program vs series")
-    keys = sorted(tables["enum"].entries, key=lambda key: (key[0], key[1], key[2], key[3].value))
+    keys = [key for key, _ in tables["enum"].sorted_items()]
     first_bad = None
     for key in keys:
         values = {m: tables[m].get(*key) for m in ("enum", "dp", "gf")}
@@ -217,10 +217,8 @@ def _check_valley0_binomial(report: VerifyReport, n_max: int, r_max: int, enum_t
 def _check_mark_convention(report: VerifyReport, order: int, r_max: int) -> None:
     report.section("discrepancy check: raw mark z vs semilength mark x*z")
     k = 1
-    x = BivarSeries.monomial(1, 1, 0, r_max, order)
     raw_mark = BivarSeries.monomial(1, 0, 1, r_max, order)
-    tail = BivarSeries.from_series(catalan_series(order), r_max)
-    raw = rv_cfrac(WeightSpec((x,) * k, (raw_mark,), k, tail), order, r_max)
+    raw = _marked_fraction(k, raw_mark, BivarSeries.from_series(catalan_series(order), r_max))
     family = stat_family(StatKind.PEAK, k, order, r_max)
     shifts_ok = all(raw.z_slice(r).shift(r) == family[r] for r in range(r_max + 1))
     if not shifts_ok:

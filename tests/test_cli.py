@@ -66,12 +66,6 @@ def test_count_methods_agree(capsys, method):
         (("series", "--stat", "peak", "--k", "-1", "--r", "0"), "error: k and r must be >= 0"),
         (("series", "--stat", "valley", "--k", "1", "--r", "-1"), "error: k and r must be >= 0"),
         (("series", "--stat", "peak", "--k", "1", "--r", "0", "--order", "-2"), "error: order must be >= 0"),
-        (("count", "--stat", "valley", "--k", "-1", "--r", "0", "--n", "4", "--method", "gf"),
-         "error: k and r must be >= 0"),
-        (("count", "--stat", "peak", "--k", "1", "--r", "-1", "--n", "4", "--method", "gf"),
-         "error: k and r must be >= 0"),
-        (("count", "--stat", "peak", "--k", "1", "--r", "0", "--n", "-1", "--method", "gf"),
-         "error: order must be >= 0"),
     ],
 )
 def test_gf_input_errors_exit_1(capsys, argv, message):
@@ -81,13 +75,14 @@ def test_gf_input_errors_exit_1(capsys, argv, message):
     assert err.strip() == message
 
 
-@pytest.mark.parametrize("method", ["enum", "dp"])
+@pytest.mark.parametrize("method", ["enum", "dp", "gf"])
 @pytest.mark.parametrize(
     "n, k, r",
     [("3", "-1", "0"), ("3", "1", "-1"), ("-1", "1", "0")],
 )
 def test_count_negative_input_exits_1(capsys, method, n, k, r):
-    # the enumeration route once printed 5 for k = -1 and 0 for r = -1
+    # the enumeration route once printed 5 for k = -1 and 0 for r = -1, and
+    # the gf route once named its own argument ("order", "k and r")
     code, out, err = run(
         capsys, "count", "--stat", "peak", "--k", k, "--r", r, "--n", n, "--method", method,
     )

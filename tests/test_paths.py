@@ -341,11 +341,18 @@ def test_psi_requires_k_at_least_2():
 
 
 def test_psi_rejects_a_non_unit_step():
-    # DyckPath validates on construction, so bypass it to hand psi a bad step
-    bad = object.__new__(DyckPath)
-    object.__setattr__(bad, "steps", (UP, 2, DOWN, DOWN, DOWN))
-    with pytest.raises(InvariantError, match=r"^rewrite produced a non-unit step at 1$"):
-        psi(bad, 2)
+    # DyckPath validates on construction, so bypass it to hand psi bad steps;
+    # an image that leaves the axis is an invariant failure too, not a PathError
+    cases = [
+        ((UP, 2, DOWN, DOWN, DOWN), "step must be +1 or -1, got 2 (index 1)"),
+        ((UP, DOWN, DOWN, UP), "path dips below the axis (index 2)"),
+    ]
+    for steps, reason in cases:
+        bad = object.__new__(DyckPath)
+        object.__setattr__(bad, "steps", steps)
+        with pytest.raises(InvariantError) as info:
+            psi(bad, 2)
+        assert str(info.value) == f"rewrite produced an invalid path: {reason}"
 
 
 @settings(deadline=None)
