@@ -23,7 +23,7 @@ of t terms costs t passes over the series it multiplies, since the product
 kernel walks only nonzero terms. The peak fraction has lambda = x at every
 level and d_j = 1 except d_k = 1 + x - x*z, so every level step is a
 polynomial times a series and K stays affine in z; the final division then
-costs one dense reciprocal and at most z_order + 3 products. The series
+costs z_order + 1 dense divisions and forms no reciprocal. The series
 arithmetic truncates every result to the smaller orders of its operands, so
 weights, tail and requested orders may differ and the value comes out at the
 smallest of them.

@@ -12,15 +12,25 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .chebyshev import r_series, u_inv_sq_series
+from .chebyshev import q_poly, r_series
 from .paths import StatKind
 from .series import Series, catalan_series
 
 
-def _band_quotient(height_ratio: Series, excursions: Series) -> Series:
-    """C / (1 - x*(R - 1)*C), shared by the exact valley formulas, in one
-    division."""
-    return excursions / (1 - ((height_ratio - 1) * excursions).shift(1))
+def _band_quotient(k: int, order: int) -> tuple[Series, Series]:
+    """The band factor C / (1 - x*(R_{k+1} - 1)*C) for k >= -1, with q_{k+1}.
+
+    R_{k+1} = q_k/q_{k+1} (q_{-1} = 0) and 1/C = 1 - x*C turn the factor
+    into q_{k+1}/F with F = q_{k+1}*(1 + x) - x*q_k - x*q_{k+1}*C: one
+    product with a polynomial and one division. The factor reads R_{k+1}
+    only below x^order, where every height from the order up gives the same
+    series, so k is clamped to the order; so is the q_{k+1} returned.
+    """
+    k = min(k, order)
+    upper = Series.from_coeffs(q_poly(k + 1), order)
+    lower = Series.from_coeffs(q_poly(k), order) if k >= 0 else Series.zero(order)
+    f = upper + (upper - lower - upper * catalan_series(order)).shift(1)
+    return upper / f, upper
 
 
 def stat_family(kind: StatKind, k: int, order: int, r_max: int) -> tuple[Series, ...]:
@@ -39,6 +49,12 @@ def stat_family(kind: StatKind, k: int, order: int, r_max: int) -> tuple[Series,
     r bare up-down arches interleaved with r + 1 possibly empty
     peak-at-1-free blocks, each counted by P. Height 0 is degenerate: no
     path has a peak there, so only the r = 0 slice is nonzero.
+
+    The band factor C*D is q_{k+1}/F, one division (see
+    :func:`_band_quotient`). C*D*U is x^{k+1}*C*D divided by the polynomial
+    q_{k+1}^2, of degree at most k + 1: a sparse division, at most k + 1
+    products per coefficient, in place of a dense product with U. R_{k+1}
+    comes from :func:`r_series`, whose two-route check runs on every call.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -48,13 +64,12 @@ def stat_family(kind: StatKind, k: int, order: int, r_max: int) -> tuple[Series,
         if k == 0:
             return (catalan_series(order),) + (Series.zero(order),) * r_max
         k -= 2
-    ratio = r_series(k + 1, order)
-    cd = _band_quotient(ratio, catalan_series(order))
+    cd, upper = _band_quotient(k, order)
     step = cd.shift(1)
-    slices = [cd * u_inv_sq_series(k + 1, order)]
+    slices = [cd.shift(k + 1) / (upper * upper)]
     for _ in range(r_max):
         slices.append(slices[-1] * step)
-    slices[0] = ratio + slices[0]
+    slices[0] = r_series(k + 1, order) + slices[0]
     return tuple(slices)
 
 
@@ -105,7 +120,7 @@ def no_valley_band_gf(k: int, order: int) -> Series:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _band_quotient(r_series(k + 1, order), catalan_series(order))
+    return _band_quotient(k, order)[0]
 
 
 def catalan_power_coefficient(m: int, j: int) -> int:

@@ -260,45 +260,52 @@ def _dp_distribution(n: int, k: int, kind: StatKind, cap: int) -> list[list[int]
     semilength-m paths with c occurrences at height k, index cap collects
     "cap or more". It is read at height 0 after step 2m; that endpoint is no
     corner yet, since a corner is counted only when the next step is taken.
-    The state after each step is one height-indexed list per (occurrences
-    so far, capped; last step direction), trimmed to the heights from which
-    the path can still return to the axis by step 2n.
+
+    After t steps every prefix ends at a height of the parity of t, so the
+    state is one integer per such height (entry j is height 2j + t % 2),
+    trimmed to the heights from which the path can still return to the
+    axis by step 2n. Its base-2^B digit c, with B = 2n + 2, counts the
+    prefixes with c occurrences so far (digit cap: cap or more); no digit
+    reaches 4^n, so none carries into the next. The corner needs no
+    direction state: the prefixes at height k whose last step is the
+    corner's first (up for a peak, down for a valley) are exactly the
+    prefixes one step earlier at the height h on the far side (k - 1 for a
+    peak, k + 1 for a valley). The corner's second step brings them back to
+    h, and there their digits move up one bucket.
     """
-    peak = kind is StatKind.PEAK
-    buckets = range(cap + 1)
-    # ``up[c][h]``: prefixes ending at height h by an up-step with c
-    # occurrences; the empty prefix counts as one, since no corner can
-    # follow it. ``down`` likewise for prefixes ending by a down-step.
-    up = [[0] for _ in buckets]
-    up[0][0] = 1
-    down = [[0] for _ in buckets]
-    rows = [[1] + [0] * cap]  # the empty path
+    bits = 2 * n + 2
+    digit = (1 << bits) - 1
+    low = (1 << bits * cap) - 1  # digits 0..cap-1; the digit for cap stays put
+    side = k - 1 if kind is StatKind.PEAK else k + 1
+    at_side = side // 2
+    cur = [1]  # the empty prefix, at height 0 with no occurrences
+    corner = 0  # the prefixes at height ``side`` one step before ``cur``
+    rows = [[1] + [0] * cap]
     total_steps = 2 * n
     for pos in range(total_steps):
-        size = min(pos + 1, total_steps - pos - 1) + 1  # heights after this step
-        both = [list(map(add, u, d)) for u, d in zip(up, down)]
-        # An up-then-down corner at height k is a peak; down-then-up, a valley.
-        corner = up if peak else down
-        moved = [row[k] if k < len(row) else 0 for row in corner]
-        up = [([0] + b)[:size] for b in both]
-        down = [b[1 : size + 1] + [0] * (size + 1 - len(b)) for b in both]
-        # the corner's paths now sit one step away from height k
-        target, h = (down, k - 1) if peak else (up, k + 1)
-        if any(moved) and 0 <= h < size:
-            for c, ways in enumerate(moved):
-                target[c][h] -= ways
-                target[min(c + 1, cap)][h] += ways
+        size = min(pos + 1, total_steps - pos - 1) // 2 + 1  # entries after this step
+        if pos % 2:  # odd heights to even: 2j is entered from 2j - 1 and 2j + 1
+            nxt = list(map(add, [0] + cur, cur + [0]))[:size]
+        else:  # even heights to odd: 2j + 1 is entered from 2j and 2j + 2
+            nxt = list(map(add, cur, cur[1:] + [0]))[:size]
+        if corner and at_side < size:
+            moved = corner & low
+            nxt[at_side] += (moved << bits) - moved
+        corner = cur[at_side] if side % 2 == pos % 2 and 0 <= at_side < len(cur) else 0
+        cur = nxt
         if pos % 2:
-            rows.append([u[0] + d[0] for u, d in zip(up, down)])
+            axis = cur[0]
+            rows.append([axis >> bits * c & digit for c in range(cap)] + [axis >> bits * cap])
     return rows
 
 
 def count_exact_dp(n: int, k: int, r: int, kind: StatKind) -> int:
     """Number of semilength-n paths with exactly r occurrences at height k.
 
-    Row n of the dynamic program's sweep; the occurrence axis is capped at
-    r + 1 (an overflow bucket), so the cost does not grow with n beyond the
-    state space.
+    Row n of the dynamic program's sweep. The occurrence axis is capped at
+    r + 1 (an overflow bucket), so each height's packed integer holds r + 2
+    digits of 2n + 2 bits, and a step costs one big-integer addition per
+    height that can still return to the axis.
     """
     _check_count_args(n, k, r)
     if r > n:
@@ -309,10 +316,10 @@ def count_exact_dp(n: int, k: int, r: int, kind: StatKind) -> int:
 def bounded_height_count(n_steps: int, k: int, end_height: int) -> int:
     """Paths of ``n_steps`` single steps from height 0 to ``end_height``
     confined to the band [0, k]."""
-    if end_height > k:
-        raise ValueError("end_height must be <= k")
     if n_steps < 0 or end_height < 0 or k < 0:
         raise ValueError("arguments must be >= 0")
+    if end_height > k:
+        raise ValueError("end_height must be <= k")
     cur = [0] * (k + 1)
     cur[0] = 1
     for _ in range(n_steps):

@@ -16,13 +16,18 @@ types: a :class:`Series` runs them on its coefficients, a
 convolution visits only pairs of nonzero terms, so a polynomial times a
 series costs its number of terms times the order. A reciprocal is the
 quotient of 1, and a quotient ``a / b`` is one pass of the recurrence, not a
-reciprocal followed by a product.
+reciprocal followed by a product. Each step of the recurrence divides by the
+divisor's constant term: a :class:`Series` multiplies by its inverse (the
+constant itself for a unit integer divisor), a :class:`BivarSeries` divides
+the z-entry by the divisor's z^0 entry, so no bivariate reciprocal is ever
+formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -76,22 +81,23 @@ def _product(a: Sequence, b: Sequence, zero) -> list:
     return out
 
 
-def _quotient(num: Sequence, den: Sequence, inv0, zero) -> list:
-    """Quotient num/den to the length of ``den``, given ``inv0`` = 1/den[0].
+def _quotient(num: Sequence, den: Sequence, divide, zero) -> list:
+    """Quotient num/den to the length of ``den``; ``divide(v)`` must return
+    v / den[0].
 
-    With the divisor pre-scaled to s_i = -inv0 * den[i], the recurrence is
-    out[n] = inv0 * num[n] + sum(s_i * out[n - i], 1 <= i <= min(n, top)),
+    The recurrence is
+    out[n] = divide(num[n] - sum(den[i] * out[n - i], 1 <= i <= min(n, top))),
     ``top`` being the last nonzero index of ``den``: dividing by a
-    polynomial of degree d costs d products per coefficient.
+    polynomial of degree d costs d products and one ``divide`` per
+    coefficient.
     """
     top = len(den) - 1
     while not den[top]:
         top -= 1
-    scaled = [-(inv0 * d) for d in den[1 : top + 1]]
+    tail = den[1 : top + 1]
     out: list = []
     for n in range(len(den)):
-        start = inv0 * num[n] if num[n] else zero
-        out.append(sum(map(mul, scaled, reversed(out)), start))
+        out.append(divide(num[n] - sum(map(mul, tail, reversed(out)), zero)))
     return out
 
 
@@ -251,7 +257,7 @@ class Series:
             inv0: Rational = den[0]
         else:
             inv0 = Fraction(1) / den[0]
-        return Series(order, tuple(_quotient(self.coeffs, den, inv0, 0)))
+        return Series(order, tuple(_quotient(self.coeffs, den, partial(mul, inv0), 0)))
 
     def power(self, m: int) -> Series:
         """m-th power by repeated truncated multiplication; ``a.power(0)`` is 1."""
@@ -432,9 +438,10 @@ class BivarSeries:
     def __truediv__(self, other: BivarSeries | Series | Rational) -> BivarSeries:
         """Quotient in one pass of the quotient recurrence over z-entries.
 
-        Costs one univariate reciprocal of the divisor's z^0 entry; for a
-        divisor affine in z, at most z_order + 3 entry products follow.
-        Requires the divisor's (z^0, x^0) constant to be nonzero.
+        Each z-entry is divided by the divisor's z^0 entry, a univariate
+        division; no reciprocal is formed. For a divisor affine in z that is
+        z_order + 1 divisions and z_order entry products. Requires the
+        divisor's (z^0, x^0) constant to be nonzero.
         """
         rhs = self._coerce(other)
         if rhs is None:
@@ -445,5 +452,5 @@ class BivarSeries:
             raise NonInvertibleError(
                 "bivariate series with zero constant term has no reciprocal"
             )
-        out = _quotient(a.entries, b.entries, b0.reciprocal(), Series.zero(a.x_order))
+        out = _quotient(a.entries, b.entries, lambda e: e / b0, Series.zero(a.x_order))
         return BivarSeries(a.z_order, a.x_order, tuple(out))

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from dyckpeaks import gfcount
 from dyckpeaks.cfrac import peak_bivar_cfrac
+from dyckpeaks.chebyshev import r_series, u_inv_sq_series
 from dyckpeaks.gfcount import (
     catalan_power_coefficient,
     no_valley_band_gf,
@@ -162,6 +164,61 @@ def test_no_valley_band_gf_frozen_values():
 def test_no_valley_band_gf_matches_dp_oracle(k):
     coeffs = no_valley_band_gf(k, 8).as_integer_sequence()
     assert coeffs == [band_no_valley_count(n, k) for n in range(9)]
+
+
+def band_by_ratio(k, order):
+    """The band factor in its defining form C / (1 - x*(R_{k+1} - 1)*C)."""
+    c = catalan_series(order)
+    return c / (1 - ((r_series(k + 1, order) - 1) * c).shift(1))
+
+
+@pytest.mark.parametrize("order", [0, 1, 7, 40])
+def test_band_factor_equals_its_defining_form(order):
+    for k in range(13):
+        assert no_valley_band_gf(k, order) == band_by_ratio(k, order), k
+    # height -1, where the peak family at height 1 reads it: R_0 = 0
+    assert gfcount._band_quotient(-1, order)[0] == band_by_ratio(-1, order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 7, 40])
+def test_slice_0_is_the_band_factor_times_u_inv_sq(order):
+    # slice 0 divides by q_{k+1}^2; the public x^{k+1}/q_{k+1}^2 must agree
+    for kind, low in [(StatKind.VALLEY, 0), (StatKind.PEAK, 1)]:
+        for k in range(low, 13):
+            j = k if kind is StatKind.VALLEY else k - 2
+            slice0 = stat_family(kind, k, order, 0)[0] - r_series(j + 1, order)
+            assert slice0 == band_by_ratio(j, order) * u_inv_sq_series(j + 1, order), (kind, k)
+
+
+def test_unreachable_heights_ask_gfcount_for_no_high_polynomial(monkeypatch):
+    real = gfcount.q_poly
+    order = 5
+
+    def guarded(k):
+        assert k <= order + 1, k
+        return real(k)
+
+    monkeypatch.setattr(gfcount, "q_poly", guarded)
+    for kind in StatKind:
+        assert stat_gf(kind, 2000, 0, order) == catalan_series(order)
+        assert stat_gf(kind, 2000, 1, order) == Series.zero(order)
+
+
+def test_stat_family_checks_the_height_ratio_once_per_call(monkeypatch):
+    calls = []
+    real = gfcount.r_series
+
+    def counted(k, order):
+        calls.append(k)
+        return real(k, order)
+
+    monkeypatch.setattr(gfcount, "r_series", counted)
+    # the peak family at height 0 is degenerate and reads no ratio
+    cases = [(kind, k) for kind in StatKind for k in range(6) if (kind, k) != (StatKind.PEAK, 0)]
+    for kind, k in cases:
+        calls.clear()
+        stat_family(kind, k, 12, 3)
+        assert len(calls) == 1, (kind, k)
 
 
 # -- closed counts ------------------------------------------------------------

@@ -261,14 +261,24 @@ def test_count_exact_dp_matches_enumeration():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 57, 200])
 def test_dp_distribution_sums_to_catalan(n):
+    # cap = n + 1 at n = 200 is the widest packing: 202 digits of 402 bits
     for k in sorted({0, 1, 3, 8, n, n + 2}):
-        for cap in sorted({0, 1, 4, n + 1 if n <= 57 else 4}):
+        for cap in sorted({0, 1, 4, n + 1}):
             for kind in StatKind:
                 rows = _dp_distribution(n, k, kind, cap)
                 assert len(rows) == n + 1
                 for m, dist in enumerate(rows):
                     assert len(dist) == cap + 1
                     assert sum(dist) == comb(2 * m, m) // (m + 1), (n, m, k, cap, kind)
+
+
+@pytest.mark.parametrize("kind, k", [(StatKind.PEAK, 2), (StatKind.VALLEY, 1)])
+def test_dp_distribution_equals_the_gf_table_at_n_120(kind, k):
+    # every bucket of every row, past the enumeration guard
+    n = 120
+    table = build_table(n, k, "gf").entries
+    for m, row in enumerate(_dp_distribution(n, k, kind, n + 1)):
+        assert row == [table.get((m, k, r, kind), 0) for r in range(n + 2)], m
 
 
 @settings(deadline=None, max_examples=40)
@@ -318,8 +328,12 @@ def test_bounded_height_count_examples():
     assert bounded_height_count(0, 3, 0) == 1
     assert bounded_height_count(3, 1, 1) == 1
     assert bounded_height_count(2, 0, 0) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^end_height must be <= k$"):
         bounded_height_count(2, 1, 2)
+    # a negative argument is named as such, even when end_height > k too
+    for args in [(3, -1, 0), (3, -2, -1)]:
+        with pytest.raises(ValueError, match=r"^arguments must be >= 0$"):
+            bounded_height_count(*args)
 
 
 # -- psi ----------------------------------------------------------------------

@@ -410,6 +410,33 @@ def test_division_is_the_product_with_the_reciprocal(ca, cb, b0):
         assert all(type(c) is int for c in quotient.coeffs)
 
 
+@st.composite
+def bivar_quotients(draw):
+    """A dividend and a divisor of one shape (z_order 0..3, x_order 0..5);
+    the divisor is affine or dense in z, its (z^0, x^0) constant is 1, -1,
+    2 or -3."""
+    z_order = draw(st.integers(0, 3))
+    x_order = draw(st.integers(0, 5))
+    entry = st.lists(st.integers(-6, 6), min_size=x_order + 1, max_size=x_order + 1)
+    num = [draw(entry) for _ in range(z_order + 1)]
+    den = [draw(entry) for _ in range(z_order + 1)]
+    if draw(st.booleans()):  # affine in z, like every continuant
+        den[2:] = [[0] * (x_order + 1)] * (z_order - 1)
+    den[0][0] = draw(st.sampled_from([1, -1, 2, -3]))
+    return num, den
+
+
+@settings(deadline=None)
+@given(bivar_quotients())
+def test_bivar_division_is_the_product_with_the_reciprocal(pair):
+    a, b = _bivar(pair[0]), _bivar(pair[1])
+    quotient = a / b
+    assert quotient == a * b.reciprocal()
+    assert quotient * b == a
+    if b.entries[0].coeffs[0] in (1, -1):
+        assert all(type(c) is int for e in quotient.entries for c in e.coeffs)
+
+
 def test_division_by_a_zero_constant_raises():
     with pytest.raises(NonInvertibleError):
         Series.one(3) / Series.from_coeffs([0, 1], 3)
