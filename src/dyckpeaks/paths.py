@@ -162,6 +162,8 @@ def statistics(path: DyckPath) -> StatProfile:
 
 def _check_guard(n: int, guard: int) -> None:
     """Refuse an exhaustive enumeration above the guard."""
+    if guard < 0:
+        raise ValueError("guard must be >= 0")
     if n > guard:
         raise ValueError(
             f"semilength {n} exceeds the enumeration guard {guard}; "
@@ -175,30 +177,33 @@ def _check_count_args(n: int, k: int, r: int) -> None:
 
 
 def enumerate_paths(n: int, *, guard: int = DEFAULT_ENUM_GUARD) -> Iterator[DyckPath]:
-    """Yield every Dyck path of semilength n exactly once.
+    """Yield every Dyck path of semilength n exactly once, up-steps first.
 
-    Enumeration is exponential (there are catalan(n) paths); n above
-    ``guard`` is refused unless the caller raises the guard deliberately.
+    Read as binary numbers with up-steps as 1s, the paths come in strictly
+    decreasing order, from U^n D^n down to (UD)^n. Enumeration is
+    exponential (there are catalan(n) paths); n above ``guard`` is refused
+    unless the caller raises the guard deliberately.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_guard(n, guard)
-    steps: list[int] = []
-
-    def rec(height: int, ups_left: int, downs_left: int) -> Iterator[DyckPath]:
-        if ups_left == 0 and downs_left == 0:
-            yield DyckPath(tuple(steps))
+    steps = [UP] * n + [DOWN] * n
+    while True:
+        yield DyckPath(tuple(steps))
+        # The next path keeps the longest prefix it can: its last up-step
+        # from height >= 1 turns down, and the ``ups`` up-steps after it
+        # (all from the axis) plus the one freed come first in the suffix.
+        height = 0
+        ups = 0
+        for j in range(2 * n - 1, -1, -1):
+            height -= steps[j]  # the height before step j
+            if steps[j] == UP:
+                if height:
+                    break
+                ups += 1
+        else:
             return
-        if ups_left > 0:
-            steps.append(UP)
-            yield from rec(height + 1, ups_left - 1, downs_left)
-            steps.pop()
-        if downs_left > 0 and height > 0:
-            steps.append(DOWN)
-            yield from rec(height - 1, ups_left, downs_left - 1)
-            steps.pop()
-
-    yield from rec(0, n, n)
+        steps[j:] = [DOWN] + [UP] * (ups + 1) + [DOWN] * (2 * n - j - ups - 2)
 
 
 def _enum_profiles(n: int, k_max: int) -> Iterator[tuple[list[int], int]]:

@@ -8,7 +8,10 @@ fails, in which case a minimal counterexample is included.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import mul
 
 from .cfrac import _marked_fraction, catalan_cfrac, lemma_iterated_cfrac, lemma_rhs, peak_bivar_cfrac
 from .gfcount import (
@@ -19,6 +22,9 @@ from .gfcount import (
 )
 from .paths import (
     DEFAULT_ENUM_GUARD,
+    DOWN,
+    UP,
+    DyckPath,
     StatKind,
     build_table,
     enumerate_paths,
@@ -95,33 +101,106 @@ def _check_three_way(report: VerifyReport, tables: dict, n_max: int, k_max: int)
         )
 
 
+def _path_code(steps: tuple[int, ...], weights: list[int]) -> int:
+    """The steps read as a binary number behind a leading 1, up-steps as 1s.
+
+    ``weights`` are the powers of two 2^(2n - 1), ..., 2, 1 for the
+    semilength n at hand. The leading 1 keeps a path of any other length
+    from sharing a code with a semilength-n path.
+    """
+    if len(steps) != len(weights):
+        weights = [1 << i for i in range(len(steps) - 1, -1, -1)]
+    return (sum(map(mul, steps, weights)) + (3 << len(steps)) - 1) >> 1
+
+
+def _path_from_code(code: int) -> DyckPath:
+    return DyckPath(tuple(UP if bit == "1" else DOWN for bit in bin(code)[3:]))
+
+
+def _first_swap_failure(
+    k: int, codes: array, image_codes: array, peaks: bytearray, valleys: bytearray
+) -> str | None:
+    """The first semilength-n path, in enumeration order, on which ``psi`` at
+    k is no involution or does not exchange peaks at k (``peaks``) with
+    valleys at k - 2 (``valleys``); None when there is none.
+
+    ``codes`` holds the paths' codes in enumeration order, strictly
+    decreasing, and ``image_codes`` the codes of their images at k.
+    """
+    ascending = codes[::-1]
+    last = len(codes) - 1
+    for i, image_code in enumerate(image_codes):
+        at = bisect_left(ascending, image_code)
+        if at <= last and ascending[at] == image_code:
+            j = last - at
+            involution = image_codes[j] == codes[i]
+            exchanged = peaks[j] == valleys[i] and valleys[j] == peaks[i]
+        else:
+            image = _path_from_code(image_code)
+            involution = psi(image, k) == _path_from_code(codes[i])
+            if involution:
+                after = statistics(image)
+                exchanged = (
+                    after.count(StatKind.VALLEY, k - 2) == peaks[i]
+                    and after.count(StatKind.PEAK, k) == valleys[i]
+                )
+        if not involution:
+            return f"not an involution at k={k}, path {_path_from_code(codes[i])}"
+        if not exchanged:
+            return f"statistics not exchanged at k={k}, path {_path_from_code(codes[i])}"
+    return None
+
+
 def _check_bijection(report: VerifyReport, n_max: int, guard: int) -> None:
+    """Certify that ``psi`` is an involution exchanging peaks at height k
+    with valleys at height k - 2, on every path with n <= min(n_max, 10)
+    and every k in 2..5.
+
+    Two passes per semilength n. The first enumerates the paths once and
+    keeps, in flat arrays and no path objects, each path's code
+    (``_path_code``), the code of its image at each k, and its counts of
+    peaks at k and valleys at k - 2: one ``statistics`` per path and one
+    ``psi`` per (path, k). The second checks every (path, k) from those
+    arrays. The image of a valid path has the path's length, so it is one
+    of the enumerated paths, and as ``psi`` and ``statistics`` are pure,
+    its own image and its counts were computed at its own turn: reading
+    them back is the check that applying ``psi`` to the image and tallying
+    the image would make. The paths come in strictly decreasing code order,
+    so the image's position is a bisection on the reversed codes, and the
+    code found there must equal the image's. An image that is not found is
+    rebuilt from its code and checked by direct calls.
+
+    The report names the first counterexample of a sweep over every path
+    for each k in turn (k-major): the smallest failing k, then the first
+    such path in enumeration order. Once k fails, only heights below it are
+    checked on later semilengths.
+    """
     report.section("height-swap rewrite: involution and statistic exchange")
     n_cap = min(n_max, 10)
-    # One enumeration and one profile per path, every k checked on it. A
-    # sweep per k (k-major) would report the first counterexample of the
-    # smallest failing k, so that is the one kept: once k fails, only heights
-    # below k_end = k are checked further.
     failure = None
     k_end = 6
     checked = 0
-    for path in (p for n in range(n_cap + 1) for p in enumerate_paths(n, guard=guard)):
-        before = statistics(path)
-        for k in range(2, k_end):
-            image = psi(path, k)
-            if psi(image, k) != path:
-                failure = f"not an involution at k={k}, path {path}"
-            else:
-                after = statistics(image)
-                if (
-                    after.count(StatKind.VALLEY, k - 2) == before.count(StatKind.PEAK, k)
-                    and after.count(StatKind.PEAK, k) == before.count(StatKind.VALLEY, k - 2)
-                ):
-                    checked += 1
-                    continue
-                failure = f"statistics not exchanged at k={k}, path {path}"
-            k_end = k
-            break
+    for n in range(n_cap + 1):
+        ks = range(2, k_end)
+        weights = [1 << i for i in range(2 * n - 1, -1, -1)]
+        codes = array("I")
+        images = [array("I") for _ in ks]
+        peaks = [bytearray() for _ in ks]  # peaks at k
+        valleys = [bytearray() for _ in ks]  # valleys at k - 2
+        for path in enumerate_paths(n, guard=guard):
+            codes.append(_path_code(path.steps, weights))
+            profile = statistics(path)
+            peaks_at, valleys_at = profile.peaks_by_height, profile.valleys_by_height
+            for i, k in enumerate(ks):
+                images[i].append(_path_code(psi(path, k).steps, weights))
+                peaks[i].append(peaks_at.get(k, 0))
+                valleys[i].append(valleys_at.get(k - 2, 0))
+        for k, image_codes, peak, valley in zip(ks, images, peaks, valleys):
+            found = _first_swap_failure(k, codes, image_codes, peak, valley)
+            if found is not None:
+                failure, k_end = found, k
+                break
+            checked += len(image_codes)
     if failure is not None:
         report.fail(failure)
         return

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyckpeaks import chebyshev, cli
+from dyckpeaks import chebyshev, cli, verify
 from dyckpeaks.cli import main
 from dyckpeaks.gfcount import stat_gf
 from dyckpeaks.paths import StatKind, build_table, count_exact_dp
-from dyckpeaks.series import Series
+from dyckpeaks.series import InvariantError, Series
 
 
 def run(capsys, *argv):
@@ -100,6 +100,22 @@ def test_table_enum_guard_exits_1(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify",),
+        ("table", "--n-max", "3", "--k-max", "1", "--method", "enum"),
+        ("count", "--stat", "peak", "--k", "1", "--r", "0", "--n", "3", "--method", "enum"),
+    ],
+)
+def test_negative_enum_guard_exits_1(capsys, argv):
+    # it once read "semilength 12 exceeds the enumeration guard -1; pass guard=12 ..."
+    code, out, err = run(capsys, *argv, "--enum-guard", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: guard must be >= 0\n"
+
+
 def test_failed_internal_check_exits_2(capsys, monkeypatch):
     # a wrong polynomial table makes the two bounded-height routes disagree
     monkeypatch.setattr(chebyshev, "q_poly", lambda k: (1, -k))
@@ -107,6 +123,18 @@ def test_failed_internal_check_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: bounded-height series routes disagree at k=2\n"
+
+
+def test_invalid_psi_image_in_verify_exits_2(capsys, monkeypatch):
+    # the height-swap section lets the rewrite's own check propagate
+    def broken_psi(path, k):
+        raise InvariantError("rewrite produced an invalid path: path dips below the axis (index 1)")
+
+    monkeypatch.setattr(verify, "psi", broken_psi)
+    code, out, err = run(capsys, "verify", "--n-max", "3", "--k-max", "2", "--r-max", "1", "--order", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: rewrite produced an invalid path: path dips below the axis (index 1)\n"
 
 
 def test_non_integral_counting_series_exits_2(capsys, monkeypatch):

@@ -162,11 +162,14 @@ def test_statistics_equals_a_recount_from_heights(path):
 # -- enumeration and DP oracles ----------------------------------------------
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", range(10))
 def test_enumeration_counts_are_catalan(n):
     paths = list(enumerate_paths(n))
     assert len(paths) == CATALAN[n]
     assert len(set(paths)) == CATALAN[n]
+    # read as binary numbers with up-steps as 1s, strictly decreasing
+    codes = [int("0" + "".join("1" if s == UP else "0" for s in p.steps), 2) for p in paths]
+    assert all(a > b for a, b in zip(codes, codes[1:]))
 
 
 def test_enumeration_guard():
@@ -175,6 +178,12 @@ def test_enumeration_guard():
     with pytest.raises(ValueError):
         next(enumerate_paths(4, guard=3))
     assert sum(1 for _ in enumerate_paths(4, guard=4)) == CATALAN[4]
+    # a negative guard is refused as such, whatever the semilength
+    for n in (0, 4):
+        with pytest.raises(ValueError, match="^guard must be >= 0$"):
+            next(enumerate_paths(n, guard=-1))
+        with pytest.raises(ValueError, match="^guard must be >= 0$"):
+            count_exact_enum(n, 1, 0, StatKind.PEAK, guard=-1)
 
 
 def test_enum_table_equals_a_recount_of_explicit_paths():

@@ -1,7 +1,9 @@
 """Tests of the cross-validation report sections."""
 
+import tracemalloc
+
 from dyckpeaks import verify
-from dyckpeaks.paths import StatKind, build_table, parse_path, psi
+from dyckpeaks.paths import StatKind, build_table, parse_path, psi, statistics, theta_inverse
 from dyckpeaks.verify import VerifyReport, _check_bijection, _check_three_way
 
 
@@ -36,3 +38,89 @@ def test_bijection_section_names_the_first_failure_in_k_major_order(monkeypatch)
         "FAIL statistics not exchanged at k=2, path UUDDUDUDUD"
     ]
     assert report.failures == 1
+
+
+def failures(report):
+    return [line for line in report.lines if line.startswith("FAIL")]
+
+
+def test_bijection_section_calls_psi_once_per_path_and_k(monkeypatch):
+    # 197 paths with n <= 6, four heights each: the second application and
+    # the image's statistics are read back from the image's own turn
+    calls = {"psi": 0, "statistics": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "psi", counting("psi", psi))
+    monkeypatch.setattr(verify, "statistics", counting("statistics", statistics))
+    report = VerifyReport()
+    _check_bijection(report, 6, 14)
+    assert calls == {"psi": 788, "statistics": 197}
+    assert report.lines[-1] == (
+        "PASS involution and (peaks at k) <-> (valleys at k-2) exchange hold on "
+        "788 (path, k) cases, n <= 6, k in 2..5"
+    )
+
+
+def test_bijection_section_checks_an_image_outside_the_table_directly(monkeypatch):
+    # UUDUDD has no peak at 5 and no valley at 3, so psi fixes it at k = 5;
+    # the fake sends it to a longer path, which no semilength-3 code matches
+    fixed = parse_path("UUDUDD")
+    seen = []
+
+    def fake_psi(path, k):
+        seen.append((str(path), k))
+        return theta_inverse(path) if (path, k) == (fixed, 5) else psi(path, k)
+
+    monkeypatch.setattr(verify, "psi", fake_psi)
+    report = VerifyReport()
+    _check_bijection(report, 8, 14)
+    assert failures(report) == ["FAIL not an involution at k=5, path UUDUDD"]
+    assert report.failures == 1
+    assert ("UUUDUDDD", 5) in seen  # the direct second application
+
+
+def test_bijection_section_names_a_two_to_one_image_in_k_major_order(monkeypatch):
+    # Two semilength-4 paths share an image at k = 3, and two semilength-6
+    # paths share one at k = 2. The true partner of the second path of each
+    # pair loses its involution; the k = 2 one is named although its
+    # semilength comes later.
+    shared = {}
+    for first, second, k in (("UUUDDDUD", "UDUUUDDD", 3), ("UUDDUUDDUUDD", "UDUDUDUDUDUD", 2)):
+        image = psi(parse_path(first), k)
+        shared[(parse_path(first), k)] = shared[(parse_path(second), k)] = image
+    assert str(psi(parse_path("UDUDUDUDUDUD"), 2)) == "UUDUDUDUDUDD"
+
+    monkeypatch.setattr(verify, "psi", lambda path, k: shared.get((path, k)) or psi(path, k))
+    report = VerifyReport()
+    _check_bijection(report, 8, 14)
+    assert failures(report) == ["FAIL not an involution at k=2, path UUDUDUDUDUDD"]
+
+
+def test_bijection_section_checks_both_counts_of_the_exchange(monkeypatch):
+    # Swapping UUUDDD with UDUDUD at k = 2 keeps the involution and the
+    # count of peaks at 2 (none on either), but UUUDDD has no valley at 0
+    # where UDUDUD has two.
+    swap = {parse_path("UUUDDD"): parse_path("UDUDUD"), parse_path("UDUDUD"): parse_path("UUUDDD")}
+    monkeypatch.setattr(verify, "psi", lambda path, k: swap[path] if k == 2 and path in swap else psi(path, k))
+    report = VerifyReport()
+    _check_bijection(report, 4, 14)
+    assert failures(report) == ["FAIL statistics not exchanged at k=2, path UUUDDD"]
+
+
+def test_bijection_section_keeps_no_path_objects():
+    # flat arrays per semilength: a dict of images would hold megabytes
+    report = VerifyReport()
+    tracemalloc.start()
+    try:
+        _check_bijection(report, 8, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 512 * 1024
