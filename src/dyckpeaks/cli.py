@@ -27,6 +27,7 @@ from .paths import (
     DEFAULT_ENUM_GUARD,
     StatKind,
     _check_count_args,
+    _check_guard,
     build_table,
     count_exact_dp,
     count_exact_enum,
@@ -117,6 +118,7 @@ def _cmd_series(args) -> int:
 def _cmd_count(args) -> int:
     kind = _KINDS[args.stat]
     _check_count_args(args.n, args.k, args.r)
+    _check_guard(0, args.enum_guard)  # refuses a negative guard under every method
     if args.method == "enum":
         count = count_exact_enum(args.n, args.k, args.r, kind, guard=args.enum_guard)
     elif args.method == "dp":

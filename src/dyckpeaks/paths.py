@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from io import StringIO
 from itertools import accumulate
 from operator import add
@@ -399,15 +399,25 @@ Method = Literal["enum", "dp", "gf"]
 
 @dataclass
 class CountTable:
-    """Exact counts keyed by (semilength, height, occurrences, statistic)."""
+    """Exact counts as rows: ``rows[kind][k][n][r]``, r <= n, is the number of
+    semilength-n paths with exactly r occurrences of ``kind`` at height k.
+    The one cell order, (n, k, r, kind) with peak before valley, is
+    :meth:`sorted_items`'s, and every output and check walks it."""
 
-    entries: dict[tuple[int, int, int, StatKind], int] = field(default_factory=dict)
+    rows: dict[StatKind, list[list[list[int]]]]
 
     def get(self, n: int, k: int, r: int, kind: StatKind) -> int:
-        return self.entries.get((n, k, r, kind), 0)
+        rows = self.rows[kind]  # 0 outside the grid, where a negative index would wrap
+        return rows[k][n][r] if 0 <= k < len(rows) and 0 <= n < len(rows[k]) and 0 <= r <= n else 0
 
-    def sorted_items(self) -> list[tuple[tuple[int, int, int, StatKind], int]]:
-        return sorted(self.entries.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2], kv[0][3].value))
+    def sorted_items(self) -> Iterator[tuple[tuple[int, int, int, StatKind], int]]:
+        """Every cell as ((n, k, r, kind), count), in the table's cell order."""
+        peak, valley = self.rows[StatKind.PEAK], self.rows[StatKind.VALLEY]
+        for n in range(len(peak[0])):
+            for k, (peak_rows, valley_rows) in enumerate(zip(peak, valley)):
+                for r, (p, v) in enumerate(zip(peak_rows[n], valley_rows[n])):
+                    yield (n, k, r, StatKind.PEAK), p
+                    yield (n, k, r, StatKind.VALLEY), v
 
     def to_csv(self) -> str:
         out = StringIO()
@@ -424,18 +434,15 @@ class CountTable:
         return json.dumps({"entries": rows}, indent=2)
 
     def check_sum_rule(self) -> None:
-        """Every (n, k, kind) row must sum to the total path count."""
-        ns = sorted({key[0] for key in self.entries})
-        if not ns:
-            return
-        catalan = catalan_series(max(ns)).coeffs
-        sums: dict[tuple[int, int, StatKind], int] = {}
-        for (n, k, _r, kind), count in self.entries.items():
-            key = (n, k, kind)
-            sums[key] = sums.get(key, 0) + count
-        for (n, k, kind), total in sorted(sums.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value)):
+        """Every (n, k, kind) row must sum to the total path count; the first
+        row in cell order that does not raises :class:`InvariantError`."""
+        catalan = catalan_series(len(self.rows[StatKind.PEAK][0]) - 1).coeffs
+        for (n, k, r, kind), _ in self.sorted_items():
+            if r < n:  # the row is checked at its last cell
+                continue
+            total = sum(self.rows[kind][k][n])
             if total != catalan[n]:
-                raise AssertionError(
+                raise InvariantError(
                     f"sum over r at (n={n}, k={k}, kind={kind.value}) is {total}, "
                     f"expected {catalan[n]}"
                 )
@@ -450,41 +457,36 @@ def build_table(
 ) -> CountTable:
     """Full table of counts for n <= n_max, k <= k_max, r <= n, both kinds.
 
-    The three methods are independent routes to the same numbers:
-    exhaustive enumeration, the dynamic program, and generating-function
-    coefficients. The last two make one pass per (k, kind), a DP sweep to
-    n_max or a series family, and read every semilength from it.
+    The three methods are independent routes to the same numbers. Each fills
+    the :class:`CountTable` rows in the form it makes them: enumeration adds
+    each tally's paths to one row per (k, kind), a DP sweep gives the row of
+    every semilength, and a series family gives one slice per r, read across.
+    The last two make one pass per (k, kind). A negative guard is refused
+    under every method.
     """
     if n_max < 0 or k_max < 0:
         raise ValueError("n_max and k_max must be >= 0")
-    table = CountTable()
-    for n in range(n_max + 1):
-        for k in range(k_max + 1):
-            for r in range(n + 1):
-                for kind in StatKind:
-                    table.entries[(n, k, r, kind)] = 0
+    _check_guard(n_max if method == "enum" else 0, guard)  # only enumeration has a size to guard
     if method == "enum":
-        _check_guard(n_max, guard)
+        rows = {kind: [[] for _ in range(k_max + 1)] for kind in StatKind}
+        by_tally = rows[StatKind.PEAK] + rows[StatKind.VALLEY]  # the tally's entry order
         for n in range(n_max + 1):
+            for k_rows in by_tally:
+                k_rows.append([0] * (n + 1))
             for tally, ways in _enum_profiles(n, k_max):
-                for k in range(k_max + 1):
-                    table.entries[(n, k, tally[k], StatKind.PEAK)] += ways
-                    table.entries[(n, k, tally[k_max + 1 + k], StatKind.VALLEY)] += ways
-    elif method == "dp":
-        for k in range(k_max + 1):
-            for kind in StatKind:
-                for n, dist in enumerate(_dp_distribution(n_max, k, kind, n_max + 1)):
-                    for r in range(n + 1):
-                        table.entries[(n, k, r, kind)] = dist[r]
-    elif method == "gf":
+                for k_rows, occurrences in zip(by_tally, tally):
+                    k_rows[n][occurrences] += ways
+    elif method in ("dp", "gf"):
         from .gfcount import stat_family
 
-        for k in range(k_max + 1):
-            for kind in StatKind:
-                for r, series in enumerate(stat_family(kind, k, n_max, n_max)):
-                    coeffs = series.as_integer_sequence()
-                    for n in range(r, n_max + 1):
-                        table.entries[(n, k, r, kind)] = coeffs[n]
+        rows = {kind: [] for kind in StatKind}
+        for kind, k_rows in rows.items():
+            for k in range(k_max + 1):
+                if method == "dp":  # the sweep to n_max has a row for every n
+                    by_n = _dp_distribution(n_max, k, kind, n_max + 1)
+                else:  # slice r holds entry r of every row: read across the slices
+                    by_n = zip(*(s.as_integer_sequence() for s in stat_family(kind, k, n_max, n_max)))
+                k_rows.append([list(row[: n + 1]) for n, row in enumerate(by_n)])
     else:
         raise ValueError(f"unknown method {method!r}")
-    return table
+    return CountTable(rows)

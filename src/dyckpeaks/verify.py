@@ -31,7 +31,7 @@ from .paths import (
     psi,
     statistics,
 )
-from .series import BivarSeries, catalan_series
+from .series import BivarSeries, InvariantError, catalan_series
 
 
 @dataclass
@@ -69,29 +69,24 @@ class VerifyReport:
 
 def _check_three_way(report: VerifyReport, tables: dict, n_max: int, k_max: int) -> None:
     report.section("three-way agreement: enumeration vs dynamic program vs series")
-    keys = [key for key, _ in tables["enum"].sorted_items()]
-    first_bad = None
-    for key in keys:
-        values = {m: tables[m].get(*key) for m in ("enum", "dp", "gf")}
-        if len(set(values.values())) != 1:
-            first_bad = (key, values)
-            break
-    if first_bad is None:
-        report.ok(
-            f"all {len(keys)} cells agree for n <= {n_max}, k <= {k_max}, r <= n, both kinds"
-        )
+    enum, dp, gf = (tables[m] for m in ("enum", "dp", "gf"))
+    cells = (k_max + 1) * (n_max + 1) * (n_max + 2)  # r <= n for each n, k and kind
+    if enum.rows == dp.rows == gf.rows:
+        report.ok(f"all {cells} cells agree for n <= {n_max}, k <= {k_max}, r <= n, both kinds")
     else:
-        (n, k, r, kind), values = first_bad
+        (n, k, r, kind), count = next(
+            (key, count) for key, count in enum.sorted_items() if not dp.get(*key) == count == gf.get(*key)
+        )
         report.fail(
             f"counterexample (n={n}, k={k}, r={r}, kind={kind.value}): "
-            f"enum={values['enum']} dp={values['dp']} gf={values['gf']}"
+            f"enum={count} dp={dp.get(n, k, r, kind)} gf={gf.get(n, k, r, kind)}"
         )
 
     report.section("sum rule: occurrence counts partition all paths")
     for method in ("enum", "dp", "gf"):
         try:
             tables[method].check_sum_rule()
-        except AssertionError as exc:
+        except InvariantError as exc:
             report.fail(f"method {method}: {exc}")
             break
     else:
@@ -251,7 +246,7 @@ def _check_peak1_printed(report: VerifyReport, n_max: int, r_max: int, enum_tabl
     for r, series in enumerate(family):
         implemented = series.as_integer_sequence()
         printed = peak1_nonempty_blocks_gf(r, n_max).as_integer_sequence()
-        oracle = [enum_table.get(n, 1, r, StatKind.PEAK) for n in range(n_max + 1)]
+        oracle = [row[r] if r <= n else 0 for n, row in enumerate(enum_table.rows[StatKind.PEAK][1])]
         if implemented != oracle:
             report.fail(f"r={r}: implemented form disagrees with the enumeration oracle")
             report.note(f"implemented: {implemented}")
@@ -276,7 +271,7 @@ def _check_valley0_binomial(report: VerifyReport, n_max: int, r_max: int, enum_t
         for r in range(min(r_max, n) + 1):
             extraction = valley0_closed_count(n, r)
             literal = valley0_binomial_literal(n, r)
-            oracle = enum_table.get(n, 0, r, StatKind.VALLEY)
+            oracle = enum_table.rows[StatKind.VALLEY][0][n][r]
             literal_text = str(literal) if literal.denominator != 1 else str(literal.numerator)
             marker = "" if literal == oracle else "   <- literal differs"
             report.note(f"n={n:2d} r={r}: {extraction:>10d} | {literal_text:>10s} | {oracle:>10d}{marker}")
@@ -340,9 +335,8 @@ def run_verify(
     _check_bijection(report, n_max, guard)
     _check_lemma(report, order, r_max)
     _check_cfrac(report, order, r_max)
-    enum_table = tables["enum"]
-    _check_peak1_printed(report, n_max, r_max, enum_table)
-    _check_valley0_binomial(report, n_max, r_max, enum_table)
+    _check_peak1_printed(report, n_max, r_max, tables["enum"])
+    _check_valley0_binomial(report, n_max, r_max, tables["enum"])
     _check_mark_convention(report, min(order, 12), min(r_max, 3))
     report.section("summary")
     status = "OK" if report.passed else "FAILED"

@@ -105,11 +105,16 @@ def test_table_enum_guard_exits_1(capsys):
     [
         ("verify",),
         ("table", "--n-max", "3", "--k-max", "1", "--method", "enum"),
+        ("table", "--n-max", "3", "--k-max", "1", "--method", "dp"),
+        ("table", "--n-max", "3", "--k-max", "1", "--method", "gf"),
         ("count", "--stat", "peak", "--k", "1", "--r", "0", "--n", "3", "--method", "enum"),
+        ("count", "--stat", "peak", "--k", "1", "--r", "0", "--n", "3", "--method", "dp"),
+        ("count", "--stat", "peak", "--k", "1", "--r", "0", "--n", "3", "--method", "gf"),
     ],
 )
 def test_negative_enum_guard_exits_1(capsys, argv):
-    # it once read "semilength 12 exceeds the enumeration guard -1; pass guard=12 ..."
+    # it once read "semilength 12 exceeds the enumeration guard -1; pass guard=12 ...",
+    # and the dp and gf routes once ignored it
     code, out, err = run(capsys, *argv, "--enum-guard", "-1")
     assert code == 1
     assert out == ""
@@ -218,6 +223,23 @@ def test_default_verify_report_bytes_are_pinned(capsys):
     assert sha256(out.encode()).hexdigest() == (
         "4155400197daac625527afbfb7f6657d697d3132fa51113442a7d1e0b2784614"
     )
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("plain", "6de200e513ee0964e90756995f13c38ee364a2c2a8299995727b91cf2b8ff4fa"),
+        ("json", "1190d4159802bcd21d7de1de72f916c809828710fb036bacc0822ad20f54f3e5"),
+    ],
+)
+def test_table_plain_and_json_bytes_are_pinned(capsys, fmt, digest):
+    # the cell order and layout as well as the counts; the CSV bytes are
+    # pinned by the dp/gf comparison and the benchmark's expected digest
+    code, out, _ = run(
+        capsys, "table", "--method", "enum", "--n-max", "6", "--k-max", "3", "--format", fmt,
+    )
+    assert code == 0
+    assert sha256(out.encode()).hexdigest() == digest
 
 
 def test_table_json_and_plain_agree(capsys):
@@ -441,7 +463,14 @@ def test_table_json_equals_build_table(n_max, k_max, method):
         (row["n"], row["k"], row["r"], StatKind(row["kind"])): int(row["count"])
         for row in doc["entries"]
     }
-    assert from_json == build_table(n_max, k_max, method).entries
+    rows = build_table(n_max, k_max, method).rows
+    assert from_json == {
+        (n, k, r, kind): count
+        for kind, k_rows in rows.items()
+        for k, n_rows in enumerate(k_rows)
+        for n, row in enumerate(n_rows)
+        for r, count in enumerate(row)
+    }
 
 
 @settings(deadline=None, max_examples=40)

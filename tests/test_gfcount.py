@@ -346,7 +346,7 @@ def test_stat_gf_past_the_order_is_zero():
 
 
 def test_gf_table_equals_dp_table():
-    assert build_table(60, 8, "gf").entries == build_table(60, 8, "dp").entries
+    assert build_table(60, 8, "gf").rows == build_table(60, 8, "dp").rows
 
 
 @pytest.mark.parametrize(

@@ -191,19 +191,15 @@ def test_enum_table_equals_a_recount_of_explicit_paths():
     # code with the tallying search or with statistics().
     n_max, k_max = 9, 6
     expected = {
-        (n, k, r, kind): 0
-        for n in range(n_max + 1)
-        for k in range(k_max + 1)
-        for r in range(n + 1)
-        for kind in StatKind
+        kind: [[[0] * (n + 1) for n in range(n_max + 1)] for _ in range(k_max + 1)] for kind in StatKind
     }
     for n in range(n_max + 1):
         for path in enumerate_paths(n):
             peaks, valleys, _ = _recount(path)
             for k in range(k_max + 1):
-                expected[(n, k, peaks.get(k, 0), StatKind.PEAK)] += 1
-                expected[(n, k, valleys.get(k, 0), StatKind.VALLEY)] += 1
-    assert build_table(n_max, k_max, "enum").entries == expected
+                expected[StatKind.PEAK][k][n][peaks.get(k, 0)] += 1
+                expected[StatKind.VALLEY][k][n][valleys.get(k, 0)] += 1
+    assert build_table(n_max, k_max, "enum").rows == expected
 
 
 def test_enum_table_builds_no_path_objects(monkeypatch):
@@ -213,7 +209,7 @@ def test_enum_table_builds_no_path_objects(monkeypatch):
     reference = build_table(7, 4, "dp")
     monkeypatch.setattr(DyckPath, "__post_init__", refuse)
     monkeypatch.setattr(StatProfile, "__init__", refuse)
-    assert build_table(7, 4, "enum").entries == reference.entries
+    assert build_table(7, 4, "enum").rows == reference.rows
     assert count_exact_enum(7, 2, 1, StatKind.VALLEY) == count_exact_dp(7, 2, 1, StatKind.VALLEY)
 
 
@@ -228,7 +224,7 @@ def test_enum_table_guard():
     assert str(exc.value) == (
         "semilength 15 exceeds the enumeration guard 14; pass guard=15 to override deliberately"
     )
-    assert build_table(4, 2, "enum", guard=4).entries == build_table(4, 2, "dp").entries
+    assert build_table(4, 2, "enum", guard=4).rows == build_table(4, 2, "dp").rows
 
 
 def test_count_exact_enum_matches_dp():
@@ -285,9 +281,9 @@ def test_dp_distribution_sums_to_catalan(n):
 def test_dp_distribution_equals_the_gf_table_at_n_120(kind, k):
     # every bucket of every row, past the enumeration guard
     n = 120
-    table = build_table(n, k, "gf").entries
+    table = build_table(n, k, "gf")
     for m, row in enumerate(_dp_distribution(n, k, kind, n + 1)):
-        assert row == [table.get((m, k, r, kind), 0) for r in range(n + 2)], m
+        assert row == [table.get(m, k, r, kind) for r in range(n + 2)], m
 
 
 @settings(deadline=None, max_examples=40)
@@ -296,10 +292,10 @@ def test_dp_table_rows_do_not_depend_on_n_max(a, b, k):
     # the sweep trims its heights by n_max, so a shorter table must be a
     # prefix of a longer one; single counts use the overflow bucket r + 1
     a, b = min(a, b), max(a, b)
-    small = build_table(a, k, "dp").entries
-    large = build_table(b, k, "dp").entries
-    assert small == {key: count for key, count in large.items() if key[0] <= a}
-    for (n, k_, r, kind), count in small.items():
+    small = build_table(a, k, "dp")
+    large = build_table(b, k, "dp")
+    assert small.rows == {kind: [n_rows[: a + 1] for n_rows in k_rows] for kind, k_rows in large.rows.items()}
+    for (n, k_, r, kind), count in small.sorted_items():
         assert count_exact_dp(n, k_, r, kind) == count, (n, k_, r, kind)
 
 
@@ -457,10 +453,20 @@ def test_build_table_entries():
     assert table.get(3, 1, 9, StatKind.PEAK) == 0  # r > n stays zero
 
 
+def test_build_table_get_is_zero_outside_the_grid():
+    table = build_table(4, 2, "dp")
+    # each negative index below would wrap round to a nonzero count
+    peak = table.rows[StatKind.PEAK]
+    assert (peak[1][-1][0], peak[-1][3][0], peak[1][3][-1]) == (6, 2, 1)
+    for n, k, r in ((3, 1, 4), (5, 1, 0), (3, 3, 0), (-1, 1, 0), (3, -1, 0), (3, 1, -1)):
+        for kind in StatKind:
+            assert table.get(n, k, r, kind) == 0, (n, k, r, kind)
+
+
 def test_build_table_methods_agree():
     reference = build_table(6, 3, "enum")
     for method in ("dp", "gf"):
-        assert build_table(6, 3, method).entries == reference.entries
+        assert build_table(6, 3, method).rows == reference.rows
 
 
 def test_build_table_sum_rule():
@@ -484,6 +490,7 @@ def test_count_table_csv_and_json():
 
 def test_count_table_sum_rule_detects_corruption():
     table = build_table(3, 1, "dp")
-    table.entries[(3, 1, 0, StatKind.PEAK)] += 1
-    with pytest.raises(AssertionError):
+    table.rows[StatKind.PEAK][1][3][0] += 1
+    with pytest.raises(InvariantError) as exc:
         table.check_sum_rule()
+    assert str(exc.value) == "sum over r at (n=3, k=1, kind=peak) is 6, expected 5"

@@ -9,7 +9,7 @@ from dyckpeaks.verify import VerifyReport, _check_bijection, _check_three_way
 
 def test_sum_rule_section_names_the_corrupted_method():
     tables = {method: build_table(4, 2, method) for method in ("enum", "dp", "gf")}
-    tables["dp"].entries[(3, 1, 0, StatKind.PEAK)] += 1
+    tables["dp"].rows[StatKind.PEAK][1][3][0] += 1
     report = VerifyReport()
     _check_three_way(report, tables, 4, 2)
     sum_rule = report.lines[report.lines.index("== sum rule: occurrence counts partition all paths =="):]
@@ -17,6 +17,20 @@ def test_sum_rule_section_names_the_corrupted_method():
         "FAIL method dp: sum over r at (n=3, k=1, kind=peak) is 6, expected 5"
     ]
     assert not report.passed
+
+
+def test_three_way_section_names_the_first_disagreeing_cell():
+    # two corrupted cells in two tables: the first in cell order is named,
+    # with every method's count there
+    tables = {method: build_table(4, 2, method) for method in ("enum", "dp", "gf")}
+    tables["dp"].rows[StatKind.PEAK][1][3][0] += 1
+    tables["gf"].rows[StatKind.VALLEY][0][4][0] += 1
+    report = VerifyReport()
+    _check_three_way(report, tables, 4, 2)
+    three_way = report.lines[: report.lines.index("== sum rule: occurrence counts partition all paths ==")]
+    assert [line for line in three_way if line.startswith("FAIL")] == [
+        "FAIL counterexample (n=3, k=1, r=0, kind=peak): enum=2 dp=3 gf=2"
+    ]
 
 
 def test_bijection_section_names_the_first_failure_in_k_major_order(monkeypatch):
