@@ -18,13 +18,14 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from io import StringIO
-from typing import Literal
+from itertools import islice
+from typing import Iterable, Literal
 
 from .cfrac import rv_cfrac, weight_spec_from_json
 from .gfcount import stat_gf
 from .paths import (
     DEFAULT_ENUM_GUARD,
+    CountTable,
     StatKind,
     _check_count_args,
     _check_guard,
@@ -50,42 +51,63 @@ def _coeff_str(c) -> str:
     return str(c)
 
 
-def _format_series(series: Series, fmt: OutputFormat) -> str:
-    if fmt == "plain":
-        return ",".join(_coeff_str(c) for c in series.coeffs)
-    if fmt == "csv":
-        out = StringIO()
-        out.write("n,coefficient\n")
-        for n, c in enumerate(series.coeffs):
-            out.write(f"{n},{_coeff_str(c)}\n")
-        return out.getvalue().rstrip("\n")
-    return json.dumps(
-        {"order": series.order, "coefficients": [_coeff_str(c) for c in series.coeffs]},
-        indent=2,
-    )
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write ``lines`` to stdout 1024 at a time: an unbuffered stdout
+    (``python -u``) makes every write a system call, and a batch of lines
+    is a few kilobytes where the whole output can be hundreds."""
+    lines = iter(lines)
+    while chunk := "".join(islice(lines, 1024)):
+        sys.stdout.write(chunk)
 
 
-def _format_bivar(bv: BivarSeries, fmt: OutputFormat) -> str:
+def _write_csv(header: str, lines: Iterable[str]) -> None:
+    """A header line, then ``lines``, each one row's fields comma-joined and
+    ending in a newline."""
+    sys.stdout.write(f"{header}\n")
+    _write_lines(lines)
+
+
+def _format_series(series: Series, fmt: OutputFormat) -> None:
+    coeffs = [_coeff_str(c) for c in series.coeffs]
     if fmt == "plain":
-        return "\n".join(
-            f"z^{j}: " + ",".join(_coeff_str(c) for c in entry.coeffs)
-            for j, entry in enumerate(bv.entries)
+        print(",".join(coeffs))
+    elif fmt == "csv":
+        _write_csv("n,coefficient", (f"{n},{c}\n" for n, c in enumerate(coeffs)))
+    else:
+        print(json.dumps({"order": series.order, "coefficients": coeffs}, indent=2))
+
+
+def _format_bivar(bv: BivarSeries, fmt: OutputFormat) -> None:
+    entries = [[_coeff_str(c) for c in entry.coeffs] for entry in bv.entries]
+    if fmt == "plain":
+        print("\n".join(f"z^{j}: " + ",".join(coeffs) for j, coeffs in enumerate(entries)))
+    elif fmt == "csv":
+        _write_csv(
+            "z,n,coefficient",
+            (f"{j},{n},{c}\n" for j, coeffs in enumerate(entries) for n, c in enumerate(coeffs)),
         )
+    else:
+        print(json.dumps({"z_order": bv.z_order, "x_order": bv.x_order, "entries": entries}, indent=2))
+
+
+def _format_table(table: CountTable, fmt: OutputFormat) -> None:
+    """The cells in the table's order, streamed: a 40 x 5 table is hundreds
+    of kilobytes of text, and none of it is held at once."""
+    cells = table.sorted_items()
     if fmt == "csv":
-        out = StringIO()
-        out.write("z,n,coefficient\n")
-        for j, entry in enumerate(bv.entries):
-            for n, c in enumerate(entry.coeffs):
-                out.write(f"{j},{n},{_coeff_str(c)}\n")
-        return out.getvalue().rstrip("\n")
-    return json.dumps(
-        {
-            "z_order": bv.z_order,
-            "x_order": bv.x_order,
-            "entries": [[_coeff_str(c) for c in entry.coeffs] for entry in bv.entries],
-        },
-        indent=2,
-    )
+        _write_csv(
+            "n,k,r,kind,count", (f"{n},{k},{r},{kind.value},{count}\n" for (n, k, r, kind), count in cells)
+        )
+    elif fmt == "json":  # the layout of json.dumps(..., indent=2), counts as decimal strings
+        sys.stdout.write('{\n  "entries": [')
+        _write_lines(
+            f'{"," if i else ""}\n    {{\n      "n": {n},\n      "k": {k},\n      "r": {r},\n'
+            f'      "kind": "{kind.value}",\n      "count": "{count}"\n    }}'
+            for i, ((n, k, r, kind), count) in enumerate(cells)
+        )
+        sys.stdout.write("\n  ]\n}\n")
+    else:
+        _write_lines(f"{n} {k} {r} {kind.value} {count}\n" for (n, k, r, kind), count in cells)
 
 
 def _profile_dict(path) -> dict:
@@ -110,8 +132,7 @@ def _profile_lines(label: str, path) -> list[str]:
 
 
 def _cmd_series(args) -> int:
-    series = stat_gf(_KINDS[args.stat], args.k, args.r, args.order)
-    print(_format_series(series, args.format))
+    _format_series(stat_gf(_KINDS[args.stat], args.k, args.r, args.order), args.format)
     return 0
 
 
@@ -131,14 +152,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    table = build_table(args.n_max, args.k_max, args.method, guard=args.enum_guard)
-    if args.format == "csv":
-        print(table.to_csv().rstrip("\n"))
-    elif args.format == "json":
-        print(table.to_json())
-    else:
-        for (n, k, r, kind), count in table.sorted_items():
-            print(f"{n} {k} {r} {kind.value} {count}")
+    _format_table(build_table(args.n_max, args.k_max, args.method, guard=args.enum_guard), args.format)
     return 0
 
 
@@ -170,8 +184,7 @@ def _cmd_cfrac(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as handle:
         text = handle.read()
     spec = weight_spec_from_json(text, args.order, args.z_order)
-    result = rv_cfrac(spec, args.order, args.z_order)
-    print(_format_bivar(result, args.format))
+    _format_bivar(rv_cfrac(spec, args.order, args.z_order), args.format)
     return 0
 
 

@@ -20,9 +20,7 @@ rewrites used to certify count identities:
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
-from io import StringIO
 from itertools import accumulate
 from operator import add
 from typing import Iterator, Literal
@@ -402,7 +400,7 @@ class CountTable:
     """Exact counts as rows: ``rows[kind][k][n][r]``, r <= n, is the number of
     semilength-n paths with exactly r occurrences of ``kind`` at height k.
     The one cell order, (n, k, r, kind) with peak before valley, is
-    :meth:`sorted_items`'s, and every output and check walks it."""
+    :meth:`sorted_items`'s; the command line renders the table in it."""
 
     rows: dict[StatKind, list[list[list[int]]]]
 
@@ -419,33 +417,19 @@ class CountTable:
                     yield (n, k, r, StatKind.PEAK), p
                     yield (n, k, r, StatKind.VALLEY), v
 
-    def to_csv(self) -> str:
-        out = StringIO()
-        out.write("n,k,r,kind,count\n")
-        for (n, k, r, kind), count in self.sorted_items():
-            out.write(f"{n},{k},{r},{kind.value},{count}\n")
-        return out.getvalue()
-
-    def to_json(self) -> str:
-        rows = [
-            {"n": n, "k": k, "r": r, "kind": kind.value, "count": str(count)}
-            for (n, k, r, kind), count in self.sorted_items()
-        ]
-        return json.dumps({"entries": rows}, indent=2)
-
     def check_sum_rule(self) -> None:
         """Every (n, k, kind) row must sum to the total path count; the first
         row in cell order that does not raises :class:`InvariantError`."""
-        catalan = catalan_series(len(self.rows[StatKind.PEAK][0]) - 1).coeffs
-        for (n, k, r, kind), _ in self.sorted_items():
-            if r < n:  # the row is checked at its last cell
-                continue
-            total = sum(self.rows[kind][k][n])
-            if total != catalan[n]:
-                raise InvariantError(
-                    f"sum over r at (n={n}, k={k}, kind={kind.value}) is {total}, "
-                    f"expected {catalan[n]}"
-                )
+        peak = self.rows[StatKind.PEAK]
+        for n, paths in enumerate(catalan_series(len(peak[0]) - 1).coeffs):
+            for k in range(len(peak)):
+                for kind in StatKind:
+                    total = sum(self.rows[kind][k][n])
+                    if total != paths:
+                        raise InvariantError(
+                            f"sum over r at (n={n}, k={k}, kind={kind.value}) is {total}, "
+                            f"expected {paths}"
+                        )
 
 
 def build_table(

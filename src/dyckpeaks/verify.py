@@ -22,9 +22,6 @@ from .gfcount import (
 )
 from .paths import (
     DEFAULT_ENUM_GUARD,
-    DOWN,
-    UP,
-    DyckPath,
     StatKind,
     build_table,
     enumerate_paths,
@@ -108,42 +105,42 @@ def _path_code(steps: tuple[int, ...], weights: list[int]) -> int:
     return (sum(map(mul, steps, weights)) + (3 << len(steps)) - 1) >> 1
 
 
-def _path_from_code(code: int) -> DyckPath:
-    return DyckPath(tuple(UP if bit == "1" else DOWN for bit in bin(code)[3:]))
-
-
-def _first_swap_failure(
-    k: int, codes: array, image_codes: array, peaks: bytearray, valleys: bytearray
-) -> str | None:
-    """The first semilength-n path, in enumeration order, on which ``psi`` at
-    k is no involution or does not exchange peaks at k (``peaks``) with
-    valleys at k - 2 (``valleys``); None when there is none.
+def _swaps_hold(codes: array, image_codes: array, peaks: bytearray, valleys: bytearray) -> bool:
+    """Whether ``psi`` at k is an involution exchanging peaks at k (``peaks``)
+    with valleys at k - 2 (``valleys``) on every path of one semilength.
 
     ``codes`` holds the paths' codes in enumeration order, strictly
-    decreasing, and ``image_codes`` the codes of their images at k.
+    decreasing, and ``image_codes`` the codes of their images at k. An
+    image whose code is not among ``codes`` has another semilength.
     """
     ascending = codes[::-1]
     last = len(codes) - 1
     for i, image_code in enumerate(image_codes):
         at = bisect_left(ascending, image_code)
-        if at <= last and ascending[at] == image_code:
-            j = last - at
-            involution = image_codes[j] == codes[i]
-            exchanged = peaks[j] == valleys[i] and valleys[j] == peaks[i]
-        else:
-            image = _path_from_code(image_code)
-            involution = psi(image, k) == _path_from_code(codes[i])
-            if involution:
-                after = statistics(image)
-                exchanged = (
-                    after.count(StatKind.VALLEY, k - 2) == peaks[i]
-                    and after.count(StatKind.PEAK, k) == valleys[i]
-                )
-        if not involution:
-            return f"not an involution at k={k}, path {_path_from_code(codes[i])}"
-        if not exchanged:
-            return f"statistics not exchanged at k={k}, path {_path_from_code(codes[i])}"
-    return None
+        if at > last or ascending[at] != image_code:
+            return False
+        j = last - at
+        if image_codes[j] != codes[i] or peaks[j] != valleys[i] or valleys[j] != peaks[i]:
+            return False
+    return True
+
+
+def _first_swap_failure(n: int, k: int, guard: int) -> str:
+    """The first semilength-n path, in enumeration order, on which ``psi`` at
+    k fails, found by direct calls, and how it fails."""
+    for path in enumerate_paths(n, guard=guard):
+        image = psi(path, k)
+        before, after = statistics(path), statistics(image)
+        if psi(image, k) != path:
+            return f"not an involution at k={k}, path {path}"
+        if (after.count(StatKind.VALLEY, k - 2), after.count(StatKind.PEAK, k)) != (
+            before.count(StatKind.PEAK, k),
+            before.count(StatKind.VALLEY, k - 2),
+        ):
+            return f"statistics not exchanged at k={k}, path {path}"
+        if len(image.steps) != len(path.steps):
+            return f"image of another semilength at k={k}, path {path}"
+    raise InvariantError(f"psi at k={k} failed on semilength {n} but on no path of it by direct calls")
 
 
 def _check_bijection(report: VerifyReport, n_max: int, guard: int) -> None:
@@ -151,32 +148,26 @@ def _check_bijection(report: VerifyReport, n_max: int, guard: int) -> None:
     with valleys at height k - 2, on every path with n <= min(n_max, 10)
     and every k in 2..5.
 
-    Two passes per semilength n. The first enumerates the paths once and
-    keeps, in flat arrays and no path objects, each path's code
-    (``_path_code``), the code of its image at each k, and its counts of
-    peaks at k and valleys at k - 2: one ``statistics`` per path and one
-    ``psi`` per (path, k). The second checks every (path, k) from those
-    arrays. The image of a valid path has the path's length, so it is one
-    of the enumerated paths, and as ``psi`` and ``statistics`` are pure,
-    its own image and its counts were computed at its own turn: reading
-    them back is the check that applying ``psi`` to the image and tallying
-    the image would make. The paths come in strictly decreasing code order,
-    so the image's position is a bisection on the reversed codes, and the
-    code found there must equal the image's. An image that is not found is
-    rebuilt from its code and checked by direct calls.
+    Per semilength n, one pass enumerates the paths and keeps, in flat
+    arrays and no path objects, each path's code (``_path_code``), the code
+    of its image at each k, and its counts of peaks at k and valleys at
+    k - 2: one ``statistics`` per path and one ``psi`` per (path, k). Then
+    each (n, k) passes or fails on those arrays (``_swaps_hold``). The image
+    of a valid path has the path's length, so it is one of the enumerated
+    paths, and as ``psi`` and ``statistics`` are pure, its own image and its
+    counts were computed at its own turn: reading them back is the check
+    that applying ``psi`` to the image and tallying the image would make.
 
     The report names the first counterexample of a sweep over every path
-    for each k in turn (k-major): the smallest failing k, then the first
-    such path in enumeration order. Once k fails, only heights below it are
-    checked on later semilengths.
+    for each k in turn (k-major): the smallest failing k, at the first n
+    where it fails, and there the first failing path in enumeration order,
+    found by direct calls.
     """
     report.section("height-swap rewrite: involution and statistic exchange")
     n_cap = min(n_max, 10)
-    failure = None
-    k_end = 6
-    checked = 0
+    ks = range(2, 6)
+    failures = []  # (k, n) pairs
     for n in range(n_cap + 1):
-        ks = range(2, k_end)
         weights = [1 << i for i in range(2 * n - 1, -1, -1)]
         codes = array("I")
         images = [array("I") for _ in ks]
@@ -191,17 +182,15 @@ def _check_bijection(report: VerifyReport, n_max: int, guard: int) -> None:
                 peaks[i].append(peaks_at.get(k, 0))
                 valleys[i].append(valleys_at.get(k - 2, 0))
         for k, image_codes, peak, valley in zip(ks, images, peaks, valleys):
-            found = _first_swap_failure(k, codes, image_codes, peak, valley)
-            if found is not None:
-                failure, k_end = found, k
-                break
-            checked += len(image_codes)
-    if failure is not None:
-        report.fail(failure)
+            if not _swaps_hold(codes, image_codes, peak, valley):
+                failures.append((k, n))
+    if failures:
+        k, n = min(failures)
+        report.fail(_first_swap_failure(n, k, guard))
         return
     report.ok(
         f"involution and (peaks at k) <-> (valleys at k-2) exchange hold on "
-        f"{checked} (path, k) cases, n <= {n_cap}, k in 2..5"
+        f"{len(ks) * sum(catalan_series(n_cap).coeffs)} (path, k) cases, n <= {n_cap}, k in 2..5"
     )
 
 

@@ -203,6 +203,18 @@ def test_table_csv(capsys):
     assert "6,1,0,peak,57" in lines
 
 
+def test_table_csv_and_json(capsys):
+    argv = ("table", "--n-max", "2", "--k-max", "1", "--method", "dp", "--format")
+    code, csv_text, _ = run(capsys, *argv, "csv")
+    assert code == 0
+    lines = csv_text.strip().splitlines()
+    assert lines[0] == "n,k,r,kind,count"
+    assert "2,1,2,peak,1" in lines  # UDUD has two peaks at height 1
+    code, json_text, _ = run(capsys, *argv, "json")
+    assert code == 0
+    assert '"count": "1"' in json_text  # decimal strings, not JSON numbers
+
+
 def test_table_dp_csv_equals_gf_csv_byte_for_byte(capsys):
     argv = ("table", "--n-max", "40", "--k-max", "5", "--format", "csv", "--method")
     code, dp, _ = run(capsys, *argv, "dp")
@@ -260,6 +272,18 @@ def test_table_json_and_plain_agree(capsys):
         n, k, r, kind, count = line.split()
         from_plain[(int(n), int(k), int(r), kind)] = int(count)
     assert from_json == from_plain
+
+
+def test_table_json_is_the_json_dumps_layout_across_write_batches(capsys):
+    # 2772 cells, more than one batch of lines: the streamed text is the
+    # indent=2 layout of its own document, and holds the table's counts
+    code, out, _ = run(capsys, "table", "--n-max", "20", "--k-max", "5", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert [int(row["count"]) for row in doc["entries"]] == [
+        count for _, count in build_table(20, 5, "dp").sorted_items()
+    ]
 
 
 def test_bijection_psi(capsys):

@@ -478,16 +478,6 @@ def test_build_table_rejects_unknown_method():
         build_table(2, 2, "magic")
 
 
-def test_count_table_csv_and_json():
-    table = build_table(2, 1, "dp")
-    csv_text = table.to_csv()
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == "n,k,r,kind,count"
-    assert "2,1,2,peak,1" in lines  # UDUD has two peaks at height 1
-    json_text = table.to_json()
-    assert '"count": "1"' in json_text  # decimal strings, not JSON numbers
-
-
 def test_count_table_sum_rule_detects_corruption():
     table = build_table(3, 1, "dp")
     table.rows[StatKind.PEAK][1][3][0] += 1

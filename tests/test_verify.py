@@ -2,8 +2,11 @@
 
 import tracemalloc
 
+import pytest
+
 from dyckpeaks import verify
 from dyckpeaks.paths import StatKind, build_table, parse_path, psi, statistics, theta_inverse
+from dyckpeaks.series import InvariantError
 from dyckpeaks.verify import VerifyReport, _check_bijection, _check_three_way
 
 
@@ -125,6 +128,32 @@ def test_bijection_section_checks_both_counts_of_the_exchange(monkeypatch):
     report = VerifyReport()
     _check_bijection(report, 4, 14)
     assert failures(report) == ["FAIL statistics not exchanged at k=2, path UUUDDD"]
+
+
+def test_bijection_section_fails_an_image_of_another_semilength(monkeypatch):
+    # UUDUDD and UUUDUDDD have no peak at 5 and no valley at 3, so swapping
+    # them at k = 5 keeps the involution and both counts; only the
+    # semilength changes
+    pair = {parse_path("UUDUDD"): parse_path("UUUDUDDD"), parse_path("UUUDUDDD"): parse_path("UUDUDD")}
+    monkeypatch.setattr(verify, "psi", lambda path, k: pair[path] if k == 5 and path in pair else psi(path, k))
+    report = VerifyReport()
+    _check_bijection(report, 8, 14)
+    assert failures(report) == ["FAIL image of another semilength at k=5, path UUDUDD"]
+    assert report.failures == 1
+
+
+def test_bijection_section_refuses_a_failure_direct_calls_do_not_repeat(monkeypatch):
+    # a psi that sends the empty path to UD on its first call only: the
+    # arrays fail semilength 0, and the direct calls find no path to name
+    calls = []
+
+    def first_call_wrong(path, k):
+        calls.append(path)
+        return parse_path("UD") if len(calls) == 1 else psi(path, k)
+
+    monkeypatch.setattr(verify, "psi", first_call_wrong)
+    with pytest.raises(InvariantError, match="psi at k=2 failed on semilength 0"):
+        _check_bijection(VerifyReport(), 2, 14)
 
 
 def test_bijection_section_keeps_no_path_objects():
