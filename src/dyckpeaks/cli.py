@@ -40,8 +40,6 @@ from .paths import (
 from .series import BivarSeries, InvariantError, NonIntegralError, Series
 from .verify import run_verify
 
-_KINDS = {"peak": StatKind.PEAK, "valley": StatKind.VALLEY}
-
 OutputFormat = Literal["plain", "csv", "json"]
 
 
@@ -132,12 +130,12 @@ def _profile_lines(label: str, path) -> list[str]:
 
 
 def _cmd_series(args) -> int:
-    _format_series(stat_gf(_KINDS[args.stat], args.k, args.r, args.order), args.format)
+    _format_series(stat_gf(StatKind(args.stat), args.k, args.r, args.order), args.format)
     return 0
 
 
 def _cmd_count(args) -> int:
-    kind = _KINDS[args.stat]
+    kind = StatKind(args.stat)
     _check_count_args(args.n, args.k, args.r)
     _check_guard(0, args.enum_guard)  # refuses a negative guard under every method
     if args.method == "enum":
@@ -207,11 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    stat_choices = [kind.value for kind in StatKind]
+
     def add_format(p, choices=("plain", "csv", "json")):
         p.add_argument("--format", choices=choices, default="plain", help="output format")
 
     p = sub.add_parser("series", help="print generating-function coefficients")
-    p.add_argument("--stat", choices=("peak", "valley"), required=True)
+    p.add_argument("--stat", choices=stat_choices, required=True)
     p.add_argument("--k", type=int, required=True, help="height of the statistic")
     p.add_argument("--r", type=int, required=True, help="exact number of occurrences")
     p.add_argument("--order", type=int, default=30, help="truncation order (default 30)")
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("count", help="print one exact count")
-    p.add_argument("--stat", choices=("peak", "valley"), required=True)
+    p.add_argument("--stat", choices=stat_choices, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="semilength")
@@ -272,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InvariantError, NonIntegralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

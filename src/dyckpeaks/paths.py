@@ -10,9 +10,9 @@ This module provides two independent counting routes, exhaustive enumeration
 and a polynomial-time dynamic program, plus the two statistic-preserving
 rewrites used to certify count identities:
 
-* ``psi``: simultaneously lowers every peak apex at height k by 2 and raises
-  every valley bottom at height k - 2 by 2. It is an involution exchanging
-  (peaks at k) with (valleys at k - 2).
+* ``psi``: turns over every pair of opposite steps that starts at height
+  k - 1, so a peak at k (up, down) becomes a valley at k - 2 (down, up) and
+  back. It is an involution exchanging (peaks at k) with (valleys at k - 2).
 * ``theta_forward``: strips the outer arch of a path with no valleys at
   height 0, a bijection onto paths one unit of semilength shorter.
 """
@@ -87,12 +87,7 @@ class DyckPath:
 
     def heights(self) -> tuple[int, ...]:
         """Lattice heights of the 2n + 1 path points."""
-        out = [0]
-        h = 0
-        for s in self.steps:
-            h += s
-            out.append(h)
-        return tuple(out)
+        return tuple(accumulate(self.steps, initial=0))
 
     def to_text(self) -> str:
         return "".join("U" if s == UP else "D" for s in self.steps)
@@ -274,7 +269,9 @@ def _dp_distribution(n: int, k: int, kind: StatKind, cap: int) -> list[list[int]
     corner's first (up for a peak, down for a valley) are exactly the
     prefixes one step earlier at the height h on the far side (k - 1 for a
     peak, k + 1 for a valley). The corner's second step brings them back to
-    h, and there their digits move up one bucket.
+    h, and there their digits move up one bucket. This far side is the
+    height at which the corner's pair of opposite steps starts, the height
+    k - 1 at which :func:`psi` finds the peaks at k and the valleys at k - 2.
     """
     bits = 2 * n + 2
     digit = (1 << bits) - 1
@@ -342,30 +339,23 @@ def psi(path: DyckPath, k: int) -> DyckPath:
     """Height-swap involution: peaks at height k trade places with valleys
     at height k - 2.
 
-    Each corner is classified on the input path in one walk that tracks
-    the height: every peak apex at height k drops by 2 and every valley
-    bottom at height k - 2 rises by 2, which turns the step into it over and
-    the step out of it back. Requires k >= 2 so a lowered apex stays on or
-    above the axis.
+    Both corners are a pair of opposite steps that starts at height k - 1:
+    up then down is a peak at k, down then up a valley at k - 2. ``psi``
+    turns every such pair over. A swap changes only the height of the point
+    between its two steps, k to k - 2 or back, so the pairs that start at
+    k - 1 are the same on the image and never overlap: applied twice, each
+    pair is turned back, and on the image the peaks at k are the valleys at
+    k - 2 of the path and the reverse. Requires k >= 2 so a lowered apex
+    stays on or above the axis.
     """
     if k < 2:
         raise ValueError("psi requires k >= 2")
     steps = path.steps
     new_steps = list(steps)
-    h = 0
-    prev = UP  # a valid path starts with an up-step, so its start is no corner
-    for j, s in enumerate(steps):
-        if s != prev:
-            is_peak = prev == UP and h == k
-            is_valley = prev == DOWN and h == k - 2
-            if is_peak:
-                new_steps[j - 1] -= 2
-                new_steps[j] += 2
-            elif is_valley:
-                new_steps[j - 1] += 2
-                new_steps[j] -= 2
-            prev = s
-        h += s
+    start = k - 1
+    for i, h in enumerate(path.heights()[:-2]):  # h: the height before steps i and i + 1
+        if h == start and steps[i] + steps[i + 1] == 0:
+            new_steps[i], new_steps[i + 1] = steps[i + 1], steps[i]
     try:
         return DyckPath(tuple(new_steps))
     except PathError as exc:
@@ -378,9 +368,9 @@ def theta_forward(path: DyckPath) -> DyckPath | None:
     Such a path touches the axis only at its endpoints, so it is an up-step,
     an inner path shifted up by one, and a down-step; the inner path is
     returned (None for the empty path). Raises ValueError if the input has a
-    valley at height 0.
+    valley at height 0, that is, an interior point on the axis.
     """
-    if statistics(path).count(StatKind.VALLEY, 0) != 0:
+    if 0 in path.heights()[1:-1]:
         raise ValueError("path has a valley at height 0; the outer arch is not unique")
     if not path.steps:
         return None

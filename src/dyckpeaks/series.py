@@ -159,10 +159,6 @@ class Series:
     def __bool__(self) -> bool:
         return any(self.coeffs)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self
-
     def coefficient(self, n: int) -> Rational:
         """Coefficient of the n-th power; ``n`` must be within the order."""
         if not 0 <= n <= self.order:

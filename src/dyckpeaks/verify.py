@@ -125,10 +125,10 @@ def _swaps_hold(codes: array, image_codes: array, peaks: bytearray, valleys: byt
     return True
 
 
-def _first_swap_failure(n: int, k: int, guard: int) -> str:
+def _first_swap_failure(n: int, k: int) -> str:
     """The first semilength-n path, in enumeration order, on which ``psi`` at
     k fails, found by direct calls, and how it fails."""
-    for path in enumerate_paths(n, guard=guard):
+    for path in enumerate_paths(n):
         image = psi(path, k)
         before, after = statistics(path), statistics(image)
         if psi(image, k) != path:
@@ -143,7 +143,7 @@ def _first_swap_failure(n: int, k: int, guard: int) -> str:
     raise InvariantError(f"psi at k={k} failed on semilength {n} but on no path of it by direct calls")
 
 
-def _check_bijection(report: VerifyReport, n_max: int, guard: int) -> None:
+def _check_bijection(report: VerifyReport, n_max: int) -> None:
     """Certify that ``psi`` is an involution exchanging peaks at height k
     with valleys at height k - 2, on every path with n <= min(n_max, 10)
     and every k in 2..5.
@@ -173,7 +173,7 @@ def _check_bijection(report: VerifyReport, n_max: int, guard: int) -> None:
         images = [array("I") for _ in ks]
         peaks = [bytearray() for _ in ks]  # peaks at k
         valleys = [bytearray() for _ in ks]  # valleys at k - 2
-        for path in enumerate_paths(n, guard=guard):
+        for path in enumerate_paths(n):
             codes.append(_path_code(path.steps, weights))
             profile = statistics(path)
             peaks_at, valleys_at = profile.peaks_by_height, profile.valleys_by_height
@@ -186,7 +186,7 @@ def _check_bijection(report: VerifyReport, n_max: int, guard: int) -> None:
                 failures.append((k, n))
     if failures:
         k, n = min(failures)
-        report.fail(_first_swap_failure(n, k, guard))
+        report.fail(_first_swap_failure(n, k))
         return
     report.ok(
         f"involution and (peaks at k) <-> (valleys at k-2) exchange hold on "
@@ -321,7 +321,7 @@ def run_verify(
     report.lines.append("")
     tables = {method: build_table(n_max, k_max, method, guard=guard) for method in ("enum", "dp", "gf")}
     _check_three_way(report, tables, n_max, k_max)
-    _check_bijection(report, n_max, guard)
+    _check_bijection(report, n_max)
     _check_lemma(report, order, r_max)
     _check_cfrac(report, order, r_max)
     _check_peak1_printed(report, n_max, r_max, tables["enum"])

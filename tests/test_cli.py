@@ -192,6 +192,19 @@ def test_count_enum_guard(capsys):
     assert code == 0
 
 
+def test_enumeration_past_the_recursion_limit_exits_1(capsys):
+    # the tallying search recurses once per step; the message itself
+    # differs between Python versions
+    code, out, err = run(
+        capsys, "count", "--stat", "peak", "--k", "1", "--r", "0", "--n", "600",
+        "--method", "enum", "--enum-guard", "600",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_table_csv(capsys):
     code, out, _ = run(
         capsys, "table", "--n-max", "6", "--k-max", "1", "--method", "dp",

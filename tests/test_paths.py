@@ -1,5 +1,6 @@
 """Tests for explicit paths, statistics, oracles, and the two rewrites."""
 
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -389,6 +390,33 @@ def test_psi_exchanges_the_two_statistics(path, k):
     assert after.count(StatKind.PEAK, k) == before.count(StatKind.VALLEY, k - 2)
 
 
+def _swapped_heights(path, k):
+    """The path's heights with every peak apex at k set to k - 2 and every
+    valley bottom at k - 2 set to k, from the steps alone."""
+    heights = list(accumulate(path.steps, initial=0))
+    swapped = list(heights)
+    for j in range(1, len(heights) - 1):
+        before, h, after = heights[j - 1 : j + 2]
+        if before < h > after and h == k:
+            swapped[j] = k - 2
+        elif before > h < after and h == k - 2:
+            swapped[j] = k
+    return swapped
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_psi_moves_the_apexes_at_k_and_the_bottoms_at_k_minus_2(k):
+    for n in range(10):
+        for path in enumerate_paths(n):
+            assert list(accumulate(psi(path, k).steps, initial=0)) == _swapped_heights(path, k)
+
+
+@settings(deadline=None)
+@given(dyck_paths(LONG), st.integers(2, 7))
+def test_psi_moves_the_corners_of_long_paths(path, k):
+    assert list(accumulate(psi(path, k).steps, initial=0)) == _swapped_heights(path, k)
+
+
 def test_psi_count_identity_small():
     # |{r peaks at k}| == |{r valleys at k-2}| over whole levels
     for n in range(7):
@@ -418,6 +446,16 @@ def test_theta_examples():
 def test_theta_rejects_paths_with_valleys_at_0():
     with pytest.raises(ValueError):
         theta_forward(parse_path("UDUD"))
+
+
+def test_theta_rejects_exactly_the_paths_with_a_valley_at_0():
+    for n in range(11):
+        for path in enumerate_paths(n):
+            if statistics(path).count(StatKind.VALLEY, 0) > 0:
+                with pytest.raises(ValueError, match="^path has a valley at height 0"):
+                    theta_forward(path)
+            else:
+                theta_forward(path)
 
 
 def test_theta_roundtrip_and_counting():

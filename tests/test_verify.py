@@ -50,7 +50,7 @@ def test_bijection_section_names_the_first_failure_in_k_major_order(monkeypatch)
 
     monkeypatch.setattr(verify, "psi", fake_psi)
     report = VerifyReport()
-    _check_bijection(report, 12, 14)
+    _check_bijection(report, 12)
     assert [line for line in report.lines if line.startswith("FAIL")] == [
         "FAIL statistics not exchanged at k=2, path UUDDUDUDUD"
     ]
@@ -76,7 +76,7 @@ def test_bijection_section_calls_psi_once_per_path_and_k(monkeypatch):
     monkeypatch.setattr(verify, "psi", counting("psi", psi))
     monkeypatch.setattr(verify, "statistics", counting("statistics", statistics))
     report = VerifyReport()
-    _check_bijection(report, 6, 14)
+    _check_bijection(report, 6)
     assert calls == {"psi": 788, "statistics": 197}
     assert report.lines[-1] == (
         "PASS involution and (peaks at k) <-> (valleys at k-2) exchange hold on "
@@ -96,7 +96,7 @@ def test_bijection_section_checks_an_image_outside_the_table_directly(monkeypatc
 
     monkeypatch.setattr(verify, "psi", fake_psi)
     report = VerifyReport()
-    _check_bijection(report, 8, 14)
+    _check_bijection(report, 8)
     assert failures(report) == ["FAIL not an involution at k=5, path UUDUDD"]
     assert report.failures == 1
     assert ("UUUDUDDD", 5) in seen  # the direct second application
@@ -115,7 +115,7 @@ def test_bijection_section_names_a_two_to_one_image_in_k_major_order(monkeypatch
 
     monkeypatch.setattr(verify, "psi", lambda path, k: shared.get((path, k)) or psi(path, k))
     report = VerifyReport()
-    _check_bijection(report, 8, 14)
+    _check_bijection(report, 8)
     assert failures(report) == ["FAIL not an involution at k=2, path UUDUDUDUDUDD"]
 
 
@@ -126,7 +126,7 @@ def test_bijection_section_checks_both_counts_of_the_exchange(monkeypatch):
     swap = {parse_path("UUUDDD"): parse_path("UDUDUD"), parse_path("UDUDUD"): parse_path("UUUDDD")}
     monkeypatch.setattr(verify, "psi", lambda path, k: swap[path] if k == 2 and path in swap else psi(path, k))
     report = VerifyReport()
-    _check_bijection(report, 4, 14)
+    _check_bijection(report, 4)
     assert failures(report) == ["FAIL statistics not exchanged at k=2, path UUUDDD"]
 
 
@@ -137,7 +137,7 @@ def test_bijection_section_fails_an_image_of_another_semilength(monkeypatch):
     pair = {parse_path("UUDUDD"): parse_path("UUUDUDDD"), parse_path("UUUDUDDD"): parse_path("UUDUDD")}
     monkeypatch.setattr(verify, "psi", lambda path, k: pair[path] if k == 5 and path in pair else psi(path, k))
     report = VerifyReport()
-    _check_bijection(report, 8, 14)
+    _check_bijection(report, 8)
     assert failures(report) == ["FAIL image of another semilength at k=5, path UUDUDD"]
     assert report.failures == 1
 
@@ -153,7 +153,7 @@ def test_bijection_section_refuses_a_failure_direct_calls_do_not_repeat(monkeypa
 
     monkeypatch.setattr(verify, "psi", first_call_wrong)
     with pytest.raises(InvariantError, match="psi at k=2 failed on semilength 0"):
-        _check_bijection(VerifyReport(), 2, 14)
+        _check_bijection(VerifyReport(), 2)
 
 
 def test_bijection_section_keeps_no_path_objects():
@@ -161,7 +161,7 @@ def test_bijection_section_keeps_no_path_objects():
     report = VerifyReport()
     tracemalloc.start()
     try:
-        _check_bijection(report, 8, 14)
+        _check_bijection(report, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
