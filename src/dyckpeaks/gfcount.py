@@ -5,6 +5,21 @@ number of Dyck paths of semilength n with the stated property. All
 closed forms here are cross-validated against the enumeration and dynamic
 programming oracles in :mod:`dyckpeaks.paths`; the test suite and the
 ``verify`` CLI command enforce that agreement cell by cell.
+
+One closed form serves every family: the valley form at band height j,
+delta(r=0)*R_{j+1} + x^{j+1+r} * (C*D)^{r+1} / q_{j+1}^2, geometric in r.
+A whole family (:func:`stat_family`) takes one dense product with x*C*D
+per slice. A single slice (:func:`stat_gf`) is read from the band factor
+made rational: with u = q_{j+1}, e = q_{j+1} - q_j and
+m = (u + x*e)*e + u^2, the relation x*C^2 = C - 1 gives
+C*D = u*(e + u*C)/m, and the powers x^{i-1}*(e + u*C)^i = a + b*C follow
+the recurrence (a, b) -> (x*a*e - b*u, x*(a*u + b*e) + b*u) from (e, u).
+The slice is then x^{j+1} * u^{r-1} * (a + b*C) / m^{r+1}: one polynomial
+times C and one division by a polynomial. For j >= 0, q_j(0) = q_{j+1}(0)
+= 1 makes m(0) = 1, so the division stays in the integers; at j = -1
+(peaks at height 1) m = 2 + x, so those slices come from the family. The
+family keeps its product loop because m^{r+1} outgrows the order as r
+grows: r_max + 1 such divisions cost more than r_max products.
 """
 
 from __future__ import annotations
@@ -33,6 +48,13 @@ def _band_quotient(k: int, order: int) -> tuple[Series, Series]:
     return upper / f, upper
 
 
+def _check_args(k: int, r: int, order: int) -> None:
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if k < 0 or r < 0:
+        raise ValueError("k and r must be >= 0")
+
+
 def stat_family(kind: StatKind, k: int, order: int, r_max: int) -> tuple[Series, ...]:
     """Series counting paths with exactly r occurrences at height k, for
     every r = 0..r_max at once; entry r is the r-th slice.
@@ -55,11 +77,11 @@ def stat_family(kind: StatKind, k: int, order: int, r_max: int) -> tuple[Series,
     q_{k+1}^2, of degree at most k + 1: a sparse division, at most k + 1
     products per coefficient, in place of a dense product with U. R_{k+1}
     comes from :func:`r_series`, whose two-route check runs on every call.
+    Each further slice is one dense product with x*C*D: the direct slice of
+    :func:`stat_gf` divides by m^{r+1}, whose degree outgrows the order as r
+    grows, so a whole family costs less this way.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if k < 0 or r_max < 0:
-        raise ValueError("k and r must be >= 0")
+    _check_args(k, r_max, order)
     if kind is StatKind.PEAK:
         if k == 0:
             return (catalan_series(order),) + (Series.zero(order),) * r_max
@@ -73,12 +95,62 @@ def stat_family(kind: StatKind, k: int, order: int, r_max: int) -> tuple[Series,
     return tuple(slices)
 
 
+def _band_slice(j: int, r: int, order: int) -> Series:
+    """Slice r of the valley family at band height j >= 0 without its
+    R_{j+1} term, x^{j+1+r} * (C*D)^{r+1} / q_{j+1}^2, for j + 1 + r <= order:
+    the direct form of :func:`stat_gf`, computed to order - j - 1 and then
+    shifted by x^{j+1}."""
+    low = order - j - 1
+    u = Series.from_coeffs(q_poly(j + 1), low)
+    e = u - Series.from_coeffs(q_poly(j), low)
+    m = (u + e.shift(1)) * e + u * u
+    a, b = e, u
+    for _ in range(r):
+        a, b = (a * e).shift(1) - b * u, (a * u + b * e).shift(1) + b * u
+    if r:
+        lift = u.power(r - 1)
+        a, b, den = a * lift, b * lift, m.power(r + 1)
+    else:
+        den = u * m
+    quotient = (a + b * catalan_series(low)) / den
+    return Series.from_coeffs((0,) * (j + 1) + quotient.coeffs, order)
+
+
 def stat_gf(kind: StatKind, k: int, r: int, order: int) -> Series:
     """Series counting paths with exactly r occurrences at height k: slice r
-    of :func:`stat_family`."""
-    # Slice r is divisible by x^r, so every slice past the order is zero.
-    top = min(r, order + 1)
-    return stat_family(kind, k, order, top)[top]
+    of :func:`stat_family`, computed on its own.
+
+    At band height j >= 0 (valleys at k = j, peaks at k = j + 2) the slice
+    is delta(r=0)*R_{j+1} + x^{j+1+r} * (C*D)^{r+1} / u^2, with u = q_{j+1}.
+    Put e = q_{j+1} - q_j and m = (u + x*e)*e + u^2. Since x*C^2 = C - 1,
+    the denominator F of :func:`_band_quotient` satisfies F*(e + u*C) = m,
+    so C*D = u/F = u*(e + u*C)/m. Writing x^{i-1}*(e + u*C)^i = a + b*C,
+    from (a, b) = (e, u) at i = 1, one more factor x*(e + u*C) maps (a, b)
+    to (x*a*e - b*u, x*(a*u + b*e) + b*u). After r steps the slice is
+    x^{j+1} * u^{r-1} * (a + b*C) / m^{r+1} (divided by u*m instead when
+    r = 0): small polynomial products, one polynomial times C and one
+    division by m^{r+1}, of degree at most (r+1)*(j+2), in place of r + 1
+    dense products at the order.
+
+    q_j(0) = q_{j+1}(0) = 1, so e(0) = 0 and m(0) = u(0)^2 = 1 for j >= 0:
+    every division stays in the integers. At j = -1 (peaks at height 1)
+    q_{-1} = 0 gives e = u = 1 and m = 2 + x, which a direct slice could
+    only invert in Fraction arithmetic; those peaks, and the degenerate
+    peaks at height 0, read slice r of :func:`stat_family`. The r_series
+    two-route check runs once on every call. Slice r is divisible by
+    x^{j+1+r}, so a slice past the order is zero, and k past the order
+    asks for no polynomial beyond q_{order}.
+    """
+    _check_args(k, r, order)
+    if kind is StatKind.PEAK and k < 2:
+        # Slice r is divisible by x^r, so every slice past the order is zero.
+        top = min(r, order + 1)
+        return stat_family(kind, k, order, top)[top]
+    j = k if kind is StatKind.VALLEY else k - 2
+    # the two-route check runs on every call, also when r >= 1 leaves R unused
+    ratio = r_series(j + 1, order)
+    band = _band_slice(j, r, order) if j + 1 + r <= order else Series.zero(order)
+    return ratio + band if r == 0 else band
 
 
 def valley_gf(k: int, r: int, order: int) -> Series:

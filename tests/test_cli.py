@@ -60,6 +60,14 @@ def test_count_methods_agree(capsys, method):
     assert out.strip() == "57"
 
 
+@pytest.mark.parametrize("stat, k, r", [("peak", "4", "2"), ("valley", "7", "3")])
+def test_count_gf_and_dp_print_the_same_bytes_at_n_1000(capsys, stat, k, r):
+    argv = ("count", "--stat", stat, "--k", k, "--r", r, "--n", "1000", "--method")
+    gf, dp = run(capsys, *argv, "gf"), run(capsys, *argv, "dp")
+    assert gf == dp
+    assert gf[0] == 0 and gf[1].strip().isdigit()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

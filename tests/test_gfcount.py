@@ -1,5 +1,6 @@
 """Tests for the closed-form counting series, oracle-checked."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,10 @@ def test_unreachable_heights_ask_gfcount_for_no_high_polynomial(monkeypatch):
     for kind in StatKind:
         assert stat_gf(kind, 2000, 0, order) == catalan_series(order)
         assert stat_gf(kind, 2000, 1, order) == Series.zero(order)
+        # the direct slice near and past the order, for every r
+        for k in range(order - 1, order + 4):
+            for r in range(order + 3):
+                assert stat_gf(kind, k, r, order) == stat_family(kind, k, order, r)[r], (k, r)
 
 
 def test_stat_family_checks_the_height_ratio_once_per_call(monkeypatch):
@@ -219,6 +224,82 @@ def test_stat_family_checks_the_height_ratio_once_per_call(monkeypatch):
         calls.clear()
         stat_family(kind, k, 12, 3)
         assert len(calls) == 1, (kind, k)
+
+
+def test_stat_gf_checks_the_height_ratio_once_per_call(monkeypatch):
+    calls = []
+    real = gfcount.r_series
+
+    def counted(k, order):
+        calls.append(k)
+        return real(k, order)
+
+    monkeypatch.setattr(gfcount, "r_series", counted)
+    # slices r >= 1 never add the ratio, yet still check it; so do slices
+    # past the order, which are zero
+    cases = [(kind, k) for kind in StatKind for k in range(6) if (kind, k) != (StatKind.PEAK, 0)]
+    for kind, k in cases:
+        for r in [*range(15), 10**9]:
+            calls.clear()
+            stat_gf(kind, k, r, 12)
+            assert len(calls) == 1, (kind, k, r)
+
+
+# -- the direct slice ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 17, 60])
+def test_stat_gf_equals_its_family_slice(order):
+    # includes r > order and k > order, where the slice is zero or clamped
+    for kind in StatKind:
+        for k in range(13):
+            family = stat_family(kind, k, order, 8)
+            for r in range(9):
+                assert stat_gf(kind, k, r, order) == family[r], (kind, k, r)
+
+
+def test_stat_gf_equals_its_family_slice_at_order_200():
+    for kind in StatKind:
+        for k in range(10):
+            family = stat_family(kind, k, 200, 4)
+            for r in range(5):
+                assert stat_gf(kind, k, r, 200) == family[r], (kind, k, r)
+
+
+def test_direct_slice_divides_only_by_unit_constant_terms(monkeypatch):
+    # for band heights j >= 0 (valleys at k >= 0, peaks at k >= 2) every
+    # divisor, the ratio check's included, has constant term 1: no Fraction
+    constants = []
+    real = Series.__truediv__
+
+    def spy(self, other):
+        constants.append(other.coeffs[0])
+        return real(self, other)
+
+    monkeypatch.setattr(Series, "__truediv__", spy)
+    for kind, low in [(StatKind.VALLEY, 0), (StatKind.PEAK, 2)]:
+        for k in range(low, 10):
+            for r in range(6):
+                constants.clear()
+                coeffs = stat_gf(kind, k, r, 40).coeffs
+                assert constants and set(constants) == {1}, (kind, k, r)
+                assert {int} == set(map(type, coeffs)), (kind, k, r)
+
+
+def _deep_points(seed, count):
+    """Seeded (kind, k, r, n) past the enumeration guard, on the direct slice."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        kind = rng.choice(list(StatKind))
+        low = 0 if kind is StatKind.VALLEY else 2
+        points.append((kind, rng.randint(low, 9), rng.randint(0, 5), rng.randint(400, 800)))
+    return points
+
+
+@pytest.mark.parametrize("kind, k, r, n", _deep_points(2002, 6))
+def test_stat_gf_equals_dp_past_the_enumeration_guard(kind, k, r, n):
+    assert stat_gf(kind, k, r, n).coefficient(n) == count_exact_dp(n, k, r, kind)
 
 
 # -- closed counts ------------------------------------------------------------
