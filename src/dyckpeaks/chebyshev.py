@@ -7,7 +7,8 @@ x that U_k would otherwise drag in cancel structurally: every quantity below
 is an honest integer-coefficient object. Three families are derived from it:
 
 * ``r_series(k)``: the ratio q_{k-1}/q_k, whose n-th coefficient counts
-  Dyck paths of semilength n with maximum height at most k - 1;
+  Dyck paths of semilength n with maximum height at most k - 1, checked on
+  every call against a walk on the lattice band [0, k - 1];
 * ``u_inv_sq_series(k)``: x^k / q_k(x)^2, the squared-denominator factor
   of the exact peak/valley formulas (1 at k = 0, where the peak family at
   height 1 reads it);
@@ -16,13 +17,15 @@ is an honest integer-coefficient object. Three families are derived from it:
   to the band [0, k].
 
 Every function here is pure: q_k is recomputed on each call and the module
-keeps no state between calls.
+keeps no state between calls. The band walk comes from ``paths``, which
+imports only ``series``.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
+from .paths import _band_walk
 from .series import InvariantError, Series
 
 
@@ -46,12 +49,13 @@ def r_series(k: int, order: int) -> Series:
     """Series of the bounded-height ratio q_{k-1}/q_k, with k = 0 giving 0.
 
     Coefficient n counts Dyck paths of semilength n whose maximum height is
-    at most k - 1. Computed two independent ways, by polynomial division and
-    by iterating the step map R -> 1/(1 - x*R) k times from 0; the routes
-    must agree (else :class:`InvariantError`), which guards both the
-    polynomial recurrence and the iteration. No path of semilength <= order
-    reaches height order + 1, so any k above order + 1 is computed as
-    order + 1.
+    at most k - 1. Computed two independent ways, which must agree (else
+    :class:`InvariantError`): by polynomial division, and by one walk of
+    2 * order single steps through the band [0, k - 1], coefficient n being
+    the number of walks at height 0 after step 2n. One divides polynomials
+    of the recurrence, the other counts lattice walks, in O(order * k)
+    big-integer additions. No path of semilength <= order reaches height
+    order + 1, so any k above order + 1 is computed as order + 1.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -59,10 +63,9 @@ def r_series(k: int, order: int) -> Series:
         return Series.zero(order)
     k = min(k, order + 1)
     by_ratio = Series.from_coeffs(q_poly(k - 1), order) / Series.from_coeffs(q_poly(k), order)
-    by_iteration = Series.zero(order)
-    for _ in range(k):
-        by_iteration = (1 - by_iteration.shift(1)).reciprocal()
-    if by_ratio != by_iteration:
+    even_rows = islice(_band_walk(2 * order, k - 1, 0), None, None, 2)  # height 0 is entry 0
+    by_walk = tuple(row[0] if row else 0 for row in even_rows)
+    if by_ratio.coeffs != by_walk:
         raise InvariantError(f"bounded-height series routes disagree at k={k}")
     return by_ratio
 

@@ -15,6 +15,11 @@ rewrites used to certify count identities:
   back. It is an involution exchanging (peaks at k) with (valleys at k - 2).
 * ``theta_forward``: strips the outer arch of a path with no valleys at
   height 0, a bijection onto paths one unit of semilength shorter.
+
+It also holds the one walk of single steps confined to a band [0, k], which
+yields its row after every step. ``bounded_height_count`` reads its last
+row, and ``chebyshev.r_series`` reads height 0 at every even step, the
+lattice route of its bounded-height check.
 """
 
 from __future__ import annotations
@@ -313,26 +318,46 @@ def count_exact_dp(n: int, k: int, r: int, kind: StatKind) -> int:
     return _dp_distribution(n, k, kind, r + 1)[n][r]
 
 
+def _band_walk(n_steps: int, k: int, end: int) -> Iterator[list[int]]:
+    """Walks of single steps from height 0 confined to the band [0, k], as
+    one row per step: the rows after steps t = 0..n_steps.
+
+    After t steps every walk ends at a height of the parity of t, so entry j
+    of row t counts the t-step walks that end at height 2j + t % 2. Each
+    step costs one big-integer addition per entry: height 2j + 1 is entered
+    from 2j and 2j + 2, height 2j from 2j - 1 and 2j + 1, and the heights
+    above k are cut off. Heights from which ``end`` can no longer be reached
+    by step ``n_steps`` are trimmed as well; a walk that passes one is too
+    high to come back to any kept entry, so every kept entry is exact. No
+    walk of t steps climbs above height t, so a row has at most
+    min(k, t) // 2 + 1 entries, however large k is, and none when no height
+    is left to keep.
+
+    This is the lattice route of the bounded-height check:
+    ``chebyshev.r_series`` reads height 0 at every even step. It shares no
+    code with the enumeration or the dynamic program.
+    """
+    row = [1]
+    yield row
+    for t in range(1, n_steps + 1):
+        parity = t % 2
+        pairs = list(map(add, row, row[1:]))
+        row = (pairs if parity else row[:1] + pairs) + row[-1:]
+        del row[(min(k, end + n_steps - t) - parity) // 2 + 1 :]
+        yield row
+
+
 def bounded_height_count(n_steps: int, k: int, end_height: int) -> int:
     """Paths of ``n_steps`` single steps from height 0 to ``end_height``
-    confined to the band [0, k]."""
+    confined to the band [0, k]: read from the last row of the band walk."""
     if n_steps < 0 or end_height < 0 or k < 0:
         raise ValueError("arguments must be >= 0")
     if end_height > k:
         raise ValueError("end_height must be <= k")
-    cur = [0] * (k + 1)
-    cur[0] = 1
-    for _ in range(n_steps):
-        nxt = [0] * (k + 1)
-        for h, ways in enumerate(cur):
-            if not ways:
-                continue
-            if h + 1 <= k:
-                nxt[h + 1] += ways
-            if h - 1 >= 0:
-                nxt[h - 1] += ways
-        cur = nxt
-    return cur[end_height]
+    for row in _band_walk(n_steps, k, end_height):
+        pass
+    j = end_height // 2
+    return row[j] if (n_steps - end_height) % 2 == 0 and j < len(row) else 0
 
 
 def psi(path: DyckPath, k: int) -> DyckPath:

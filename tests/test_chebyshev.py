@@ -1,13 +1,14 @@
 """Tests for the integer-polynomial recurrence and its derived series."""
 
 import json
+from itertools import islice
 
 import pytest
 
 from dyckpeaks import chebyshev
 from dyckpeaks.chebyshev import f_series_t, q_poly, r_series, u_inv_sq_series
-from dyckpeaks.paths import bounded_height_count, enumerate_paths, statistics
-from dyckpeaks.series import Series
+from dyckpeaks.paths import _band_walk, bounded_height_count, enumerate_paths, statistics
+from dyckpeaks.series import InvariantError, Series
 
 
 def test_q_poly_base_cases_and_recurrence():
@@ -59,6 +60,41 @@ def test_r_series_matches_step_iteration(k):
     for _ in range(k):
         iterated = (1 - iterated.shift(1)).reciprocal()
     assert r_series(k, 40) == iterated
+
+
+def band_walk_series(k, order):
+    # the walk route alone: walks through the band [0, k - 1] at height 0
+    # after every even step
+    rows = islice(_band_walk(2 * order, k - 1, 0), None, None, 2)
+    return Series(order, tuple(row[0] if row else 0 for row in rows))
+
+
+@pytest.mark.parametrize("k", [*range(1, 13), 1001, 1005])
+def test_band_walk_equals_the_ratio_at_order_1000(k):
+    # unclamped on both sides: at k >= 1001 the band is wider than any path
+    order = 1000
+    by_ratio = Series.from_coeffs(q_poly(k - 1), order) / Series.from_coeffs(q_poly(k), order)
+    assert band_walk_series(k, order) == by_ratio
+
+
+def test_a_wrong_walk_count_fails_the_check(monkeypatch):
+    real = chebyshev._band_walk
+
+    def off_by_one(n_steps, k, end):
+        for t, row in enumerate(real(n_steps, k, end)):
+            yield [row[0] + 1, *row[1:]] if t == 10 else row
+
+    monkeypatch.setattr(chebyshev, "_band_walk", off_by_one)
+    with pytest.raises(InvariantError, match=r"^bounded-height series routes disagree at k=4$"):
+        r_series(4, 10)
+
+
+def test_a_wrong_polynomial_fails_the_check(monkeypatch):
+    real = chebyshev.q_poly
+    monkeypatch.setattr(chebyshev, "q_poly", lambda k: real(k) + (1,) if k == 4 else real(k))
+    with pytest.raises(InvariantError, match=r"^bounded-height series routes disagree at k=4$"):
+        r_series(4, 10)
+    assert r_series(3, 10) == Series.from_coeffs([1, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512], 10)
 
 
 @pytest.mark.parametrize("k", range(1, 7))

@@ -60,7 +60,7 @@ def test_count_methods_agree(capsys, method):
     assert out.strip() == "57"
 
 
-@pytest.mark.parametrize("stat, k, r", [("peak", "4", "2"), ("valley", "7", "3")])
+@pytest.mark.parametrize("stat, k, r", [("peak", "4", "2"), ("valley", "7", "3"), ("valley", "100", "0")])
 def test_count_gf_and_dp_print_the_same_bytes_at_n_1000(capsys, stat, k, r):
     argv = ("count", "--stat", stat, "--k", k, "--r", r, "--n", "1000", "--method")
     gf, dp = run(capsys, *argv, "gf"), run(capsys, *argv, "dp")

@@ -334,12 +334,25 @@ def test_bounded_height_count_examples():
     assert bounded_height_count(0, 3, 0) == 1
     assert bounded_height_count(3, 1, 1) == 1
     assert bounded_height_count(2, 0, 0) == 0
+    # no walk of n steps climbs above height n, so a huge band costs nothing
+    assert bounded_height_count(4, 10**12, 0) == 2
+    assert bounded_height_count(3, 10**12, 5) == 0
     with pytest.raises(ValueError, match=r"^end_height must be <= k$"):
         bounded_height_count(2, 1, 2)
     # a negative argument is named as such, even when end_height > k too
     for args in [(3, -1, 0), (3, -2, -1)]:
         with pytest.raises(ValueError, match=r"^arguments must be >= 0$"):
             bounded_height_count(*args)
+
+
+def test_bounded_height_count_equals_a_dense_band_walk():
+    # reference: one entry per height of the band, every height every step
+    for k in range(7):
+        cur = [1] + [0] * k
+        for n_steps in range(13):
+            for end_height in range(k + 1):
+                assert bounded_height_count(n_steps, k, end_height) == cur[end_height], (n_steps, k, end_height)
+            cur = [(cur[h - 1] if h else 0) + (cur[h + 1] if h < k else 0) for h in range(k + 1)]
 
 
 # -- psi ----------------------------------------------------------------------
