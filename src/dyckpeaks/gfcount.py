@@ -15,11 +15,11 @@ m = (u + x*e)*e + u^2, the relation x*C^2 = C - 1 gives
 C*D = u*(e + u*C)/m, and the powers x^{i-1}*(e + u*C)^i = a + b*C follow
 the recurrence (a, b) -> (x*a*e - b*u, x*(a*u + b*e) + b*u) from (e, u).
 The slice is then x^{j+1} * u^{r-1} * (a + b*C) / m^{r+1}: one polynomial
-times C and one division by a polynomial. For j >= 0, q_j(0) = q_{j+1}(0)
-= 1 makes m(0) = 1, so the division stays in the integers; at j = -1
-(peaks at height 1) m = 2 + x, so those slices come from the family. The
-family keeps its product loop because m^{r+1} outgrows the order as r
-grows: r_max + 1 such divisions cost more than r_max products.
+times C and one division by a polynomial, for every j >= -1: at j = -1
+(peaks at height 1) q_{-1} = 0 makes m = 2 + x, and the division stays in
+the integers because the slice is integral. The family keeps its product
+loop because m^{r+1} outgrows the order as r grows: r_max + 1 such
+divisions cost more than r_max products.
 """
 
 from __future__ import annotations
@@ -32,6 +32,11 @@ from .paths import StatKind
 from .series import Series, catalan_series
 
 
+def _q_series(k: int, order: int) -> Series:
+    """q_k as a series for k >= -1, with q_{-1} = 0 (so R_0 = q_{-1}/q_0 = 0)."""
+    return Series.from_coeffs(q_poly(k) if k >= 0 else (), order)
+
+
 def _band_quotient(k: int, order: int) -> tuple[Series, Series]:
     """The band factor C / (1 - x*(R_{k+1} - 1)*C) for k >= -1, with q_{k+1}.
 
@@ -42,8 +47,7 @@ def _band_quotient(k: int, order: int) -> tuple[Series, Series]:
     series, so k is clamped to the order; so is the q_{k+1} returned.
     """
     k = min(k, order)
-    upper = Series.from_coeffs(q_poly(k + 1), order)
-    lower = Series.from_coeffs(q_poly(k), order) if k >= 0 else Series.zero(order)
+    upper, lower = _q_series(k + 1, order), _q_series(k, order)
     f = upper + (upper - lower - upper * catalan_series(order)).shift(1)
     return upper / f, upper
 
@@ -77,9 +81,8 @@ def stat_family(kind: StatKind, k: int, order: int, r_max: int) -> tuple[Series,
     q_{k+1}^2, of degree at most k + 1: a sparse division, at most k + 1
     products per coefficient, in place of a dense product with U. R_{k+1}
     comes from :func:`r_series`, whose two-route check runs on every call.
-    Each further slice is one dense product with x*C*D: the direct slice of
-    :func:`stat_gf` divides by m^{r+1}, whose degree outgrows the order as r
-    grows, so a whole family costs less this way.
+    Each further slice is one dense product with x*C*D (the module
+    docstring says why a family does not divide slice by slice).
     """
     _check_args(k, r_max, order)
     if kind is StatKind.PEAK:
@@ -96,13 +99,13 @@ def stat_family(kind: StatKind, k: int, order: int, r_max: int) -> tuple[Series,
 
 
 def _band_slice(j: int, r: int, order: int) -> Series:
-    """Slice r of the valley family at band height j >= 0 without its
+    """Slice r of the valley family at band height j >= -1 without its
     R_{j+1} term, x^{j+1+r} * (C*D)^{r+1} / q_{j+1}^2, for j + 1 + r <= order:
     the direct form of :func:`stat_gf`, computed to order - j - 1 and then
     shifted by x^{j+1}."""
     low = order - j - 1
-    u = Series.from_coeffs(q_poly(j + 1), low)
-    e = u - Series.from_coeffs(q_poly(j), low)
+    u = _q_series(j + 1, low)
+    e = u - _q_series(j, low)
     m = (u + e.shift(1)) * e + u * u
     a, b = e, u
     for _ in range(r):
@@ -120,7 +123,7 @@ def stat_gf(kind: StatKind, k: int, r: int, order: int) -> Series:
     """Series counting paths with exactly r occurrences at height k: slice r
     of :func:`stat_family`, computed on its own.
 
-    At band height j >= 0 (valleys at k = j, peaks at k = j + 2) the slice
+    At band height j >= -1 (valleys at k = j, peaks at k = j + 2) the slice
     is delta(r=0)*R_{j+1} + x^{j+1+r} * (C*D)^{r+1} / u^2, with u = q_{j+1}.
     Put e = q_{j+1} - q_j and m = (u + x*e)*e + u^2. Since x*C^2 = C - 1,
     the denominator F of :func:`_band_quotient` satisfies F*(e + u*C) = m,
@@ -132,20 +135,17 @@ def stat_gf(kind: StatKind, k: int, r: int, order: int) -> Series:
     division by m^{r+1}, of degree at most (r+1)*(j+2), in place of r + 1
     dense products at the order.
 
-    q_j(0) = q_{j+1}(0) = 1, so e(0) = 0 and m(0) = u(0)^2 = 1 for j >= 0:
-    every division stays in the integers. At j = -1 (peaks at height 1)
-    q_{-1} = 0 gives e = u = 1 and m = 2 + x, which a direct slice could
-    only invert in Fraction arithmetic; those peaks, and the degenerate
-    peaks at height 0, read slice r of :func:`stat_family`. The r_series
-    two-route check runs once on every call. Slice r is divisible by
-    x^{j+1+r}, so a slice past the order is zero, and k past the order
-    asks for no polynomial beyond q_{order}.
+    q_j(0) = q_{j+1}(0) = 1, so m(0) = 1 for j >= 0. At j = -1 (peaks at
+    height 1) q_{-1} = 0 gives e = u = 1 and m = 2 + x; the slice is
+    integral, so dividing by (2 + x)^{r+1} stays in the integers too. No
+    path has a peak at height 0: that family is C at r = 0, zero otherwise.
+    The r_series two-route check runs once on every call with j >= 0. Slice
+    r is divisible by x^{j+1+r}, so a slice past the order is zero, and k
+    past the order asks for no polynomial beyond q_{order}.
     """
     _check_args(k, r, order)
-    if kind is StatKind.PEAK and k < 2:
-        # Slice r is divisible by x^r, so every slice past the order is zero.
-        top = min(r, order + 1)
-        return stat_family(kind, k, order, top)[top]
+    if kind is StatKind.PEAK and k == 0:
+        return catalan_series(order) if r == 0 else Series.zero(order)
     j = k if kind is StatKind.VALLEY else k - 2
     # the two-route check runs on every call, also when r >= 1 leaves R unused
     ratio = r_series(j + 1, order)

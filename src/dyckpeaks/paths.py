@@ -377,10 +377,11 @@ def psi(path: DyckPath, k: int) -> DyckPath:
         raise ValueError("psi requires k >= 2")
     steps = path.steps
     new_steps = list(steps)
-    start = k - 1
-    for i, h in enumerate(path.heights()[:-2]):  # h: the height before steps i and i + 1
+    start, h = k - 1, 0  # h: the height before steps i and i + 1
+    for i in range(len(steps) - 1):
         if h == start and steps[i] + steps[i + 1] == 0:
             new_steps[i], new_steps[i + 1] = steps[i + 1], steps[i]
+        h += steps[i]
     try:
         return DyckPath(tuple(new_steps))
     except PathError as exc:

@@ -4,10 +4,10 @@ Every series carries an explicit truncation order (the highest retained
 exponent), supplied by the caller on construction. Operations on operands of
 mixed order truncate to the smaller order, so precision loss is always
 visible in the result. Coefficients are exact: Python ints, or
-:class:`fractions.Fraction` when a denominator survives reduction. Division
-by an integer series whose constant term is 1 or -1 (every denominator of
-the counting formulas) stays in the integers; a ``Fraction`` appears only
-when a non-unit constant term is inverted. No floating point appears
+:class:`fractions.Fraction` when a denominator survives reduction. A quotient
+stays in the integers whenever it is integral, whatever the divisor's
+constant term: each step divides exactly when it can, and a ``Fraction``
+appears only when a denominator survives. No floating point appears
 anywhere.
 
 One truncated convolution and one quotient recurrence serve both series
@@ -17,10 +17,9 @@ convolution visits only pairs of nonzero terms, so a polynomial times a
 series costs its number of terms times the order. A reciprocal is the
 quotient of 1, and a quotient ``a / b`` is one pass of the recurrence, not a
 reciprocal followed by a product. Each step of the recurrence divides by the
-divisor's constant term: a :class:`Series` multiplies by its inverse (the
-constant itself for a unit integer divisor), a :class:`BivarSeries` divides
-the z-entry by the divisor's z^0 entry, so no bivariate reciprocal is ever
-formed.
+divisor's constant term: a :class:`Series` divides each coefficient
+exactly, a :class:`BivarSeries` divides the z-entry by the divisor's z^0
+entry, so no bivariate reciprocal is ever formed.
 """
 
 from __future__ import annotations
@@ -56,6 +55,12 @@ def _normalize(value: Rational) -> Rational:
     if isinstance(value, int):
         return value
     raise TypeError(f"coefficient must be int or Fraction, got {type(value).__name__}")
+
+
+def _divide(d: Rational, v: Rational) -> Rational:
+    """v / d, an int whenever d divides v exactly."""
+    q, rem = divmod(v, d)
+    return Fraction(v) / d if rem else q
 
 
 def _product(a: Sequence, b: Sequence, zero) -> list:
@@ -235,11 +240,11 @@ class Series:
     def __truediv__(self, other: Series) -> Series:
         """Quotient self/other in one pass of the quotient recurrence.
 
-        An integer divisor with constant term 1 or -1 keeps an integer
-        dividend in the integers; any other constant term is inverted in
-        ``Fraction`` arithmetic. The recurrence reads the divisor only up to
-        its last nonzero coefficient, so dividing by a polynomial of degree
-        d costs d products per coefficient.
+        Each step divides by the divisor's constant term, exactly when it
+        can: a ``Fraction`` appears only when a denominator survives, so an
+        integral quotient stays in the integers. The recurrence reads the
+        divisor only up to its last nonzero coefficient, so dividing by a
+        polynomial of degree d costs d products per coefficient.
         """
         if not isinstance(other, Series):
             return NotImplemented
@@ -247,13 +252,7 @@ class Series:
         den = other.coeffs[: order + 1]
         if den[0] == 0:
             raise NonInvertibleError("series with zero constant term has no reciprocal")
-        # 1/den[0] is den[0] itself for an all-int divisor with den[0] = 1 or
-        # -1, so the recurrence then never leaves the integers
-        if den[0] in (1, -1) and {int}.issuperset(map(type, den)):
-            inv0: Rational = den[0]
-        else:
-            inv0 = Fraction(1) / den[0]
-        return Series(order, tuple(_quotient(self.coeffs, den, partial(mul, inv0), 0)))
+        return Series(order, tuple(_quotient(self.coeffs, den, partial(_divide, den[0]), 0)))
 
     def power(self, m: int) -> Series:
         """m-th power by repeated truncated multiplication; ``a.power(0)`` is 1."""

@@ -68,6 +68,14 @@ def test_count_gf_and_dp_print_the_same_bytes_at_n_1000(capsys, stat, k, r):
     assert gf[0] == 0 and gf[1].strip().isdigit()
 
 
+def test_count_gf_and_dp_print_the_same_bytes_for_peaks_at_height_1(capsys):
+    # height 1 reads the band factor at height -1 and divides by (2 + x)^5
+    argv = ("count", "--stat", "peak", "--k", "1", "--r", "4", "--n", "800", "--method")
+    gf, dp = run(capsys, *argv, "gf"), run(capsys, *argv, "dp")
+    assert gf == dp
+    assert gf[0] == 0 and gf[1].strip().isdigit()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_series import _FractionForbidden
 
+import dyckpeaks.series as series_module
 from dyckpeaks import gfcount
 from dyckpeaks.cfrac import peak_bivar_cfrac
 from dyckpeaks.chebyshev import r_series, u_inv_sq_series
@@ -266,9 +268,11 @@ def test_stat_gf_equals_its_family_slice_at_order_200():
                 assert stat_gf(kind, k, r, 200) == family[r], (kind, k, r)
 
 
-def test_direct_slice_divides_only_by_unit_constant_terms(monkeypatch):
-    # for band heights j >= 0 (valleys at k >= 0, peaks at k >= 2) every
-    # divisor, the ratio check's included, has constant term 1: no Fraction
+def test_direct_slice_divides_in_the_integers(monkeypatch):
+    # every divisor, the ratio check's included, has constant term 1 at band
+    # heights j >= 0 (valleys at k >= 0, peaks at k >= 2) and 2^(r+1) at
+    # j = -1 (peaks at height 1); peaks at height 0 divide by nothing. Every
+    # quotient is integral, so no Fraction is created.
     constants = []
     real = Series.__truediv__
 
@@ -277,13 +281,26 @@ def test_direct_slice_divides_only_by_unit_constant_terms(monkeypatch):
         return real(self, other)
 
     monkeypatch.setattr(Series, "__truediv__", spy)
-    for kind, low in [(StatKind.VALLEY, 0), (StatKind.PEAK, 2)]:
-        for k in range(low, 10):
+    monkeypatch.setattr(series_module, "Fraction", _FractionForbidden)
+    for kind in StatKind:
+        for k in range(10):
+            j = k if kind is StatKind.VALLEY else k - 2
             for r in range(6):
                 constants.clear()
                 coeffs = stat_gf(kind, k, r, 40).coeffs
-                assert constants and set(constants) == {1}, (kind, k, r)
+                expected = {1} if j >= 0 else {2 ** (r + 1)} if j == -1 else set()
+                assert set(constants) == expected, (kind, k, r)
                 assert {int} == set(map(type, coeffs)), (kind, k, r)
+
+
+def test_stat_gf_never_builds_a_family(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gfcount, "stat_family", lambda *args: calls.append(args))
+    for kind in StatKind:
+        for k in range(10):
+            for r in range(6):
+                stat_gf(kind, k, r, 12)
+    assert calls == []
 
 
 def _deep_points(seed, count):
@@ -292,8 +309,7 @@ def _deep_points(seed, count):
     points = []
     for _ in range(count):
         kind = rng.choice(list(StatKind))
-        low = 0 if kind is StatKind.VALLEY else 2
-        points.append((kind, rng.randint(low, 9), rng.randint(0, 5), rng.randint(400, 800)))
+        points.append((kind, rng.randint(0, 9), rng.randint(0, 5), rng.randint(400, 800)))
     return points
 
 

@@ -399,15 +399,39 @@ def test_product_kernel_matches_a_double_loop(pair):
     st.sampled_from([1, -1, 2, -3, 5]),
 )
 def test_division_is_the_product_with_the_reciprocal(ca, cb, b0):
-    # unit constants divide in the integers, the others through Fraction
+    # an integral quotient stays in the integers, whatever b0 is
     order = min(len(ca), len(cb)) - 1
     a = Series.from_coeffs(ca, order)
     b = Series.from_coeffs([b0] + cb[1:], order)
     quotient = a / b
     assert quotient == a * b.reciprocal()
     assert quotient * b == a
+    integral = all(type(c) is int for c in quotient.coeffs)
     if b0 in (1, -1):
-        assert all(type(c) is int for c in quotient.coeffs)
+        assert integral
+    if integral:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series_module, "Fraction", _FractionForbidden)
+            assert a / b == quotient
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=25),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=25),
+    st.sampled_from([2, -3, 5, -1, 1]),
+)
+def test_exact_division_creates_no_fraction(cs, cb, b0):
+    # (s * b) / b is integral, so every step divides exactly in Z
+    order = min(len(cs), len(cb)) - 1
+    s = Series.from_coeffs(cs, order)
+    b = Series.from_coeffs([b0] + cb[1:], order)
+    dividend = s * b
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_module, "Fraction", _FractionForbidden)
+        quotient = dividend / b
+    assert quotient == s
+    assert all(type(c) is int for c in quotient.coeffs)
 
 
 @st.composite
@@ -433,8 +457,13 @@ def test_bivar_division_is_the_product_with_the_reciprocal(pair):
     quotient = a / b
     assert quotient == a * b.reciprocal()
     assert quotient * b == a
+    integral = all(type(c) is int for e in quotient.entries for c in e.coeffs)
     if b.entries[0].coeffs[0] in (1, -1):
-        assert all(type(c) is int for e in quotient.entries for c in e.coeffs)
+        assert integral
+    if integral:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series_module, "Fraction", _FractionForbidden)
+            assert a / b == quotient
 
 
 def test_division_by_a_zero_constant_raises():
