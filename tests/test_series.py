@@ -1,5 +1,7 @@
 """Tests for the exact truncated-series layer."""
 
+import gc
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -471,3 +473,16 @@ def test_division_by_a_zero_constant_raises():
         Series.one(3) / Series.from_coeffs([0, 1], 3)
     with pytest.raises(NonInvertibleError):
         BivarSeries.one(1, 3) / BivarSeries.monomial(1, 1, 0, 1, 3)
+
+
+def test_short_series_arithmetic_leaves_no_freed_tuples_behind():
+    # a tuple built from a generator is resized to its length, and CPython's
+    # free lists keep up to 2000 freed tuples of each short length, which
+    # the short polynomials of the peak fraction showed as resident memory
+    a = Series.from_coeffs([1, 2, 3], 6)
+    b = BivarSeries.from_series(a, 2)
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for _ in range(3000):
+        a + a, -a, a * 3, b + b, -b, b.truncate(1, 6)
+    assert sys.getallocatedblocks() - before < 500
