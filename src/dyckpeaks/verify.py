@@ -23,6 +23,7 @@ from .gfcount import (
 from .paths import (
     DEFAULT_ENUM_GUARD,
     StatKind,
+    _turn,
     build_table,
     enumerate_paths,
     psi,
@@ -111,7 +112,8 @@ def _swaps_hold(codes: array, image_codes: array, peaks: bytearray, valleys: byt
 
     ``codes`` holds the paths' codes in enumeration order, strictly
     decreasing, and ``image_codes`` the codes of their images at k. An
-    image whose code is not among ``codes`` has another semilength.
+    image whose code is not among ``codes`` is not a path of this
+    semilength: it is invalid or has another semilength.
     """
     ascending = codes[::-1]
     last = len(codes) - 1
@@ -151,17 +153,24 @@ def _check_bijection(report: VerifyReport, n_max: int) -> None:
     Per semilength n, one pass enumerates the paths and keeps, in flat
     arrays and no path objects, each path's code (``_path_code``), the code
     of its image at each k, and its counts of peaks at k and valleys at
-    k - 2: one ``statistics`` per path and one ``psi`` per (path, k). Then
-    each (n, k) passes or fails on those arrays (``_swaps_hold``). The image
-    of a valid path has the path's length, so it is one of the enumerated
-    paths, and as ``psi`` and ``statistics`` are pure, its own image and its
-    counts were computed at its own turn: reading them back is the check
-    that applying ``psi`` to the image and tallying the image would make.
+    k - 2: one ``statistics`` per path and one turn per (path, k). The
+    image is coded from the steps that ``_turn``, the kernel of ``psi``,
+    returns, so no path object is built for it. Then each (n, k) passes or
+    fails on those arrays (``_swaps_hold``).
+
+    The lookup is the image's validation. ``_turn`` only exchanges steps,
+    so an image is a sequence of up- and down-steps, and its code is among
+    the semilength's enumerated codes exactly when it is a Dyck path of
+    semilength n; any other image fails the section. A found image is one
+    of the enumerated paths, and as ``_turn`` and ``statistics`` are pure,
+    its own image and its counts were computed at its own turn: reading
+    them back is the check that applying ``psi`` to the image and tallying
+    the image would make.
 
     The report names the first counterexample of a sweep over every path
     for each k in turn (k-major): the smallest failing k, at the first n
     where it fails, and there the first failing path in enumeration order,
-    found by direct calls.
+    found by direct calls to the public ``psi``, which validates its image.
     """
     report.section("height-swap rewrite: involution and statistic exchange")
     n_cap = min(n_max, 10)
@@ -178,7 +187,7 @@ def _check_bijection(report: VerifyReport, n_max: int) -> None:
             profile = statistics(path)
             peaks_at, valleys_at = profile.peaks_by_height, profile.valleys_by_height
             for i, k in enumerate(ks):
-                images[i].append(_path_code(psi(path, k).steps, weights))
+                images[i].append(_path_code(_turn(path.steps, k), weights))
                 peaks[i].append(peaks_at.get(k, 0))
                 valleys[i].append(valleys_at.get(k - 2, 0))
         for k, image_codes, peak, valley in zip(ks, images, peaks, valleys):

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyckpeaks import chebyshev, cli, verify
+from dyckpeaks import chebyshev, cli, paths, verify
 from dyckpeaks.cli import main
 from dyckpeaks.gfcount import stat_gf
-from dyckpeaks.paths import StatKind, build_table, count_exact_dp
-from dyckpeaks.series import InvariantError, Series
+from dyckpeaks.paths import DOWN, UP, StatKind, _turn, build_table, count_exact_dp
+from dyckpeaks.series import Series
 
 
 def run(capsys, *argv):
@@ -147,15 +147,27 @@ def test_failed_internal_check_exits_2(capsys, monkeypatch):
 
 
 def test_invalid_psi_image_in_verify_exits_2(capsys, monkeypatch):
-    # the height-swap section lets the rewrite's own check propagate
-    def broken_psi(path, k):
-        raise InvariantError("rewrite produced an invalid path: path dips below the axis (index 1)")
+    # A turn one level too low also turns the pairs that start on the axis,
+    # so the image of UD at k = 2 is DU. No semilength-1 code matches it, and
+    # the public psi that names the counterexample rejects the image.
+    def too_low(steps, k):
+        return _turn(steps, k - 1)
 
-    monkeypatch.setattr(verify, "psi", broken_psi)
+    monkeypatch.setattr(paths, "_turn", too_low)
+    monkeypatch.setattr(verify, "_turn", too_low)
     code, out, err = run(capsys, "verify", "--n-max", "3", "--k-max", "2", "--r-max", "1", "--order", "4")
     assert code == 2
     assert out == ""
-    assert err == "error: rewrite produced an invalid path: path dips below the axis (index 1)\n"
+    assert err == "error: rewrite produced an invalid path: path dips below the axis (index 0)\n"
+
+
+def test_invalid_psi_image_in_bijection_exits_2(capsys, monkeypatch):
+    # the public psi validates the turned steps, whatever the turn returns
+    monkeypatch.setattr(paths, "_turn", lambda steps, k: [UP, DOWN, DOWN, UP])
+    code, out, err = run(capsys, "bijection", "--map", "psi", "--k", "2", "--path", "UUDD")
+    assert code == 2
+    assert out == ""
+    assert err == "error: rewrite produced an invalid path: path dips below the axis (index 2)\n"
 
 
 def test_non_integral_counting_series_exits_2(capsys, monkeypatch):

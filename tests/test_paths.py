@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyckpeaks import paths
 from dyckpeaks.gfcount import stat_gf
 from dyckpeaks.paths import (
     CountTable,
@@ -17,6 +18,7 @@ from dyckpeaks.paths import (
     StatProfile,
     UP,
     _dp_distribution,
+    _turn,
     bounded_height_count,
     build_table,
     count_exact_dp,
@@ -40,8 +42,8 @@ LONG = 200
 
 
 @st.composite
-def dyck_paths(draw, max_semilength=7):
-    n = draw(st.integers(min_value=0, max_value=max_semilength))
+def dyck_paths(draw, max_semilength=7, min_semilength=0):
+    n = draw(st.integers(min_value=min_semilength, max_value=max_semilength))
     ups_left, h = n, 0
     steps = []
     while len(steps) < 2 * n:
@@ -386,6 +388,25 @@ def test_psi_rejects_a_non_unit_step():
         with pytest.raises(InvariantError) as info:
             psi(bad, 2)
         assert str(info.value) == f"rewrite produced an invalid path: {reason}"
+
+
+def test_psi_validates_the_turned_steps(monkeypatch):
+    # verify codes the kernel's steps without a path object; the public psi
+    # still builds one, so a turn that leaves the axis is an invariant failure
+    monkeypatch.setattr(paths, "_turn", lambda steps, k: [DOWN, UP, UP, DOWN])
+    with pytest.raises(InvariantError) as info:
+        psi(parse_path("UUDD"), 2)
+    assert str(info.value) == "rewrite produced an invalid path: path dips below the axis (index 0)"
+
+
+@settings(deadline=None, max_examples=50)
+@given(dyck_paths(300, min_semilength=50), st.integers(2, 8))
+def test_psi_is_its_validated_turn_on_long_paths(path, k):
+    # past the enumeration guard: the kernel verify codes is the one psi
+    # validates, and turning twice gives the steps back
+    turned = _turn(path.steps, k)
+    assert psi(path, k).steps == tuple(turned)
+    assert _turn(tuple(turned), k) == list(path.steps)
 
 
 @settings(deadline=None)

@@ -4,8 +4,8 @@ import tracemalloc
 
 import pytest
 
-from dyckpeaks import verify
-from dyckpeaks.paths import StatKind, build_table, parse_path, psi, statistics, theta_inverse
+from dyckpeaks import paths, verify
+from dyckpeaks.paths import DOWN, UP, DyckPath, StatKind, _turn, build_table, parse_path, psi, statistics
 from dyckpeaks.series import InvariantError
 from dyckpeaks.verify import VerifyReport, _check_bijection, _check_three_way
 
@@ -36,6 +36,24 @@ def test_three_way_section_names_the_first_disagreeing_cell():
     ]
 
 
+def substitute_turn(monkeypatch, fake):
+    """Make ``fake`` the step-level turn seen by the certificate's sweep and
+    by the public ``psi`` that names its counterexample."""
+    monkeypatch.setattr(paths, "_turn", fake)
+    monkeypatch.setattr(verify, "_turn", fake)
+
+
+def replacing(images):
+    """A turn that returns ``images[(steps, k)]`` where given, else the true
+    turn; ``images`` maps a path's steps and k to the steps of its image."""
+
+    def fake(steps, k):
+        image = images.get((steps, k))
+        return _turn(steps, k) if image is None else list(image)
+
+    return fake
+
+
 def test_bijection_section_names_the_first_failure_in_k_major_order(monkeypatch):
     # Two corrupted images: a small path at k = 3 and a larger one at k = 2.
     # Returning the input breaks the exchange on each path, and the
@@ -43,12 +61,7 @@ def test_bijection_section_names_the_first_failure_in_k_major_order(monkeypatch)
     # A sweep over every path for k = 2 before k = 3 meets the larger one
     # first, so that is the only counterexample the section may name.
     small, large = parse_path("UUUDDD"), parse_path("UUDDUDUDUD")
-    corrupted = {(small, 3), (large, 2)}
-
-    def fake_psi(path, k):
-        return path if (path, k) in corrupted else psi(path, k)
-
-    monkeypatch.setattr(verify, "psi", fake_psi)
+    substitute_turn(monkeypatch, replacing({(small.steps, 3): small.steps, (large.steps, 2): large.steps}))
     report = VerifyReport()
     _check_bijection(report, 12)
     assert [line for line in report.lines if line.startswith("FAIL")] == [
@@ -62,9 +75,11 @@ def failures(report):
 
 
 def test_bijection_section_calls_psi_once_per_path_and_k(monkeypatch):
-    # 197 paths with n <= 6, four heights each: the second application and
-    # the image's statistics are read back from the image's own turn
-    calls = {"psi": 0, "statistics": 0}
+    # 197 paths with n <= 6, four heights each: the sweep turns each path's
+    # steps once per k, and the second application and the image's
+    # statistics are read back from the image's own turn. A passing
+    # section never calls the public psi.
+    calls = {"_turn": 0, "psi": 0, "statistics": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -73,15 +88,34 @@ def test_bijection_section_calls_psi_once_per_path_and_k(monkeypatch):
 
         return wrapper
 
+    substitute_turn(monkeypatch, counting("_turn", _turn))
     monkeypatch.setattr(verify, "psi", counting("psi", psi))
     monkeypatch.setattr(verify, "statistics", counting("statistics", statistics))
     report = VerifyReport()
     _check_bijection(report, 6)
-    assert calls == {"psi": 788, "statistics": 197}
+    assert calls == {"_turn": 788, "psi": 0, "statistics": 197}
     assert report.lines[-1] == (
         "PASS involution and (peaks at k) <-> (valleys at k-2) exchange hold on "
         "788 (path, k) cases, n <= 6, k in 2..5"
     )
+
+
+def test_bijection_section_builds_one_path_object_per_enumerated_path(monkeypatch):
+    # 197 paths with n <= 6 are enumerated, one validated DyckPath each; the
+    # 788 images are coded from their steps and validated by the lookup, so
+    # they add none (a DyckPath per image made 985)
+    built = []
+    post_init = DyckPath.__post_init__
+
+    def counting(self):
+        built.append(self.steps)
+        post_init(self)
+
+    monkeypatch.setattr(DyckPath, "__post_init__", counting)
+    report = VerifyReport()
+    _check_bijection(report, 6)
+    assert report.passed
+    assert len(built) == 197
 
 
 def test_bijection_section_checks_an_image_outside_the_table_directly(monkeypatch):
@@ -90,11 +124,11 @@ def test_bijection_section_checks_an_image_outside_the_table_directly(monkeypatc
     fixed = parse_path("UUDUDD")
     seen = []
 
-    def fake_psi(path, k):
-        seen.append((str(path), k))
-        return theta_inverse(path) if (path, k) == (fixed, 5) else psi(path, k)
+    def fake_turn(steps, k):
+        seen.append(("".join("U" if s == UP else "D" for s in steps), k))
+        return [UP, *steps, DOWN] if (steps, k) == (fixed.steps, 5) else _turn(steps, k)
 
-    monkeypatch.setattr(verify, "psi", fake_psi)
+    substitute_turn(monkeypatch, fake_turn)
     report = VerifyReport()
     _check_bijection(report, 8)
     assert failures(report) == ["FAIL not an involution at k=5, path UUDUDD"]
@@ -109,11 +143,11 @@ def test_bijection_section_names_a_two_to_one_image_in_k_major_order(monkeypatch
     # semilength comes later.
     shared = {}
     for first, second, k in (("UUUDDDUD", "UDUUUDDD", 3), ("UUDDUUDDUUDD", "UDUDUDUDUDUD", 2)):
-        image = psi(parse_path(first), k)
-        shared[(parse_path(first), k)] = shared[(parse_path(second), k)] = image
+        image = psi(parse_path(first), k).steps
+        shared[(parse_path(first).steps, k)] = shared[(parse_path(second).steps, k)] = image
     assert str(psi(parse_path("UDUDUDUDUDUD"), 2)) == "UUDUDUDUDUDD"
 
-    monkeypatch.setattr(verify, "psi", lambda path, k: shared.get((path, k)) or psi(path, k))
+    substitute_turn(monkeypatch, replacing(shared))
     report = VerifyReport()
     _check_bijection(report, 8)
     assert failures(report) == ["FAIL not an involution at k=2, path UUDUDUDUDUDD"]
@@ -123,8 +157,8 @@ def test_bijection_section_checks_both_counts_of_the_exchange(monkeypatch):
     # Swapping UUUDDD with UDUDUD at k = 2 keeps the involution and the
     # count of peaks at 2 (none on either), but UUUDDD has no valley at 0
     # where UDUDUD has two.
-    swap = {parse_path("UUUDDD"): parse_path("UDUDUD"), parse_path("UDUDUD"): parse_path("UUUDDD")}
-    monkeypatch.setattr(verify, "psi", lambda path, k: swap[path] if k == 2 and path in swap else psi(path, k))
+    a, b = parse_path("UUUDDD").steps, parse_path("UDUDUD").steps
+    substitute_turn(monkeypatch, replacing({(a, 2): b, (b, 2): a}))
     report = VerifyReport()
     _check_bijection(report, 4)
     assert failures(report) == ["FAIL statistics not exchanged at k=2, path UUUDDD"]
@@ -133,9 +167,10 @@ def test_bijection_section_checks_both_counts_of_the_exchange(monkeypatch):
 def test_bijection_section_fails_an_image_of_another_semilength(monkeypatch):
     # UUDUDD and UUUDUDDD have no peak at 5 and no valley at 3, so swapping
     # them at k = 5 keeps the involution and both counts; only the
-    # semilength changes
-    pair = {parse_path("UUDUDD"): parse_path("UUUDUDDD"), parse_path("UUUDUDDD"): parse_path("UUDUDD")}
-    monkeypatch.setattr(verify, "psi", lambda path, k: pair[path] if k == 5 and path in pair else psi(path, k))
+    # semilength changes. The longer step list is valid, so only the lookup
+    # among the semilength's codes rejects it.
+    a, b = parse_path("UUDUDD").steps, parse_path("UUUDUDDD").steps
+    substitute_turn(monkeypatch, replacing({(a, 5): b, (b, 5): a}))
     report = VerifyReport()
     _check_bijection(report, 8)
     assert failures(report) == ["FAIL image of another semilength at k=5, path UUDUDD"]
@@ -143,15 +178,15 @@ def test_bijection_section_fails_an_image_of_another_semilength(monkeypatch):
 
 
 def test_bijection_section_refuses_a_failure_direct_calls_do_not_repeat(monkeypatch):
-    # a psi that sends the empty path to UD on its first call only: the
+    # a turn that sends the empty path to UD on its first call only: the
     # arrays fail semilength 0, and the direct calls find no path to name
     calls = []
 
-    def first_call_wrong(path, k):
-        calls.append(path)
-        return parse_path("UD") if len(calls) == 1 else psi(path, k)
+    def first_call_wrong(steps, k):
+        calls.append(steps)
+        return [UP, DOWN] if len(calls) == 1 else _turn(steps, k)
 
-    monkeypatch.setattr(verify, "psi", first_call_wrong)
+    substitute_turn(monkeypatch, first_call_wrong)
     with pytest.raises(InvariantError, match="psi at k=2 failed on semilength 0"):
         _check_bijection(VerifyReport(), 2)
 
