@@ -10,8 +10,9 @@ is an honest integer-coefficient object. Three families are derived from it:
   Dyck paths of semilength n with maximum height at most k - 1, checked on
   every call against a walk on the lattice band [0, k - 1];
 * ``u_inv_sq_series(k)``: x^k / q_k(x)^2, the squared-denominator factor
-  of the exact peak/valley formulas (1 at k = 0, where the peak family at
-  height 1 reads it);
+  of the exact peak/valley formulas (1 at k = 0); no generator reads it,
+  acceptance criterion 10 checks it and the tests compare the generators
+  against it;
 * ``f_series_t(k)``: t^k / q_{k+1}(t^2), a series in the single-step
   variable t (x = t^2) counting paths from height 0 to height k confined
   to the band [0, k].

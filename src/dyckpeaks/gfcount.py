@@ -8,18 +8,13 @@ programming oracles in :mod:`dyckpeaks.paths`; the test suite and the
 
 One closed form serves every family: the valley form at band height j,
 delta(r=0)*R_{j+1} + x^{j+1+r} * (C*D)^{r+1} / q_{j+1}^2, geometric in r.
-A whole family (:func:`stat_family`) takes one dense product with x*C*D
-per slice. A single slice (:func:`stat_gf`) is read from the band factor
-made rational: with u = q_{j+1}, e = q_{j+1} - q_j and
-m = (u + x*e)*e + u^2, the relation x*C^2 = C - 1 gives
-C*D = u*(e + u*C)/m, and the powers x^{i-1}*(e + u*C)^i = a + b*C follow
-the recurrence (a, b) -> (x*a*e - b*u, x*(a*u + b*e) + b*u) from (e, u).
-The slice is then x^{j+1} * u^{r-1} * (a + b*C) / m^{r+1}: one polynomial
-times C and one division by a polynomial, for every j >= -1: at j = -1
-(peaks at height 1) q_{-1} = 0 makes m = 2 + x, and the division stays in
-the integers because the slice is integral. The family keeps its product
-loop because m^{r+1} outgrows the order as r grows: r_max + 1 such
-divisions cost more than r_max products.
+The Chebyshev ratio R_{j+1} enters it through the band factor C*D only,
+and :func:`_band` gives that factor one rational form,
+C*D = u*(e + u*C)/m, read by every generator here. A single slice
+(:func:`stat_gf`) is one polynomial times C and one division by a
+polynomial. A whole family (:func:`stat_family`) keeps a product loop
+because m^{r+1} outgrows the order as r grows: r_max + 1 such divisions
+cost more than r_max products.
 """
 
 from __future__ import annotations
@@ -32,24 +27,29 @@ from .paths import StatKind
 from .series import Series, catalan_series
 
 
-def _q_series(k: int, order: int) -> Series:
-    """q_k as a series for k >= -1, with q_{-1} = 0 (so R_0 = q_{-1}/q_0 = 0)."""
-    return Series.from_coeffs(q_poly(k) if k >= 0 else (), order)
+def _band(j: int, order: int) -> tuple[Series, Series, Series]:
+    """The band polynomials (u, e, m) at band height j >= -1, as series.
 
-
-def _band_quotient(k: int, order: int) -> tuple[Series, Series]:
-    """The band factor C / (1 - x*(R_{k+1} - 1)*C) for k >= -1, with q_{k+1}.
-
-    R_{k+1} = q_k/q_{k+1} (q_{-1} = 0) and 1/C = 1 - x*C turn the factor
-    into q_{k+1}/F with F = q_{k+1}*(1 + x) - x*q_k - x*q_{k+1}*C: one
-    product with a polynomial and one division. The factor reads R_{k+1}
-    only below x^order, where every height from the order up gives the same
-    series, so k is clamped to the order; so is the q_{k+1} returned.
+    u = q_{j+1}, e = q_{j+1} - q_j (with q_{-1} = 0) and
+    m = (u + x*e)*e + u^2. The band factor C*D = C/(1 - x*(R_{j+1} - 1)*C),
+    R_{j+1} = q_j/q_{j+1}, is q_{j+1}/F with 1/C = 1 - x*C and
+    F = q_{j+1}*(1 + x) - x*q_j - x*q_{j+1}*C. Since x*C^2 = C - 1,
+    F*(e + u*C) = m, so C*D = u*(e + u*C)/m: one polynomial times C and one
+    division by m, of degree at most 2*((j+1)//2) + 1. q_j(0) = 1, so
+    m(0) = 1 for j >= 0; at j = -1, e = u = 1 and m = 2 + x.
     """
-    k = min(k, order)
-    upper, lower = _q_series(k + 1, order), _q_series(k, order)
-    f = upper + (upper - lower - upper * catalan_series(order)).shift(1)
-    return upper / f, upper
+    u = Series.from_coeffs(q_poly(j + 1), order)
+    e = u - Series.from_coeffs(q_poly(j) if j >= 0 else (), order)
+    return u, e, (u + e.shift(1)) * e + u * u
+
+
+def _band_factor(j: int, order: int) -> Series:
+    """The band factor C*D = u*(e + u*C)/m at band height j >= -1 (see
+    :func:`_band`). It reads R_{j+1} only below x^order, where every height
+    from the order up gives the same series, so j is clamped to the order.
+    """
+    u, e, m = _band(min(j, order), order)
+    return u * (e + u * catalan_series(order)) / m
 
 
 def _check_args(k: int, r: int, order: int) -> None:
@@ -76,22 +76,18 @@ def stat_family(kind: StatKind, k: int, order: int, r_max: int) -> tuple[Series,
     peak-at-1-free blocks, each counted by P. Height 0 is degenerate: no
     path has a peak there, so only the r = 0 slice is nonzero.
 
-    The band factor C*D is q_{k+1}/F, one division (see
-    :func:`_band_quotient`). C*D*U is x^{k+1}*C*D divided by the polynomial
-    q_{k+1}^2, of degree at most k + 1: a sparse division, at most k + 1
-    products per coefficient, in place of a dense product with U. R_{k+1}
-    comes from :func:`r_series`, whose two-route check runs on every call.
-    Each further slice is one dense product with x*C*D (the module
-    docstring says why a family does not divide slice by slice).
+    Slice 0 without its R_{k+1} term is :func:`_band_slice` at r = 0, zero
+    when k is at or past the order. Each further slice is one product with
+    x*C*D, the band factor of :func:`_band`. R_{k+1} comes from
+    :func:`r_series`, whose two-route check runs on every call.
     """
     _check_args(k, r_max, order)
     if kind is StatKind.PEAK:
         if k == 0:
             return (catalan_series(order),) + (Series.zero(order),) * r_max
         k -= 2
-    cd, upper = _band_quotient(k, order)
-    step = cd.shift(1)
-    slices = [cd.shift(k + 1) / (upper * upper)]
+    step = _band_factor(k, order).shift(1)
+    slices = [_band_slice(k, 0, order) if k < order else Series.zero(order)]
     for _ in range(r_max):
         slices.append(slices[-1] * step)
     slices[0] = r_series(k + 1, order) + slices[0]
@@ -104,9 +100,7 @@ def _band_slice(j: int, r: int, order: int) -> Series:
     the direct form of :func:`stat_gf`, computed to order - j - 1 and then
     shifted by x^{j+1}."""
     low = order - j - 1
-    u = _q_series(j + 1, low)
-    e = u - _q_series(j, low)
-    m = (u + e.shift(1)) * e + u * u
+    u, e, m = _band(j, low)
     a, b = e, u
     for _ in range(r):
         a, b = (a * e).shift(1) - b * u, (a * u + b * e).shift(1) + b * u
@@ -124,20 +118,17 @@ def stat_gf(kind: StatKind, k: int, r: int, order: int) -> Series:
     of :func:`stat_family`, computed on its own.
 
     At band height j >= -1 (valleys at k = j, peaks at k = j + 2) the slice
-    is delta(r=0)*R_{j+1} + x^{j+1+r} * (C*D)^{r+1} / u^2, with u = q_{j+1}.
-    Put e = q_{j+1} - q_j and m = (u + x*e)*e + u^2. Since x*C^2 = C - 1,
-    the denominator F of :func:`_band_quotient` satisfies F*(e + u*C) = m,
-    so C*D = u/F = u*(e + u*C)/m. Writing x^{i-1}*(e + u*C)^i = a + b*C,
-    from (a, b) = (e, u) at i = 1, one more factor x*(e + u*C) maps (a, b)
-    to (x*a*e - b*u, x*(a*u + b*e) + b*u). After r steps the slice is
-    x^{j+1} * u^{r-1} * (a + b*C) / m^{r+1} (divided by u*m instead when
-    r = 0): small polynomial products, one polynomial times C and one
-    division by m^{r+1}, of degree at most (r+1)*(j+2), in place of r + 1
-    dense products at the order.
+    is delta(r=0)*R_{j+1} + x^{j+1+r} * (C*D)^{r+1} / u^2, with the band
+    factor C*D = u*(e + u*C)/m of :func:`_band`. Writing
+    x^{i-1}*(e + u*C)^i = a + b*C, from (a, b) = (e, u) at i = 1, one more
+    factor x*(e + u*C) maps (a, b) to (x*a*e - b*u, x*(a*u + b*e) + b*u).
+    After r steps the slice is x^{j+1} * u^{r-1} * (a + b*C) / m^{r+1}
+    (divided by u*m instead when r = 0): small polynomial products, one
+    polynomial times C and one division by m^{r+1}, of degree at most
+    (r+1)*(j+2), in place of r + 1 dense products at the order.
 
-    q_j(0) = q_{j+1}(0) = 1, so m(0) = 1 for j >= 0. At j = -1 (peaks at
-    height 1) q_{-1} = 0 gives e = u = 1 and m = 2 + x; the slice is
-    integral, so dividing by (2 + x)^{r+1} stays in the integers too. No
+    m(0) = 1 for j >= 0. At j = -1 (peaks at height 1) m = 2 + x; the slice
+    is integral, so dividing by (2 + x)^{r+1} stays in the integers too. No
     path has a peak at height 0: that family is C at r = 0, zero otherwise.
     The r_series two-route check runs once on every call with j >= 0. Slice
     r is divisible by x^{j+1+r}, so a slice past the order is zero, and k
@@ -188,11 +179,12 @@ def no_valley_band_gf(k: int, order: int) -> Series:
     Closed form C / (1 - x*(R_{k+1} - 1)*C): such a path alternates blocks
     that stay at or above k+1 (counted by C) with nonempty dips into the
     band [0, k] (counted by R_{k+1} - 1), each dip glued on by one
-    down-step/up-step pair.
+    down-step/up-step pair. This is the band factor at height k, computed
+    as u*(e + u*C)/m (see :func:`_band`).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _band_quotient(k, order)[0]
+    return _band_factor(k, order)
 
 
 def catalan_power_coefficient(m: int, j: int) -> int:

@@ -180,7 +180,7 @@ def test_band_factor_equals_its_defining_form(order):
     for k in range(13):
         assert no_valley_band_gf(k, order) == band_by_ratio(k, order), k
     # height -1, where the peak family at height 1 reads it: R_0 = 0
-    assert gfcount._band_quotient(-1, order)[0] == band_by_ratio(-1, order)
+    assert gfcount._band_factor(-1, order) == band_by_ratio(-1, order)
 
 
 @pytest.mark.parametrize("order", [0, 1, 7, 40])
@@ -202,13 +202,43 @@ def test_unreachable_heights_ask_gfcount_for_no_high_polynomial(monkeypatch):
         return real(k)
 
     monkeypatch.setattr(gfcount, "q_poly", guarded)
+    zero = Series.zero(order)
+    assert no_valley_band_gf(2000, order) == no_valley_band_gf(order, order)
     for kind in StatKind:
         assert stat_gf(kind, 2000, 0, order) == catalan_series(order)
-        assert stat_gf(kind, 2000, 1, order) == Series.zero(order)
+        assert stat_gf(kind, 2000, 1, order) == zero
+        assert stat_family(kind, 2000, order, 3) == (catalan_series(order), zero, zero, zero)
         # the direct slice near and past the order, for every r
         for k in range(order - 1, order + 4):
             for r in range(order + 3):
                 assert stat_gf(kind, k, r, order) == stat_family(kind, k, order, r)[r], (k, r)
+
+
+def test_family_divides_only_by_short_polynomials_in_the_integers(monkeypatch):
+    # at band height j every divisor is u*m or m of the band factor, or the
+    # ratio check's q_{j+1}: of degree at most 3*((j+1)//2) + 1, with
+    # constant term 1 for j >= 0 and 2 at j = -1 (peaks at height 1)
+    divisors = []
+    real = Series.__truediv__
+
+    def spy(self, other):
+        divisors.append(other.coeffs)
+        return real(self, other)
+
+    monkeypatch.setattr(Series, "__truediv__", spy)
+    monkeypatch.setattr(series_module, "Fraction", _FractionForbidden)
+    # kind None stands for no_valley_band_gf, the band factor at height k
+    for kind in [*StatKind, None]:
+        for k in range(10):
+            j = k - 2 if kind is StatKind.PEAK else k
+            divisors.clear()
+            out = stat_family(kind, k, 40, 5) if kind else (no_valley_band_gf(k, 40),)
+            for series in out:
+                assert {int} == set(map(type, series.coeffs)), (kind, k)
+            for den in divisors:
+                degree = max(i for i, c in enumerate(den) if c)
+                assert degree <= 3 * ((j + 1) // 2) + 1, (kind, k, degree)
+                assert den[0] == (1 if j >= 0 else 2), (kind, k)
 
 
 def test_stat_family_checks_the_height_ratio_once_per_call(monkeypatch):
