@@ -15,7 +15,7 @@ rewrites used to certify count identities:
   back. It is an involution exchanging (peaks at k) with (valleys at k - 2).
   Which pairs turn is defined once, in the step-level ``_turn``; ``psi``
   validates its result as a path, and ``verify``'s certificate validates
-  the same steps by looking their code up among the enumerated paths.
+  the same steps by looking their code up among the codes of its own walk.
 * ``theta_forward``: strips the outer arch of a path with no valleys at
   height 0, a bijection onto paths one unit of semilength shorter.
 
@@ -369,7 +369,7 @@ def _turn(steps: tuple[int, ...], k: int) -> list[int]:
 
     This is the one definition of which pairs turn. ``psi`` validates the
     result as a :class:`DyckPath`; ``verify`` codes it and validates it by
-    looking the code up among the enumerated paths. Only steps are
+    looking the code up among those of the paths it walks. Only steps are
     exchanged, so the result holds the input's steps in another order.
     """
     new_steps = list(steps)

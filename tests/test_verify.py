@@ -5,9 +5,20 @@ import tracemalloc
 import pytest
 
 from dyckpeaks import paths, verify
-from dyckpeaks.paths import DOWN, UP, DyckPath, StatKind, _turn, build_table, parse_path, psi, statistics
+from dyckpeaks.paths import (
+    DOWN,
+    UP,
+    DyckPath,
+    StatKind,
+    _turn,
+    build_table,
+    enumerate_paths,
+    parse_path,
+    psi,
+    statistics,
+)
 from dyckpeaks.series import InvariantError
-from dyckpeaks.verify import VerifyReport, _check_bijection, _check_three_way
+from dyckpeaks.verify import VerifyReport, _check_bijection, _check_three_way, _path_code, _sweep
 
 
 def test_sum_rule_section_names_the_corrupted_method():
@@ -75,10 +86,10 @@ def failures(report):
 
 
 def test_bijection_section_calls_psi_once_per_path_and_k(monkeypatch):
-    # 197 paths with n <= 6, four heights each: the sweep turns each path's
-    # steps once per k, and the second application and the image's
-    # statistics are read back from the image's own turn. A passing
-    # section never calls the public psi.
+    # 197 paths with n <= 6, four heights each: the walk turns each path's
+    # steps once per k and tallies its corners itself, and the second
+    # application and the image's counts are read back from the image's own
+    # leaf. A passing section never calls the public psi or statistics.
     calls = {"_turn": 0, "psi": 0, "statistics": 0}
 
     def counting(name, fn):
@@ -93,17 +104,17 @@ def test_bijection_section_calls_psi_once_per_path_and_k(monkeypatch):
     monkeypatch.setattr(verify, "statistics", counting("statistics", statistics))
     report = VerifyReport()
     _check_bijection(report, 6)
-    assert calls == {"_turn": 788, "psi": 0, "statistics": 197}
+    assert calls == {"_turn": 788, "psi": 0, "statistics": 0}
     assert report.lines[-1] == (
         "PASS involution and (peaks at k) <-> (valleys at k-2) exchange hold on "
         "788 (path, k) cases, n <= 6, k in 2..5"
     )
 
 
-def test_bijection_section_builds_one_path_object_per_enumerated_path(monkeypatch):
-    # 197 paths with n <= 6 are enumerated, one validated DyckPath each; the
-    # 788 images are coded from their steps and validated by the lookup, so
-    # they add none (a DyckPath per image made 985)
+def test_bijection_section_builds_no_path_object(monkeypatch):
+    # the walk codes the 197 paths with n <= 6 and their 788 images from
+    # their steps, and the lookup validates the images: a passing section
+    # builds no DyckPath and never enumerates
     built = []
     post_init = DyckPath.__post_init__
 
@@ -111,11 +122,36 @@ def test_bijection_section_builds_one_path_object_per_enumerated_path(monkeypatc
         built.append(self.steps)
         post_init(self)
 
+    def refused(n):
+        raise AssertionError("the section enumerated paths")
+
     monkeypatch.setattr(DyckPath, "__post_init__", counting)
+    monkeypatch.setattr(verify, "enumerate_paths", refused)
     report = VerifyReport()
     _check_bijection(report, 6)
     assert report.passed
-    assert len(built) == 197
+    assert len(built) == 0
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_sweep_equals_the_arrays_of_enumerated_paths(n):
+    # the independent route: enumerate_paths, statistics, _path_code and
+    # _turn on every path, in ascending order of the path's code
+    ks = range(2, 6)
+    weights = [1 << i for i in range(2 * n - 1, -1, -1)]
+    rows = []
+    for path in enumerate_paths(n):
+        profile = statistics(path)
+        rows.append(
+            [_path_code(path.steps, weights)]
+            + [_path_code(_turn(path.steps, k), weights) for k in ks]
+            + [profile.count(StatKind.PEAK, k) for k in ks]
+            + [profile.count(StatKind.VALLEY, k - 2) for k in ks]
+        )
+    codes, images, peaks, valleys = _sweep(n, ks)
+    assert [list(codes), *map(list, images), *map(list, peaks), *map(list, valleys)] == [
+        list(column) for column in zip(*sorted(rows))
+    ]
 
 
 def test_bijection_section_checks_an_image_outside_the_table_directly(monkeypatch):
