@@ -13,9 +13,11 @@ rewrites used to certify count identities:
 * ``psi``: turns over every pair of opposite steps that starts at height
   k - 1, so a peak at k (up, down) becomes a valley at k - 2 (down, up) and
   back. It is an involution exchanging (peaks at k) with (valleys at k - 2).
-  Which pairs turn is defined once, in the step-level ``_turn``; ``psi``
-  validates its result as a path, and ``verify``'s certificate validates
-  the same steps by looking their code up among the codes of its own walk.
+  Which pairs turn is defined once, in ``_turn_start``. The step-level
+  ``_turn`` reads it, and ``psi`` validates its result as a path;
+  ``verify``'s certificate reads it too, turns each pair by flipping two
+  bits of the path's code, and validates the image by looking its code up
+  among the codes of its own walk.
 * ``theta_forward``: strips the outer arch of a path with no valleys at
   height 0, a bijection onto paths one unit of semilength shorter.
 
@@ -363,17 +365,27 @@ def bounded_height_count(n_steps: int, k: int, end_height: int) -> int:
     return row[j] if (n_steps - end_height) % 2 == 0 and j < len(row) else 0
 
 
-def _turn(steps: tuple[int, ...], k: int) -> list[int]:
-    """Turn over every pair of opposite steps that starts at height k - 1
-    and return the new steps, not validated.
+def _turn_start(k: int) -> int:
+    """The height k - 1 at which the pairs of opposite steps that ``psi``
+    turns at k start: up then down is a peak at k, down then up a valley at
+    k - 2.
 
-    This is the one definition of which pairs turn. ``psi`` validates the
-    result as a :class:`DyckPath`; ``verify`` codes it and validates it by
-    looking the code up among those of the paths it walks. Only steps are
+    This is the one definition of which pairs turn. :func:`_turn`, and so
+    ``psi``, reads it, and so does the walk of ``verify``'s certificate,
+    which turns a path's pairs by flipping their bits in its code.
+    """
+    return k - 1
+
+
+def _turn(steps: tuple[int, ...], k: int) -> list[int]:
+    """Turn over every pair of opposite steps that starts at height
+    :func:`_turn_start` of k and return the new steps, not validated.
+
+    ``psi`` validates the result as a :class:`DyckPath`. Only steps are
     exchanged, so the result holds the input's steps in another order.
     """
     new_steps = list(steps)
-    start, h = k - 1, 0  # h: the height before steps i and i + 1
+    start, h = _turn_start(k), 0  # h: the height before steps i and i + 1
     for i in range(len(steps) - 1):
         if h == start and steps[i] + steps[i + 1] == 0:
             new_steps[i], new_steps[i + 1] = steps[i + 1], steps[i]
@@ -387,12 +399,13 @@ def psi(path: DyckPath, k: int) -> DyckPath:
 
     Both corners are a pair of opposite steps that starts at height k - 1:
     up then down is a peak at k, down then up a valley at k - 2. ``psi``
-    turns every such pair over (:func:`_turn`, the one definition of which
-    pairs turn) and validates the image as a :class:`DyckPath`. A swap
-    changes only the height of the point between its two steps, k to k - 2
-    or back, so the pairs that start at k - 1 are the same on the image and
-    never overlap: applied twice, each pair is turned back, and on the image
-    the peaks at k are the valleys at k - 2 of the path and the reverse.
+    turns every such pair over (:func:`_turn`, which reads the pairs'
+    height from :func:`_turn_start`, the one definition of which pairs
+    turn) and validates the image as a :class:`DyckPath`. A swap changes
+    only the height of the point between its two steps, k to k - 2 or back,
+    so the pairs that start at k - 1 are the same on the image and never
+    overlap: applied twice, each pair is turned back, and on the image the
+    peaks at k are the valleys at k - 2 of the path and the reverse.
     Requires k >= 2 so a lowered apex stays on or above the axis.
     """
     if k < 2:

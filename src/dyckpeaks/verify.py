@@ -11,7 +11,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import mul
 
 from .cfrac import _marked_fraction, catalan_cfrac, lemma_iterated_cfrac, lemma_rhs, peak_bivar_cfrac
 from .gfcount import (
@@ -20,17 +19,8 @@ from .gfcount import (
     valley0_binomial_literal,
     valley0_closed_count,
 )
-from .paths import (
-    DEFAULT_ENUM_GUARD,
-    DOWN,
-    UP,
-    StatKind,
-    _turn,
-    build_table,
-    enumerate_paths,
-    psi,
-    statistics,
-)
+from . import paths
+from .paths import DEFAULT_ENUM_GUARD, StatKind, build_table, enumerate_paths, psi, statistics
 from .series import BivarSeries, InvariantError, catalan_series
 
 
@@ -96,52 +86,65 @@ def _check_three_way(report: VerifyReport, tables: dict, n_max: int, k_max: int)
         )
 
 
-def _path_code(steps: tuple[int, ...], weights: list[int]) -> int:
-    """The steps read as a binary number behind a leading 1, up-steps as 1s.
-
-    ``weights`` are the powers of two 2^(2n - 1), ..., 2, 1 for the
-    semilength n at hand. The leading 1 keeps a path of any other length
-    from sharing a code with a semilength-n path.
-    """
-    if len(steps) != len(weights):
-        weights = [1 << i for i in range(len(steps) - 1, -1, -1)]
-    return (sum(map(mul, steps, weights)) + (3 << len(steps)) - 1) >> 1
-
-
 def _sweep(n: int, ks: range) -> tuple[array, list[array], list[bytearray], list[bytearray]]:
-    """The certificate's arrays for semilength n: each path's code, and per
-    k in ``ks`` the code of its image at k (one ``_turn``), its peaks at k
-    and its valleys at k - 2. One depth-first walk, down-steps first so the
-    codes ascend, carries the prefix's steps, its code and its corners by
-    height (undone on the way back); it builds no path object."""
-    weights = [1 << i for i in range(2 * n - 1, -1, -1)]
+    """The certificate's arrays for semilength n: each path's code (up-steps
+    as 1 bits behind a leading 1), and per k in ``ks`` the code of its image
+    at k, its peaks at k and its valleys at k - 2.
+
+    One depth-first walk, down-steps first so the codes ascend, carries the
+    prefix's code, its corners by height and, per k, the mask of the pairs
+    that ``psi`` turns, all undone on the way back. A corner closes a pair
+    of opposite steps that starts one level below a peak or one above a
+    valley; where that is ``paths._turn_start(k)``, the pair's two bits join
+    the mask of k. The image's code is the code XOR the mask. The walk
+    builds no path object and turns no steps.
+    """
     codes = array("I")
     images = [array("I") for _ in ks]
     peaks = [bytearray() for _ in ks]  # peaks at k
     valleys = [bytearray() for _ in ks]  # valleys at k - 2
     peaks_at = [0] * (max(n, *ks) + 1)  # the prefix's corners by height
     valleys_at = peaks_at[:]
+    masks = [0] * len(ks)
+    # per corner height h, the indices of the ks that turn its pair: a peak
+    # at h closes a pair that starts at h - 1, a valley at h one at h + 1
+    starts = [paths._turn_start(k) for k in ks]
+    peak_turns = [[i for i, s in enumerate(starts) if s == h - 1] for h in range(n + 1)]
+    valley_turns = [[i for i, s in enumerate(starts) if s == h + 1] for h in range(n + 1)]
+    counted = list(zip(ks, images, peaks, valleys))
 
-    def walk(h: int, ups: int, code: int, steps: tuple[int, ...]) -> None:
-        # ``ups`` of the n up-steps are left at height h
+    def walk(h: int, ups: int, code: int) -> None:
+        # ``ups`` of the n up-steps are left at height h, and 2 * ups + h
+        # steps: the next one is bit 2 * ups + h - 1 of the leaf's code
         if not h and not ups:
             codes.append(code)
-            for i, k in enumerate(ks):
-                images[i].append(_path_code(_turn(steps, k), weights))
-                peaks[i].append(peaks_at[k])
-                valleys[i].append(valleys_at[k - 2])
+            for mask, (k, image, peak, valley) in zip(masks, counted):
+                image.append(code ^ mask)
+                peak.append(peaks_at[k])
+                valley.append(valleys_at[k - 2])
             return
         last_up = code & 1  # the leading 1 makes the first step no valley
+        pair = 3 << (2 * ups + h - 1)  # the next step's pair, if it closes a corner
         if h:
+            turned = peak_turns[h] if last_up else ()
             peaks_at[h] += last_up
-            walk(h - 1, ups, code << 1, steps + (DOWN,))
+            for i in turned:
+                masks[i] ^= pair
+            walk(h - 1, ups, code << 1)
+            for i in turned:
+                masks[i] ^= pair
             peaks_at[h] -= last_up
         if ups:
+            turned = () if last_up else valley_turns[h]
             valleys_at[h] += 1 - last_up
-            walk(h + 1, ups - 1, code << 1 | 1, steps + (UP,))
+            for i in turned:
+                masks[i] ^= pair
+            walk(h + 1, ups - 1, code << 1 | 1)
+            for i in turned:
+                masks[i] ^= pair
             valleys_at[h] -= 1 - last_up
 
-    walk(0, n, 1, ())
+    walk(0, n, 1)
     return codes, images, peaks, valleys
 
 
@@ -188,14 +191,18 @@ def _check_bijection(report: VerifyReport, n_max: int) -> None:
 
     Per semilength n, ``_sweep`` walks the paths once into flat arrays, no
     path objects, and each (n, k) passes or fails on them (``_swaps_hold``).
+    The walk turns each path's pairs by flipping their bits in its code,
+    and reads which pairs turn from ``paths._turn_start``, the one rule that
+    ``psi`` reads too.
 
-    The lookup is the image's validation. ``_turn`` only exchanges steps,
+    The lookup is the image's validation. A turn only exchanges two steps,
     so an image is a sequence of up- and down-steps, and its code is among
     the semilength's codes exactly when it is a Dyck path of semilength n;
     any other image fails the section. A found image is one of the walked
-    paths, and as ``_turn`` is pure, its own image and its counts were
-    computed at its own leaf: reading them back is the check that applying
-    ``psi`` to the image and tallying the image would make.
+    paths, and as its turns depend on its steps alone, its own image and
+    its counts were computed at its own leaf: reading them back is the
+    check that applying ``psi`` to the image and tallying the image would
+    make.
 
     The report names the first counterexample of a sweep over every path
     for each k in turn (k-major): the smallest failing k, at the first n

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyckpeaks import chebyshev, cli, paths, verify
+from dyckpeaks import chebyshev, cli, paths
 from dyckpeaks.cli import main
 from dyckpeaks.gfcount import stat_gf
-from dyckpeaks.paths import DOWN, UP, StatKind, _turn, build_table, count_exact_dp
+from dyckpeaks.paths import DOWN, UP, StatKind, build_table, count_exact_dp
 from dyckpeaks.series import Series
 
 
@@ -147,14 +147,10 @@ def test_failed_internal_check_exits_2(capsys, monkeypatch):
 
 
 def test_invalid_psi_image_in_verify_exits_2(capsys, monkeypatch):
-    # A turn one level too low also turns the pairs that start on the axis,
+    # A turn rule one level too low turns the pairs that start on the axis,
     # so the image of UD at k = 2 is DU. No semilength-1 code matches it, and
     # the public psi that names the counterexample rejects the image.
-    def too_low(steps, k):
-        return _turn(steps, k - 1)
-
-    monkeypatch.setattr(paths, "_turn", too_low)
-    monkeypatch.setattr(verify, "_turn", too_low)
+    monkeypatch.setattr(paths, "_turn_start", lambda k: k - 2)
     code, out, err = run(capsys, "verify", "--n-max", "3", "--k-max", "2", "--r-max", "1", "--order", "4")
     assert code == 2
     assert out == ""

@@ -391,8 +391,8 @@ def test_psi_rejects_a_non_unit_step():
 
 
 def test_psi_validates_the_turned_steps(monkeypatch):
-    # verify codes the kernel's steps without a path object; the public psi
-    # still builds one, so a turn that leaves the axis is an invariant failure
+    # the public psi builds a path object from the kernel's steps, so a turn
+    # that leaves the axis is an invariant failure
     monkeypatch.setattr(paths, "_turn", lambda steps, k: [DOWN, UP, UP, DOWN])
     with pytest.raises(InvariantError) as info:
         psi(parse_path("UUDD"), 2)
@@ -402,8 +402,8 @@ def test_psi_validates_the_turned_steps(monkeypatch):
 @settings(deadline=None, max_examples=50)
 @given(dyck_paths(300, min_semilength=50), st.integers(2, 8))
 def test_psi_is_its_validated_turn_on_long_paths(path, k):
-    # past the enumeration guard: the kernel verify codes is the one psi
-    # validates, and turning twice gives the steps back
+    # past the enumeration guard: psi is its kernel's turn, validated, and
+    # turning twice gives the steps back
     turned = _turn(path.steps, k)
     assert psi(path, k).steps == tuple(turned)
     assert _turn(tuple(turned), k) == list(path.steps)

@@ -1,8 +1,12 @@
 """Tests of the cross-validation report sections."""
 
 import tracemalloc
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_paths import dyck_paths
 
 from dyckpeaks import paths, verify
 from dyckpeaks.paths import (
@@ -18,7 +22,7 @@ from dyckpeaks.paths import (
     statistics,
 )
 from dyckpeaks.series import InvariantError
-from dyckpeaks.verify import VerifyReport, _check_bijection, _check_three_way, _path_code, _sweep
+from dyckpeaks.verify import VerifyReport, _check_bijection, _check_three_way, _sweep
 
 
 def test_sum_rule_section_names_the_corrupted_method():
@@ -47,11 +51,48 @@ def test_three_way_section_names_the_first_disagreeing_cell():
     ]
 
 
+def _path_code(steps: tuple[int, ...], weights: list[int]) -> int:
+    """The steps read as a binary number behind a leading 1, up-steps as 1s.
+
+    ``weights`` are the powers of two 2^(2n - 1), ..., 2, 1 for the
+    semilength n at hand. The leading 1 keeps a path of any other length
+    from sharing a code with a semilength-n path. This is the independent
+    route's coder: the certificate's walk builds its codes bit by bit.
+    """
+    if len(steps) != len(weights):
+        weights = [1 << i for i in range(len(steps) - 1, -1, -1)]
+    return (sum(map(mul, steps, weights)) + (3 << len(steps)) - 1) >> 1
+
+
+def _steps_of(code: int) -> tuple[int, ...]:
+    """The steps of a path from its code: the bits behind the leading 1."""
+    return tuple(UP if bit == "1" else DOWN for bit in bin(code)[3:])
+
+
 def substitute_turn(monkeypatch, fake):
-    """Make ``fake`` the step-level turn seen by the certificate's sweep and
-    by the public ``psi`` that names its counterexample."""
+    """Make ``fake`` the step-level turn seen by the public ``psi`` that
+    names the certificate's counterexample, and by the certificate itself.
+
+    The certificate's walk turns no steps, so its arrays are faked after the
+    walk: where ``fake`` turns a path's steps otherwise than the true
+    ``_turn``, the image's code is that of the fake image. ``fake`` is called
+    once per (path, k) of each sweep, in the sweep's order, then by ``psi``.
+    """
     monkeypatch.setattr(paths, "_turn", fake)
-    monkeypatch.setattr(verify, "_turn", fake)
+    sweep = verify._sweep
+
+    def faked_sweep(n, ks):
+        codes, images, peaks, valleys = sweep(n, ks)
+        weights = [1 << i for i in range(2 * n - 1, -1, -1)]
+        for j, code in enumerate(codes):
+            steps = _steps_of(code)
+            for k, image_codes in zip(ks, images):
+                image = fake(steps, k)
+                if image != _turn(steps, k):
+                    image_codes[j] = _path_code(image, weights)
+        return codes, images, peaks, valleys
+
+    monkeypatch.setattr(verify, "_sweep", faked_sweep)
 
 
 def replacing(images):
@@ -87,9 +128,11 @@ def failures(report):
 
 def test_bijection_section_calls_psi_once_per_path_and_k(monkeypatch):
     # 197 paths with n <= 6, four heights each: the walk turns each path's
-    # steps once per k and tallies its corners itself, and the second
-    # application and the image's counts are read back from the image's own
-    # leaf. A passing section never calls the public psi or statistics.
+    # pairs by mask once per k and tallies its corners itself, and the
+    # second application and the image's counts are read back from the
+    # image's own leaf. A passing section never calls _turn, the public psi
+    # or statistics. The counter goes on paths._turn directly, since
+    # substitute_turn itself calls its turn once per (path, k).
     calls = {"_turn": 0, "psi": 0, "statistics": 0}
 
     def counting(name, fn):
@@ -99,12 +142,12 @@ def test_bijection_section_calls_psi_once_per_path_and_k(monkeypatch):
 
         return wrapper
 
-    substitute_turn(monkeypatch, counting("_turn", _turn))
+    monkeypatch.setattr(paths, "_turn", counting("_turn", _turn))
     monkeypatch.setattr(verify, "psi", counting("psi", psi))
     monkeypatch.setattr(verify, "statistics", counting("statistics", statistics))
     report = VerifyReport()
     _check_bijection(report, 6)
-    assert calls == {"_turn": 788, "psi": 0, "statistics": 0}
+    assert calls == {"_turn": 0, "psi": 0, "statistics": 0}
     assert report.lines[-1] == (
         "PASS involution and (peaks at k) <-> (valleys at k-2) exchange hold on "
         "788 (path, k) cases, n <= 6, k in 2..5"
@@ -131,6 +174,35 @@ def test_bijection_section_builds_no_path_object(monkeypatch):
     _check_bijection(report, 6)
     assert report.passed
     assert len(built) == 0
+
+
+@settings(deadline=None, max_examples=50)
+@given(dyck_paths(300, min_semilength=50), st.integers(2, 8))
+def test_turn_flips_the_two_bits_of_each_peak_at_k_and_valley_at_k_minus_2(path, k):
+    # past the enumeration guard: the image's code is the path's code XOR
+    # 3 << position for each corner the walk's masks collect, here found by
+    # a scan of the steps
+    steps = path.steps
+    weights = [1 << i for i in range(len(steps) - 1, -1, -1)]
+    mask, h = 0, 0
+    for t in range(1, len(steps)):
+        h += steps[t - 1]  # the corner between steps t - 1 and t
+        if (steps[t - 1], steps[t], h) in ((UP, DOWN, k), (DOWN, UP, k - 2)):
+            mask ^= 3 << (len(steps) - 1 - t)
+    assert _path_code(_turn(steps, k), weights) == _path_code(steps, weights) ^ mask
+
+
+def test_the_turn_rule_is_one_definition_for_psi_and_the_certificate(monkeypatch):
+    # A rule one level too high turns the pairs that start at height k. Only
+    # paths._turn_start is patched: psi turns the peak at 3 of UUUDDD at
+    # k = 2 into a valley at 1, and the certificate fails at k = 2 on UUDD,
+    # which no pair starting at 2 changes: its peak at 2 stays, and its
+    # image has no valley at 0.
+    monkeypatch.setattr(paths, "_turn_start", lambda k: k)
+    assert str(psi(parse_path("UUUDDD"), 2)) == "UUDUDD"
+    report = VerifyReport()
+    _check_bijection(report, 4)
+    assert failures(report) == ["FAIL statistics not exchanged at k=2, path UUDD"]
 
 
 @pytest.mark.parametrize("n", range(11))
