@@ -9,8 +9,8 @@ fails, in which case a minimal counterexample is included.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import eq
 
 from .cfrac import _marked_fraction, catalan_cfrac, lemma_iterated_cfrac, lemma_rhs, peak_bivar_cfrac
 from .gfcount import (
@@ -152,18 +152,18 @@ def _swaps_hold(codes: array, image_codes: array, peaks: bytearray, valleys: byt
     """Whether ``psi`` at k is an involution exchanging peaks at k (``peaks``)
     with valleys at k - 2 (``valleys``) on every path of one semilength.
 
-    ``codes`` holds the paths' codes in ascending order, as ``_sweep``
-    makes them, and ``image_codes`` the codes of their images at k. An
-    image whose code is not among ``codes`` is not a path of this
-    semilength: it is invalid or has another semilength.
+    Path i's record is (code, image, peaks, valleys) = (c, m, p, v); the
+    codes are distinct and ascending, as ``_sweep`` makes them. The swap
+    holds exactly when the records are closed under (c, m, p, v) ->
+    (m, c, v, p), that is when the sorted swapped records equal the records.
+    If they are closed, each swapped record is some path's record: m is a
+    code of the semilength whose own image is c and whose counts are
+    (v, p). Conversely, if the swap holds, the map sends each record to its
+    image's record, a bijection on the distinct codes. An image that is
+    invalid or has another semilength matches no code.
     """
-    for i, image_code in enumerate(image_codes):
-        j = bisect_left(codes, image_code)
-        if j == len(codes) or codes[j] != image_code:
-            return False
-        if image_codes[j] != codes[i] or peaks[j] != valleys[i] or valleys[j] != peaks[i]:
-            return False
-    return True
+    swapped = sorted(zip(image_codes, codes, valleys, peaks))
+    return all(map(eq, swapped, zip(codes, image_codes, peaks, valleys)))
 
 
 def _first_swap_failure(n: int, k: int) -> str:
@@ -195,14 +195,11 @@ def _check_bijection(report: VerifyReport, n_max: int) -> None:
     and reads which pairs turn from ``paths._turn_start``, the one rule that
     ``psi`` reads too.
 
-    The lookup is the image's validation. A turn only exchanges two steps,
-    so an image is a sequence of up- and down-steps, and its code is among
-    the semilength's codes exactly when it is a Dyck path of semilength n;
-    any other image fails the section. A found image is one of the walked
-    paths, and as its turns depend on its steps alone, its own image and
-    its counts were computed at its own leaf: reading them back is the
-    check that applying ``psi`` to the image and tallying the image would
-    make.
+    Each (n, k) holds when the paths' records (code, image, peaks, valleys)
+    are closed under the swap to (image, code, valleys, peaks). An image's
+    code is among the records exactly when it is a Dyck path of semilength
+    n, and its own image and counts were computed at its own leaf: the swap
+    reads back the second application of ``psi`` and the tally of the image.
 
     The report names the first counterexample of a sweep over every path
     for each k in turn (k-major): the smallest failing k, at the first n

@@ -315,3 +315,11 @@ def test_weight_spec_json_errors():
         weight_spec_from_json("{not json", 5, 0)
     with pytest.raises(ValueError, match="unknown"):
         weight_spec_from_json('{"depth": 1, "lambdas": "x", "mus": "x", "tails": 1}', 5, 0)
+
+
+def test_weight_spec_needs_depth_weights():
+    # the JSON parser checks list lengths itself, so only a direct
+    # construction reaches this check
+    x = x_weight(0, 4)
+    with pytest.raises(ValueError, match="need at least `depth` lambda and mu weights"):
+        WeightSpec((x, x), (x,), 2, BivarSeries.one(0, 4))

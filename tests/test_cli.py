@@ -345,6 +345,17 @@ def test_bijection_theta(capsys):
     assert doc["input"]["peaks"] == {"2": 2}
 
 
+def test_bijection_theta_of_the_empty_path(capsys):
+    assert run(capsys, "bijection", "--map", "theta", "--path", "") == (
+        0,
+        "input: (empty)\n"
+        "  peaks by height:   -\n"
+        "  valleys by height: -\n"
+        "output: none (empty path has no outer arch)\n",
+        "",
+    )
+
+
 def test_bijection_theta_rejects_valley_at_0(capsys):
     code, _, err = run(capsys, "bijection", "--map", "theta", "--path", "UDUD")
     assert code == 1
@@ -413,6 +424,12 @@ def test_cfrac_csv_bytes_are_pinned(capsys, tmp_path, text, argv, digest):
         (LEVEL_2_SINGULAR_SPEC, (), "error: denominator at level 2 is not invertible"),
         (DENSE_LAMBDA_SPEC, ("--order", "-1"), "error: order must be >= 0"),
         (DENSE_LAMBDA_SPEC, ("--z-order", "-1"), "error: z_order must be >= 0"),
+        ("[1]", (), "error: weight spec must be a JSON object"),
+        ('{"depth": 1, "lambdas": "x"}', (), "error: weight spec needs `lambdas` and `mus`"),
+        ('{"depth": 1, "lambdas": true, "mus": "x"}', (), "error: invalid weight expression: True"),
+        ('{"depth": 1, "lambdas": 1.5, "mus": "x"}', (), "error: invalid weight expression: 1.5"),
+        ('{"depth": 1, "lambdas": "", "mus": "x"}', (), "error: cannot parse weight expression ''"),
+        ('{"depth": -1, "lambdas": "x", "mus": "x"}', (), "error: depth must be >= 0"),
     ],
 )
 def test_cfrac_errors_exit_1(capsys, tmp_path, text, argv, message):
@@ -420,6 +437,28 @@ def test_cfrac_errors_exit_1(capsys, tmp_path, text, argv, message):
     spec.write_text(text)
     code, out, err = run(capsys, "cfrac", "--spec", str(spec), *argv)
     assert (code, out, err) == (1, "", message + "\n")
+
+
+def test_cfrac_negative_coefficient(capsys, tmp_path):
+    # lambda = -2x and mu = x at two levels over tail 1 is
+    # 1 / (1 - 3x + 2x / (1 - x)) = (1 - x) / (1 - 2x + 3x^2)
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"depth": 2, "lambdas": "-2*x", "mus": "x"}')
+    assert run(capsys, "cfrac", "--spec", str(spec), "--order", "5") == (0, "z^0: 1,1,-1,-5,-7,1\n", "")
+
+
+def test_cfrac_json_bytes(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"depth": 2, "lambdas": "x", "mus": "x*z", "tail": 1}')
+    code, out, err = run(
+        capsys, "cfrac", "--spec", str(spec), "--order", "3", "--z-order", "1", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        '{\n  "z_order": 1,\n  "x_order": 3,\n  "entries": [\n'
+        '    [\n      "1",\n      "0",\n      "0",\n      "0"\n    ],\n'
+        '    [\n      "0",\n      "1",\n      "1",\n      "0"\n    ]\n  ]\n}\n'
+    )
 
 
 def test_cfrac_missing_file(capsys, tmp_path):

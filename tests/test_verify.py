@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from test_paths import dyck_paths
 
 from dyckpeaks import paths, verify
+from dyckpeaks.cfrac import _marked_fraction, catalan_cfrac, lemma_rhs, peak_bivar_cfrac
+from dyckpeaks.gfcount import stat_family, valley0_closed_count
 from dyckpeaks.paths import (
     DOWN,
     UP,
@@ -21,8 +23,18 @@ from dyckpeaks.paths import (
     psi,
     statistics,
 )
-from dyckpeaks.series import InvariantError
-from dyckpeaks.verify import VerifyReport, _check_bijection, _check_three_way, _sweep
+from dyckpeaks.series import BivarSeries, InvariantError
+from dyckpeaks.verify import (
+    VerifyReport,
+    _check_bijection,
+    _check_cfrac,
+    _check_lemma,
+    _check_mark_convention,
+    _check_peak1_printed,
+    _check_three_way,
+    _check_valley0_binomial,
+    _sweep,
+)
 
 
 def test_sum_rule_section_names_the_corrupted_method():
@@ -126,7 +138,7 @@ def failures(report):
     return [line for line in report.lines if line.startswith("FAIL")]
 
 
-def test_bijection_section_calls_psi_once_per_path_and_k(monkeypatch):
+def test_bijection_section_calls_no_turn_psi_or_statistics_when_it_passes(monkeypatch):
     # 197 paths with n <= 6, four heights each: the walk turns each path's
     # pairs by mask once per k and tallies its corners itself, and the
     # second application and the image's counts are read back from the
@@ -156,7 +168,7 @@ def test_bijection_section_calls_psi_once_per_path_and_k(monkeypatch):
 
 def test_bijection_section_builds_no_path_object(monkeypatch):
     # the walk codes the 197 paths with n <= 6 and their 788 images from
-    # their steps, and the lookup validates the images: a passing section
+    # their steps, and the swap check validates the images: a passing section
     # builds no DyckPath and never enumerates
     built = []
     post_init = DyckPath.__post_init__
@@ -275,8 +287,8 @@ def test_bijection_section_checks_both_counts_of_the_exchange(monkeypatch):
 def test_bijection_section_fails_an_image_of_another_semilength(monkeypatch):
     # UUDUDD and UUUDUDDD have no peak at 5 and no valley at 3, so swapping
     # them at k = 5 keeps the involution and both counts; only the
-    # semilength changes. The longer step list is valid, so only the lookup
-    # among the semilength's codes rejects it.
+    # semilength changes. The longer step list is valid, so only the swap
+    # check, where no semilength-3 code matches its code, rejects it.
     a, b = parse_path("UUDUDD").steps, parse_path("UUUDUDDD").steps
     substitute_turn(monkeypatch, replacing({(a, 5): b, (b, 5): a}))
     report = VerifyReport()
@@ -310,3 +322,98 @@ def test_bijection_section_keeps_no_path_objects():
         tracemalloc.stop()
     assert report.passed
     assert peak < 512 * 1024
+
+
+def bumped(family, r):
+    """``family`` with 1 added to the constant term of entry r, if any."""
+    return tuple(series + 1 if i == r else series for i, series in enumerate(family))
+
+
+def test_lemma_section_names_the_first_height_where_the_closed_form_disagrees(monkeypatch):
+    def perturbed(k, *args):
+        closed = lemma_rhs(k, *args)
+        return closed + 1 if k == 3 else closed
+
+    monkeypatch.setattr(verify, "lemma_rhs", perturbed)
+    report = VerifyReport()
+    _check_lemma(report, 8, 2)
+    assert report.lines == [
+        "== closed form vs direct evaluation of the marked fraction ==",
+        "FAIL closed form disagrees with direct evaluation at k=3",
+    ]
+    assert report.failures == 1
+
+
+@pytest.mark.parametrize(
+    "name, perturb, line",
+    [
+        (
+            "catalan_cfrac",
+            lambda depth, order: catalan_cfrac(depth, order) + 1,
+            "FAIL uniform fraction does not reproduce the path series",
+        ),
+        (
+            "stat_family",
+            lambda kind, k, order, r_max: bumped(stat_family(kind, k, order, r_max), 1 if k == 2 else None),
+            "FAIL k=2: z^1 slice disagrees with the peak series",
+        ),
+        (
+            # a term above the compared slices: only the z = 1 sum changes
+            "peak_bivar_cfrac",
+            lambda k, x_order, z_order: peak_bivar_cfrac(k, x_order, z_order)
+            + BivarSeries.monomial(int(k == 4), 0, 3, z_order, x_order),
+            "FAIL k=4: substituting z=1 does not recover the path series",
+        ),
+    ],
+    ids=["catalan_cfrac", "stat_family", "peak_bivar_cfrac"],
+)
+def test_cfrac_section_fails_the_one_perturbed_check(monkeypatch, name, perturb, line):
+    monkeypatch.setattr(verify, name, perturb)
+    report = VerifyReport()
+    _check_cfrac(report, 8, 2)
+    assert failures(report) == [line]
+    assert report.failures == 1
+    assert len(report.lines) == 10  # the title and nine checks
+
+
+def test_peak1_section_prints_the_implemented_form_that_disagrees_with_the_oracle(monkeypatch):
+    monkeypatch.setattr(
+        verify, "stat_family", lambda kind, k, order, r_max: bumped(stat_family(kind, k, order, r_max), 2)
+    )
+    report = VerifyReport()
+    _check_peak1_printed(report, 6, 3, build_table(6, 1, "enum"))
+    i = report.lines.index("FAIL r=2: implemented form disagrees with the enumeration oracle")
+    assert report.lines[i + 1 : i + 3] == [
+        "     implemented: [1, 0, 1, 0, 3, 6, 21]",
+        "     oracle:      [0, 0, 1, 0, 3, 6, 21]",
+    ]
+    assert failures(report) == [report.lines[i]]
+    assert report.failures == 1
+
+
+def test_valley0_section_stops_at_the_first_wrong_extraction(monkeypatch):
+    monkeypatch.setattr(
+        verify, "valley0_closed_count", lambda n, r: valley0_closed_count(n, r) + ((n, r) == (3, 1))
+    )
+    report = VerifyReport()
+    _check_valley0_binomial(report, 6, 2, build_table(6, 0, "enum"))
+    assert report.lines[-2:] == [
+        "     n= 3 r=1:          3 |        2/3 |          2   <- literal differs",
+        "FAIL coefficient extraction wrong at n=3, r=1",
+    ]
+    assert report.failures == 1
+
+
+def test_mark_convention_section_fails_a_raw_slice_off_the_peak_series(monkeypatch):
+    def perturbed(depth, mark, tail):
+        raw = _marked_fraction(depth, mark, tail)
+        return raw + BivarSeries.monomial(1, 0, 1, raw.z_order, raw.x_order)
+
+    monkeypatch.setattr(verify, "_marked_fraction", perturbed)
+    report = VerifyReport()
+    _check_mark_convention(report, 8, 2)
+    assert report.lines == [
+        "== discrepancy check: raw mark z vs semilength mark x*z ==",
+        "FAIL raw-mark slices do not reduce to the peak series after the x^r shift",
+    ]
+    assert report.failures == 1
