@@ -24,7 +24,7 @@ from math import comb
 
 from .chebyshev import q_poly, r_series
 from .paths import StatKind
-from .series import Series, catalan_series
+from .series import InvariantError, Series, catalan_series
 
 
 def _band(j: int, order: int) -> tuple[Series, Series, Series]:
@@ -190,7 +190,8 @@ def no_valley_band_gf(k: int, order: int) -> Series:
 def catalan_power_coefficient(m: int, j: int) -> int:
     """Coefficient of x^m in the j-th power of the path-counting series.
 
-    Closed form j/(2m+j) * binom(2m+j, m), always an exact integer.
+    Closed form j/(2m+j) * binom(2m+j, m), always an exact integer; a
+    remainder is a formula bug and raises :class:`InvariantError`.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
@@ -199,7 +200,7 @@ def catalan_power_coefficient(m: int, j: int) -> int:
     num = j * comb(2 * m + j, m)
     den = 2 * m + j
     if num % den:
-        raise ArithmeticError(f"non-integral coefficient for m={m}, j={j}")
+        raise InvariantError(f"non-integral coefficient for m={m}, j={j}")
     return num // den
 
 

@@ -15,9 +15,9 @@ rewrites used to certify count identities:
   back. It is an involution exchanging (peaks at k) with (valleys at k - 2).
   Which pairs turn is defined once, in ``_turn_start``. The step-level
   ``_turn`` reads it, and ``psi`` validates its result as a path;
-  ``verify``'s certificate reads it too, turns each pair by flipping two
-  bits of the path's code, and validates the image by looking its code up
-  among the codes of its own walk.
+  ``verify``'s certificate reads it too, once per k, and turns the pairs
+  that start there by flipping their bits in the path's code. It checks
+  the images by one identity: the walk's records are closed under the swap.
 * ``theta_forward``: strips the outer arch of a path with no valleys at
   height 0, a bijection onto paths one unit of semilength shorter.
 
@@ -372,7 +372,7 @@ def _turn_start(k: int) -> int:
 
     This is the one definition of which pairs turn. :func:`_turn`, and so
     ``psi``, reads it, and so does the walk of ``verify``'s certificate,
-    which turns a path's pairs by flipping their bits in its code.
+    once per k; a start that no pair has turns nothing in either.
     """
     return k - 1
 

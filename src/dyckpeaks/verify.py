@@ -92,56 +92,52 @@ def _sweep(n: int, ks: range) -> tuple[array, list[array], list[bytearray], list
     at k, its peaks at k and its valleys at k - 2.
 
     One depth-first walk, down-steps first so the codes ascend, carries the
-    prefix's code, its corners by height and, per k, the mask of the pairs
-    that ``psi`` turns, all undone on the way back. A corner closes a pair
-    of opposite steps that starts one level below a peak or one above a
-    valley; where that is ``paths._turn_start(k)``, the pair's two bits join
-    the mask of k. The image's code is the code XOR the mask. The walk
-    builds no path object and turns no steps.
+    prefix's code, its corners by height and, per start height, the bits of
+    its pairs of opposite steps, all undone on the way back: a peak at h
+    closes a pair that starts at h - 1, a valley at h one at h + 1. Pairs
+    that start at one height never overlap, so at each leaf the image at k
+    is the code XOR the bits at ``paths._turn_start(k)``, read once per k;
+    a start off the walk reads an entry where no pair starts. Only the
+    leaves read k. The walk builds no path object and turns no steps.
     """
     codes = array("I")
     images = [array("I") for _ in ks]
     peaks = [bytearray() for _ in ks]  # peaks at k
     valleys = [bytearray() for _ in ks]  # valleys at k - 2
-    peaks_at = [0] * (max(n, *ks) + 1)  # the prefix's corners by height
+    size = max(n, *ks) + 2  # no pair starts at height size - 1
+    peaks_at = [0] * size  # the prefix's corners by height
     valleys_at = peaks_at[:]
-    masks = [0] * len(ks)
-    # per corner height h, the indices of the ks that turn its pair: a peak
-    # at h closes a pair that starts at h - 1, a valley at h one at h + 1
-    starts = [paths._turn_start(k) for k in ks]
-    peak_turns = [[i for i, s in enumerate(starts) if s == h - 1] for h in range(n + 1)]
-    valley_turns = [[i for i, s in enumerate(starts) if s == h + 1] for h in range(n + 1)]
-    counted = list(zip(ks, images, peaks, valleys))
+    pairs_from = peaks_at[:]  # the bits of the prefix's pairs by start height
+    counted = []  # per k: the start of the pairs psi turns, and k's arrays
+    for k, image, peak, valley in zip(ks, images, peaks, valleys):
+        start = paths._turn_start(k)
+        counted.append((start if 0 <= start < size else size - 1, k, image, peak, valley))
 
     def walk(h: int, ups: int, code: int) -> None:
         # ``ups`` of the n up-steps are left at height h, and 2 * ups + h
         # steps: the next one is bit 2 * ups + h - 1 of the leaf's code
         if not h and not ups:
             codes.append(code)
-            for mask, (k, image, peak, valley) in zip(masks, counted):
-                image.append(code ^ mask)
+            for start, k, image, peak, valley in counted:
+                image.append(code ^ pairs_from[start])
                 peak.append(peaks_at[k])
                 valley.append(valleys_at[k - 2])
             return
         last_up = code & 1  # the leading 1 makes the first step no valley
         pair = 3 << (2 * ups + h - 1)  # the next step's pair, if it closes a corner
         if h:
-            turned = peak_turns[h] if last_up else ()
+            closed = pair if last_up else 0
             peaks_at[h] += last_up
-            for i in turned:
-                masks[i] ^= pair
+            pairs_from[h - 1] ^= closed
             walk(h - 1, ups, code << 1)
-            for i in turned:
-                masks[i] ^= pair
+            pairs_from[h - 1] ^= closed
             peaks_at[h] -= last_up
         if ups:
-            turned = () if last_up else valley_turns[h]
+            closed = 0 if last_up else pair
             valleys_at[h] += 1 - last_up
-            for i in turned:
-                masks[i] ^= pair
+            pairs_from[h + 1] ^= closed
             walk(h + 1, ups - 1, code << 1 | 1)
-            for i in turned:
-                masks[i] ^= pair
+            pairs_from[h + 1] ^= closed
             valleys_at[h] -= 1 - last_up
 
     walk(0, n, 1)
@@ -191,9 +187,9 @@ def _check_bijection(report: VerifyReport, n_max: int) -> None:
 
     Per semilength n, ``_sweep`` walks the paths once into flat arrays, no
     path objects, and each (n, k) passes or fails on them (``_swaps_hold``).
-    The walk turns each path's pairs by flipping their bits in its code,
-    and reads which pairs turn from ``paths._turn_start``, the one rule that
-    ``psi`` reads too.
+    The walk keeps each path's pairs by start height and, at each leaf,
+    flips the bits of those that start at ``paths._turn_start(k)``, the one
+    rule that ``psi`` reads too.
 
     Each (n, k) holds when the paths' records (code, image, peaks, valleys)
     are closed under the swap to (image, code, valleys, peaks). An image's

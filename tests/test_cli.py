@@ -5,12 +5,13 @@ from hashlib import sha256
 from contextlib import redirect_stdout
 from fractions import Fraction
 from io import StringIO
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyckpeaks import chebyshev, cli, paths
+from dyckpeaks import chebyshev, cli, gfcount, paths
 from dyckpeaks.cli import main
 from dyckpeaks.gfcount import stat_gf
 from dyckpeaks.paths import DOWN, UP, StatKind, build_table, count_exact_dp
@@ -155,6 +156,16 @@ def test_invalid_psi_image_in_verify_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: rewrite produced an invalid path: path dips below the axis (index 0)\n"
+
+
+def test_a_remainder_in_the_closed_form_exits_2(capsys, monkeypatch):
+    # binom(2m + j, m) off by one for m >= 1: the valley section's first
+    # such coefficient, m = 1 and j = 1 at n = 2, reads 4 / 3
+    monkeypatch.setattr(gfcount, "comb", lambda n, k: comb(n, k) + (k > 0))
+    code, out, err = run(capsys, "verify", "--n-max", "3", "--k-max", "1", "--r-max", "1", "--order", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: non-integral coefficient for m=1, j=1\n"
 
 
 def test_invalid_psi_image_in_bijection_exits_2(capsys, monkeypatch):

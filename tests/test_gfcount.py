@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from test_series import _FractionForbidden
@@ -22,7 +23,7 @@ from dyckpeaks.gfcount import (
     valley0_closed_count,
 )
 from dyckpeaks.paths import StatKind, build_table, count_exact_dp, enumerate_paths, statistics
-from dyckpeaks.series import Series, catalan_series
+from dyckpeaks.series import InvariantError, Series, catalan_series
 
 
 def enum_counts(kind, k, order):
@@ -402,6 +403,15 @@ def test_catalan_power_coefficient_validates():
         catalan_power_coefficient(3, 0)
     with pytest.raises(ValueError):
         catalan_power_coefficient(-1, 2)
+
+
+def test_a_remainder_in_the_closed_form_is_an_invariant_error(monkeypatch):
+    # j * binom(2m + j, m) is always a multiple of 2m + j, so a remainder is
+    # a formula bug: with binom(7, 3) off by one, valley0_closed_count(4, 0)
+    # reads 36 / 7 for its m = 3, j = 1 coefficient
+    monkeypatch.setattr(gfcount, "comb", lambda n, k: comb(n, k) + 1)
+    with pytest.raises(InvariantError, match=r"^non-integral coefficient for m=3, j=1$"):
+        valley0_closed_count(4, 0)
 
 
 def test_dp_and_series_agree_beyond_64_bit_range():

@@ -139,12 +139,13 @@ def failures(report):
 
 
 def test_bijection_section_calls_no_turn_psi_or_statistics_when_it_passes(monkeypatch):
-    # 197 paths with n <= 6, four heights each: the walk turns each path's
-    # pairs by mask once per k and tallies its corners itself, and the
-    # second application and the image's counts are read back from the
-    # image's own leaf. A passing section never calls _turn, the public psi
-    # or statistics. The counter goes on paths._turn directly, since
-    # substitute_turn itself calls its turn once per (path, k).
+    # 197 paths with n <= 6, four heights each: the walk keeps each path's
+    # pairs by start height, turns them at its leaf once per k and tallies
+    # its corners itself, and the second application and the image's counts
+    # are read back from the image's own leaf. A passing section never
+    # calls _turn, the public psi or statistics. The counter goes on
+    # paths._turn directly, since substitute_turn itself calls its turn
+    # once per (path, k).
     calls = {"_turn": 0, "psi": 0, "statistics": 0}
 
     def counting(name, fn):
@@ -192,8 +193,8 @@ def test_bijection_section_builds_no_path_object(monkeypatch):
 @given(dyck_paths(300, min_semilength=50), st.integers(2, 8))
 def test_turn_flips_the_two_bits_of_each_peak_at_k_and_valley_at_k_minus_2(path, k):
     # past the enumeration guard: the image's code is the path's code XOR
-    # 3 << position for each corner the walk's masks collect, here found by
-    # a scan of the steps
+    # 3 << position for each corner whose pair starts at k - 1, the bits the
+    # walk keeps at that start height, here found by a scan of the steps
     steps = path.steps
     weights = [1 << i for i in range(len(steps) - 1, -1, -1)]
     mask, h = 0, 0
@@ -236,6 +237,28 @@ def test_sweep_equals_the_arrays_of_enumerated_paths(n):
     assert [list(codes), *map(list, images), *map(list, peaks), *map(list, valleys)] == [
         list(column) for column in zip(*sorted(rows))
     ]
+
+
+@pytest.mark.parametrize(
+    "rule, off_walk",
+    [(lambda k: k - 2, False), (lambda k: k, False), (lambda k: -1, True), (lambda k: 50, True)],
+    ids=["k-2", "k", "-1", "50"],
+)
+def test_sweep_turns_the_pairs_that_the_step_kernel_turns_under_any_rule(monkeypatch, rule, off_walk):
+    # The walk reads the rule once per k and the step kernel once per call;
+    # under a patched rule each image's code is still that of _turn's steps.
+    # A start below the axis or above every height turns nothing, and must
+    # not wrap to another height's pairs.
+    monkeypatch.setattr(paths, "_turn_start", rule)
+    ks = range(2, 6)
+    for n in range(9):
+        weights = [1 << i for i in range(2 * n - 1, -1, -1)]
+        codes, images, _, _ = _sweep(n, ks)
+        for k, image_codes in zip(ks, images):
+            expected = [_path_code(_turn(_steps_of(code), k), weights) for code in codes]
+            assert list(image_codes) == expected, (n, k)
+            if off_walk:
+                assert image_codes == codes, (n, k)
 
 
 def test_bijection_section_checks_an_image_outside_the_table_directly(monkeypatch):
