@@ -463,12 +463,16 @@ class CountTable:
 
     def check_sum_rule(self) -> None:
         """Every (n, k, kind) row must sum to the total path count; the first
-        row in cell order that does not raises :class:`InvariantError`."""
+        row in cell order that does not, or is missing, raises
+        :class:`InvariantError`. The peak rows at k = 0 set the grid."""
         peak = self.rows[StatKind.PEAK]
         for n, paths in enumerate(catalan_series(len(peak[0]) - 1).coeffs):
             for k in range(len(peak)):
                 for kind in StatKind:
-                    total = sum(self.rows[kind][k][n])
+                    try:
+                        total = sum(self.rows[kind][k][n])
+                    except IndexError:
+                        raise InvariantError(f"no row at (n={n}, k={k}, kind={kind.value})") from None
                     if total != paths:
                         raise InvariantError(
                             f"sum over r at (n={n}, k={k}, kind={kind.value}) is {total}, "

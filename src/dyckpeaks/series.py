@@ -10,16 +10,21 @@ constant term: each step divides exactly when it can, and a ``Fraction``
 appears only when a denominator survives. No floating point appears
 anywhere.
 
-One truncated convolution and one quotient recurrence serve both series
-types: a :class:`Series` runs them on its coefficients, a
-:class:`BivarSeries` on its z-entries, which are themselves Series. The
-convolution visits only pairs of nonzero terms, so a polynomial times a
-series costs its number of terms times the order. A reciprocal is the
-quotient of 1, and a quotient ``a / b`` is one pass of the recurrence, not a
-reciprocal followed by a product. Each step of the recurrence divides by the
-divisor's constant term: a :class:`Series` divides each coefficient
-exactly, a :class:`BivarSeries` divides the z-entry by the divisor's z^0
-entry, so no bivariate reciprocal is ever formed.
+The ring operations (``+``, ``-``, ``*``, ``/`` and ``reciprocal``) are
+written once, in :class:`Series`, and :class:`BivarSeries` binds the same
+functions. They read a few hooks of each type: its truncation orders, its
+terms (coefficients, or z-entries that are themselves Series), its zero
+term, ``_coerce``, which makes the other operand one of its own type, a
+scalar becoming a constant, and ``_divider``, which divides a term by the
+divisor's constant term. A foreign operand gets ``NotImplemented``, so
+``Series * BivarSeries`` reaches :meth:`BivarSeries.__rmul__`. Both types
+run one truncated convolution, which visits only pairs of nonzero terms, so
+a polynomial times a series costs its number of terms times the order, and
+one quotient recurrence: a reciprocal is the quotient of 1, and a quotient
+``a / b`` is one pass, not a reciprocal followed by a product. Each step
+divides by the divisor's constant term: a :class:`Series` divides each
+coefficient exactly, a :class:`BivarSeries` divides the z-entry by the
+divisor's z^0 entry, so no bivariate reciprocal is ever formed.
 """
 
 from __future__ import annotations
@@ -27,10 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import mul
-from typing import Iterable, Sequence, Union
+from operator import attrgetter, mul
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 Rational = Union[int, Fraction]
+Ring = TypeVar("Ring", "Series", "BivarSeries")  # the operand type of a ring operation
 
 
 class NonInvertibleError(ValueError):
@@ -104,6 +110,14 @@ def _quotient(num: Sequence, den: Sequence, divide, zero) -> list:
     for n in range(len(den)):
         out.append(divide(num[n] - sum(map(mul, tail, reversed(out)), zero)))
     return out
+
+
+def _common(a: Ring, b: Ring) -> tuple[Ring, Ring]:
+    """``a`` and ``b``, of one type, cut to the truncation orders they share."""
+    if a._orders == b._orders:  # the common case: nothing to cut
+        return a, b
+    orders = list(map(min, a._orders, b._orders))
+    return a.truncate(*orders), b.truncate(*orders)
 
 
 @dataclass(frozen=True)
@@ -191,74 +205,91 @@ class Series:
             return self
         return Series(order, self.coeffs[: order + 1])
 
-    # -- ring operations --------------------------------------------------
+    # -- ring operations, shared with BivarSeries --------------------------
 
-    def __add__(self, other: Series | Rational) -> Series:
+    _orders = property(lambda self: (self.order,))
+    _terms = property(attrgetter("coeffs"))
+    _zero = 0
+
+    def _coerce(self, other: object) -> Series | None:
+        """``other`` as a Series; a scalar is a constant. None for any other type."""
+        if isinstance(other, Series):
+            return other
         if isinstance(other, (int, Fraction)):
-            cs = list(self.coeffs)
-            cs[0] = cs[0] + other
-            return Series(self.order, tuple(cs))
-        if not isinstance(other, Series):
-            return NotImplemented
-        order = min(self.order, other.order)
+            return Series.from_coeffs([other], self.order)
+        return None
+
+    def _divider(self) -> Callable[[Rational], Rational]:
+        """Division of a coefficient by this divisor's constant term, exact
+        when it can be: an integral quotient stays in the integers."""
+        if self.coeffs[0] == 0:
+            raise NonInvertibleError("series with zero constant term has no reciprocal")
+        return partial(_divide, self.coeffs[0])
+
+    def _rebuild(self: Ring, terms: list) -> Ring:
+        """A result of this operand's type and orders with the given terms."""
         # tuple() of a list is allocated at its final length. tuple() of a
         # generator resizes a 10-slot tuple, so freed tuples of other short
         # lengths pile up in CPython's per-length free lists, up to 2000 of
         # each: about 1.6 MB of resident memory for the short polynomials of
-        # the peak fraction. So every tuple here and in BivarSeries is built
-        # from a list.
-        return Series(
-            order,
-            tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]),
-        )
+        # the peak fraction. So every result tuple is built from a list.
+        return type(self)(*self._orders, tuple(terms))
+
+    def __add__(self: Ring, other: Ring | Series | Rational) -> Ring:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = _common(self, other)
+        return a._rebuild([x + y for x, y in zip(a._terms, b._terms)])
 
     __radd__ = __add__
 
-    def __neg__(self) -> Series:
-        return Series(self.order, tuple([-c for c in self.coeffs]))
+    def __neg__(self: Ring) -> Ring:
+        return self._rebuild([-t for t in self._terms])
 
-    def __sub__(self, other: Series | Rational) -> Series:
-        if not isinstance(other, (Series, int, Fraction)):
+    def __sub__(self: Ring, other: Ring | Series | Rational) -> Ring:
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: Rational) -> Series:
-        return (-self) + other
-
-    def __mul__(self, other: Series | Rational) -> Series:
-        if isinstance(other, (int, Fraction)):
-            return Series(self.order, tuple([c * other for c in self.coeffs]))
-        if not isinstance(other, Series):
+    def __rsub__(self: Ring, other: Ring | Series | Rational) -> Ring:
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        order = min(self.order, other.order)
-        return Series(order, tuple(_product(self.coeffs, other.coeffs, 0)))
+        return other + (-self)
+
+    def __mul__(self: Ring, other: Ring | Series | Rational) -> Ring:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = _common(self, other)
+        return a._rebuild(_product(a._terms, b._terms, a._zero))
 
     __rmul__ = __mul__
 
-    def reciprocal(self) -> Series:
-        """Multiplicative inverse up to the truncation order: the quotient 1/self.
+    def reciprocal(self: Ring) -> Ring:
+        """Multiplicative inverse up to the truncation orders: the quotient 1/self.
 
         The constant term must be nonzero; otherwise
         :class:`NonInvertibleError` is raised.
         """
-        return Series.one(self.order) / self
+        return self._coerce(1) / self
 
-    def __truediv__(self, other: Series) -> Series:
+    def __truediv__(self: Ring, other: Ring | Series | Rational) -> Ring:
         """Quotient self/other in one pass of the quotient recurrence.
 
-        Each step divides by the divisor's constant term, exactly when it
-        can: a ``Fraction`` appears only when a denominator survives, so an
-        integral quotient stays in the integers. The recurrence reads the
-        divisor only up to its last nonzero coefficient, so dividing by a
-        polynomial of degree d costs d products per coefficient.
+        Each step divides a term by the divisor's constant term (see
+        ``_divider``), which must be nonzero; otherwise
+        :class:`NonInvertibleError` is raised. The recurrence reads the
+        divisor only up to its last nonzero term, so dividing by a
+        polynomial of degree d costs d products per term.
         """
-        if not isinstance(other, Series):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        order = min(self.order, other.order)
-        den = other.coeffs[: order + 1]
-        if den[0] == 0:
-            raise NonInvertibleError("series with zero constant term has no reciprocal")
-        return Series(order, tuple(_quotient(self.coeffs, den, partial(_divide, den[0]), 0)))
+        a, b = _common(self, other)
+        return a._rebuild(_quotient(a._terms, b._terms, b._divider(), a._zero))
 
     def power(self, m: int) -> Series:
         """m-th power by repeated truncated multiplication; ``a.power(0)`` is 1."""
@@ -373,85 +404,36 @@ class BivarSeries:
             z_order, x_order, tuple([e.truncate(x_order) for e in self.entries[: z_order + 1]])
         )
 
-    # -- ring operations --------------------------------------------------
+    # -- ring operations: the hooks that Series's operators read ----------
 
-    def _coerce(self, other: BivarSeries | Series | Rational) -> BivarSeries | None:
+    _orders = property(attrgetter("z_order", "x_order"))
+    _terms = property(attrgetter("entries"))
+    _zero = property(lambda self: Series.zero(self.x_order))
+
+    def _coerce(self, other: object) -> BivarSeries | None:
+        """``other`` as a BivarSeries; a Series or scalar is the z^0 entry.
+        None for any other type."""
         if isinstance(other, BivarSeries):
             return other
+        if isinstance(other, (int, Fraction)):
+            other = Series.from_coeffs([other], self.x_order)
         if isinstance(other, Series):
             return BivarSeries.from_series(other, self.z_order)
-        if isinstance(other, (int, Fraction)):
-            return BivarSeries.from_series(
-                Series.monomial(other, 0, self.x_order), self.z_order
-            )
         return None
 
-    def _match(self, other: BivarSeries) -> tuple[BivarSeries, BivarSeries]:
-        zo = min(self.z_order, other.z_order)
-        xo = min(self.x_order, other.x_order)
-        return self.truncate(zo, xo), other.truncate(zo, xo)
-
-    def __add__(self, other: BivarSeries | Series | Rational) -> BivarSeries:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        a, b = self._match(rhs)
-        return BivarSeries(
-            a.z_order,
-            a.x_order,
-            tuple([x + y for x, y in zip(a.entries, b.entries)]),
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> BivarSeries:
-        return BivarSeries(self.z_order, self.x_order, tuple([-e for e in self.entries]))
-
-    def __sub__(self, other: BivarSeries | Series | Rational) -> BivarSeries:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: Series | Rational) -> BivarSeries:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
-    def __mul__(self, other: BivarSeries | Series | Rational) -> BivarSeries:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        a, b = self._match(rhs)
-        out = _product(a.entries, b.entries, Series.zero(a.x_order))
-        return BivarSeries(a.z_order, a.x_order, tuple(out))
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> BivarSeries:
-        """Multiplicative inverse, truncated in both variables: the quotient 1/self.
-
-        Requires the (z^0, x^0) constant to be nonzero.
-        """
-        return BivarSeries.one(self.z_order, self.x_order) / self
-
-    def __truediv__(self, other: BivarSeries | Series | Rational) -> BivarSeries:
-        """Quotient in one pass of the quotient recurrence over z-entries.
-
-        Each z-entry is divided by the divisor's z^0 entry, a univariate
-        division; no reciprocal is formed. For a divisor affine in z that is
-        z_order + 1 divisions and z_order entry products. Requires the
-        divisor's (z^0, x^0) constant to be nonzero.
-        """
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        a, b = self._match(rhs)
-        b0 = b.entries[0]
+    def _divider(self) -> Callable[[Series], Series]:
+        """Division of a z-entry by this divisor's z^0 entry, a univariate
+        quotient: no bivariate reciprocal is formed."""
+        b0 = self.entries[0]
         if b0.coeffs[0] == 0:
-            raise NonInvertibleError(
-                "bivariate series with zero constant term has no reciprocal"
-            )
-        out = _quotient(a.entries, b.entries, lambda e: e / b0, Series.zero(a.x_order))
-        return BivarSeries(a.z_order, a.x_order, tuple(out))
+            raise NonInvertibleError("bivariate series with zero constant term has no reciprocal")
+        return lambda e: e / b0
+
+    _rebuild = Series._rebuild
+    __add__ = __radd__ = Series.__add__
+    __neg__ = Series.__neg__
+    __sub__ = Series.__sub__
+    __rsub__ = Series.__rsub__
+    __mul__ = __rmul__ = Series.__mul__
+    reciprocal = Series.reciprocal
+    __truediv__ = Series.__truediv__

@@ -61,7 +61,18 @@ def _check_three_way(report: VerifyReport, tables: dict, n_max: int, k_max: int)
     report.section("three-way agreement: enumeration vs dynamic program vs series")
     enum, dp, gf = (tables[m] for m in ("enum", "dp", "gf"))
     cells = (k_max + 1) * (n_max + 1) * (n_max + 2)  # r <= n for each n, k and kind
-    if enum.rows == dp.rows == gf.rows:
+    expected = list(range(1, n_max + 2))  # row n holds the counts for r <= n
+    shapes = (
+        (method, kind, k, [len(row) for row in tables[method].rows[kind][k]])
+        for method in ("enum", "dp", "gf")
+        for kind in StatKind
+        for k in range(k_max + 1)
+    )
+    misshapen = next((shape for shape in shapes if shape[3] != expected), None)
+    if misshapen:
+        method, kind, k, lengths = misshapen
+        report.fail(f"method {method}: rows at (k={k}, kind={kind.value}) have lengths {lengths}, expected {expected}")
+    elif enum.rows == dp.rows == gf.rows:
         report.ok(f"all {cells} cells agree for n <= {n_max}, k <= {k_max}, r <= n, both kinds")
     else:
         (n, k, r, kind), count = next(

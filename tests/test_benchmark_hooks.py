@@ -43,6 +43,7 @@ def test_tracer_reports_every_layer_hook():
         "paths.dp.steps",
         "series.mul.coeff_ops",
         "series.reciprocal.coeff_ops",
+        "series.bivar.self_s",
         "verify.build_tables_s",
     ):
         assert metrics[name] > 0, name

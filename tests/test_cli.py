@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyckpeaks import chebyshev, cli, gfcount, paths
+from dyckpeaks import chebyshev, cli, gfcount, paths, verify
 from dyckpeaks.cli import main
 from dyckpeaks.gfcount import stat_gf
 from dyckpeaks.paths import DOWN, UP, StatKind, build_table, count_exact_dp
@@ -166,6 +166,39 @@ def test_a_remainder_in_the_closed_form_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: non-integral coefficient for m=1, j=1\n"
+
+
+def reshaped_gf_table(monkeypatch, reshape):
+    # verify's gf table with its valley rows at k = 1 reshaped
+    def build(n_max, k_max, method, **kwargs):
+        table = build_table(n_max, k_max, method, **kwargs)
+        if method == "gf":
+            reshape(table.rows[StatKind.VALLEY][1], n_max)
+        return table
+
+    monkeypatch.setattr(verify, "build_table", build)
+
+
+def test_an_extra_table_row_in_verify_fails_and_exits_2(capsys, monkeypatch):
+    # every enumeration cell still agrees: the extra row is found by shape
+    reshaped_gf_table(monkeypatch, lambda rows, n_max: rows.append([0] * (n_max + 2)))
+    code, out, err = run(capsys, "verify", "--n-max", "4", "--k-max", "2", "--r-max", "1", "--order", "4")
+    assert code == 2
+    assert err == ""
+    assert [line for line in out.splitlines() if line.startswith("FAIL ")] == [
+        "FAIL method gf: rows at (k=1, kind=valley) have lengths [1, 2, 3, 4, 5, 6], expected [1, 2, 3, 4, 5]",
+    ]
+
+
+def test_a_missing_table_row_in_verify_fails_and_exits_2(capsys, monkeypatch):
+    reshaped_gf_table(monkeypatch, lambda rows, n_max: rows.pop())
+    code, out, err = run(capsys, "verify", "--n-max", "4", "--k-max", "2", "--r-max", "1", "--order", "4")
+    assert code == 2
+    assert err == ""
+    assert [line for line in out.splitlines() if line.startswith("FAIL ")] == [
+        "FAIL method gf: rows at (k=1, kind=valley) have lengths [1, 2, 3, 4], expected [1, 2, 3, 4, 5]",
+        "FAIL method gf: no row at (n=4, k=1, kind=valley)",
+    ]
 
 
 def test_invalid_psi_image_in_bijection_exits_2(capsys, monkeypatch):

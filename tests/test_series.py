@@ -284,13 +284,52 @@ def test_bivar_fine_number_slice():
     assert list(inv.z_slice(0).coeffs) == [1, 0, 1, 2, 6, 18, 57]
 
 
+# Each operator applied to (a, b, c): a and b both univariate or both
+# bivariate, c a nonzero scalar.
+OPERATORS = {
+    "add": lambda a, b, c: a + b,
+    "sub": lambda a, b, c: a - b,
+    "mul": lambda a, b, c: a * b,
+    "truediv": lambda a, b, c: a / b,
+    "reciprocal": lambda a, b, c: a.reciprocal(),
+    "add_scalar": lambda a, b, c: a + c,
+    "scalar_add": lambda a, b, c: c + a,
+    "sub_scalar": lambda a, b, c: a - c,
+    "scalar_sub": lambda a, b, c: c - a,
+    "mul_scalar": lambda a, b, c: a * c,
+    "scalar_mul": lambda a, b, c: c * a,
+    "truediv_scalar": lambda a, b, c: a / c,
+}
+
+
+@pytest.mark.parametrize("name", OPERATORS)
 @settings(deadline=None)
-@given(st.lists(st.integers(-9, 9), min_size=1, max_size=20).filter(lambda cs: cs[0] != 0))
-def test_bivar_reciprocal_agrees_with_univariate_at_z_order_zero(coeffs):
-    order = len(coeffs) - 1
-    a = Series.from_coeffs(coeffs, order)
-    embedded = BivarSeries.from_series(a, 0)
-    assert embedded.reciprocal().z_slice(0) == a.reciprocal()
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=20).filter(lambda cs: cs[0] != 0),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=20).filter(lambda cs: cs[0] != 0),
+    st.one_of(st.integers(-9, 9), st.fractions(max_denominator=9)).filter(bool),
+)
+def test_bivar_operators_agree_with_univariate_at_z_order_zero(name, ca, cb, c):
+    # a and b of different orders check the mixed-order truncation too
+    a, b = Series.from_coeffs(ca, len(ca) - 1), Series.from_coeffs(cb, len(cb) - 1)
+    operator = OPERATORS[name]
+    bivariate = operator(BivarSeries.from_series(a, 0), BivarSeries.from_series(b, 0), c)
+    assert type(bivariate) is BivarSeries
+    assert bivariate.z_slice(0) == operator(a, b, c)
+
+
+def test_scalars_coerce_alike_and_a_foreign_operand_is_refused():
+    a = Series.from_coeffs([2, 3, 4], 3)
+    z = BivarSeries.monomial(1, 0, 1, 2, 3)
+    assert a / 2 == a * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        a / z
+    with pytest.raises(TypeError):
+        1 / a
+    assert type(a * z) is BivarSeries
+    assert a * z == BivarSeries.from_series(a, 2) * z
+    assert type(1 - z) is BivarSeries
+    assert 1 - z == BivarSeries.one(2, 3) - z
 
 
 def test_bivar_reciprocal_roundtrip():
@@ -484,5 +523,6 @@ def test_short_series_arithmetic_leaves_no_freed_tuples_behind():
     gc.collect()
     before = sys.getallocatedblocks()
     for _ in range(3000):
-        a + a, -a, a * 3, b + b, -b, b.truncate(1, 6)
+        a + a, -a, a * 3, a - 1, 1 - a, a / a, a.reciprocal()
+        b + b, -b, b * b, b / b, 1 - b, b.truncate(1, 6)
     assert sys.getallocatedblocks() - before < 500
