@@ -10,6 +10,12 @@ failed ``verify`` report, an internal check raising ``InvariantError``, or a
 counting series with a fractional coefficient raising ``NonIntegralError``).
 JSON output renders counts and coefficients as decimal strings so arbitrary
 precision survives any JSON reader.
+
+Counts of any size print. CPython (3.10.7 and later) refuses to convert an
+int of more than ``sys.int_info.default_max_str_digits`` (4300) digits to a
+string, and Catalan-size counts pass that near n = 7150. :func:`main` lifts
+the cap for the duration of one command and restores the caller's value
+after it; importing the package leaves the cap alone.
 """
 
 from __future__ import annotations
@@ -267,6 +273,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
+    capped = hasattr(sys, "set_int_max_str_digits")  # CPython >= 3.10.7
+    if capped:
+        cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (InvariantError, NonIntegralError) as exc:
@@ -275,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if capped:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

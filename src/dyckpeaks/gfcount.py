@@ -15,6 +15,9 @@ C*D = u*(e + u*C)/m, read by every generator here. A single slice
 polynomial. A whole family (:func:`stat_family`) keeps a product loop
 because m^{r+1} outgrows the order as r grows: r_max + 1 such divisions
 cost more than r_max products.
+
+:func:`valley0_closed_count` reads valleys at height 0 from binomials alone,
+with no series, so it checks the series route at any n.
 """
 
 from __future__ import annotations
@@ -45,8 +48,12 @@ def _band(j: int, order: int) -> tuple[Series, Series, Series]:
 
 def _band_factor(j: int, order: int) -> Series:
     """The band factor C*D = u*(e + u*C)/m at band height j >= -1 (see
-    :func:`_band`). It reads R_{j+1} only below x^order, where every height
-    from the order up gives the same series, so j is clamped to the order.
+    :func:`_band`). For j >= 0 it counts paths from height j+1 back to j+1
+    (floor 0) with no valley at height j: blocks at or above j+1 (C)
+    alternate with nonempty dips into [0, j] (R_{j+1} - 1), each glued on
+    by one down-step/up-step pair. It reads R_{j+1} only below x^order,
+    where every height from the order up gives the same series, so j is
+    clamped to the order.
     """
     u, e, m = _band(min(j, order), order)
     return u * (e + u * catalan_series(order)) / m
@@ -172,44 +179,15 @@ def peak1_nonempty_blocks_gf(r: int, order: int) -> Series:
     return main
 
 
-def no_valley_band_gf(k: int, order: int) -> Series:
-    """Series counting paths from height k+1 back to height k+1 (floor 0)
-    with no valleys at height k, by semilength.
-
-    Closed form C / (1 - x*(R_{k+1} - 1)*C): such a path alternates blocks
-    that stay at or above k+1 (counted by C) with nonempty dips into the
-    band [0, k] (counted by R_{k+1} - 1), each dip glued on by one
-    down-step/up-step pair. This is the band factor at height k, computed
-    as u*(e + u*C)/m (see :func:`_band`).
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return _band_factor(k, order)
-
-
-def catalan_power_coefficient(m: int, j: int) -> int:
-    """Coefficient of x^m in the j-th power of the path-counting series.
-
-    Closed form j/(2m+j) * binom(2m+j, m), always an exact integer; a
-    remainder is a formula bug and raises :class:`InvariantError`.
-    """
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    num = j * comb(2 * m + j, m)
-    den = 2 * m + j
-    if num % den:
-        raise InvariantError(f"non-integral coefficient for m={m}, j={j}")
-    return num // den
-
-
 def valley0_closed_count(n: int, r: int) -> int:
     """Number of semilength-n paths with exactly r valleys at height 0.
 
-    Computed as the coefficient of x^{n-r-1} in C^{r+1} (the n >= 1 slice of
-    the exact series delta(r=0) + x^{r+1} C^{r+1}); zero when n <= r except
-    for the empty-path cell n = 0, r = 0.
+    The coefficient of x^{n-r-1} in C^{r+1} (the n >= 1 slice of the exact
+    series delta(r=0) + x^{r+1} C^{r+1}): with m = n - r - 1 and j = r + 1,
+    the closed form j/(2m+j) * binom(2m+j, m), binomials and no series. It
+    is always an exact integer; a remainder is a formula bug and raises
+    :class:`InvariantError`. Zero when n <= r except for the empty-path
+    cell n = 0, r = 0.
     """
     if n < 0 or r < 0:
         raise ValueError("n and r must be >= 0")
@@ -217,10 +195,14 @@ def valley0_closed_count(n: int, r: int) -> int:
         return 1 if r == 0 else 0
     if n <= r:
         return 0
-    return catalan_power_coefficient(n - r - 1, r + 1)
+    m, j = n - r - 1, r + 1
+    num, den = j * comb(2 * m + j, m), 2 * m + j
+    if num % den:
+        raise InvariantError(f"non-integral coefficient for m={m}, j={j}")
+    return num // den
 
 
-def valley0_binomial_literal(n: int, r: int) -> Fraction:
+def _valley0_binomial_literal(n: int, r: int) -> Fraction:
     """The printed closed form (r+1)/n * binom(2n-r-1, n+1), evaluated exactly.
 
     Kept for the discrepancy report: it disagrees with the true count at

@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 from operator import eq
 
 from .cfrac import _marked_fraction, catalan_cfrac, lemma_iterated_cfrac, lemma_rhs, peak_bivar_cfrac
-from .gfcount import (
-    peak1_nonempty_blocks_gf,
-    stat_family,
-    valley0_binomial_literal,
-    valley0_closed_count,
-)
+from .gfcount import _valley0_binomial_literal, peak1_nonempty_blocks_gf, stat_family, valley0_closed_count
 from . import paths
 from .paths import DEFAULT_ENUM_GUARD, StatKind, build_table, enumerate_paths, psi, statistics
 from .series import BivarSeries, InvariantError, catalan_series
@@ -299,7 +294,7 @@ def _check_valley0_binomial(report: VerifyReport, n_max: int, r_max: int, enum_t
     for n in range(1, n_max + 1):
         for r in range(min(r_max, n) + 1):
             extraction = valley0_closed_count(n, r)
-            literal = valley0_binomial_literal(n, r)
+            literal = _valley0_binomial_literal(n, r)
             oracle = enum_table.rows[StatKind.VALLEY][0][n][r]
             literal_text = str(literal) if literal.denominator != 1 else str(literal.numerator)
             marker = "" if literal == oracle else "   <- literal differs"

@@ -1,11 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from hashlib import sha256
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 from io import StringIO
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +17,7 @@ from hypothesis import strategies as st
 
 from dyckpeaks import chebyshev, cli, gfcount, paths, verify
 from dyckpeaks.cli import main
-from dyckpeaks.gfcount import stat_gf
+from dyckpeaks.gfcount import stat_gf, valley0_closed_count
 from dyckpeaks.paths import DOWN, UP, StatKind, build_table, count_exact_dp
 from dyckpeaks.series import Series
 
@@ -75,6 +79,74 @@ def test_count_gf_and_dp_print_the_same_bytes_for_peaks_at_height_1(capsys):
     gf, dp = run(capsys, *argv, "gf"), run(capsys, *argv, "dp")
     assert gf == dp
     assert gf[0] == 0 and gf[1].strip().isdigit()
+
+
+# -- counts past the interpreter's int-to-str digit cap --------------------------
+# CPython 3.10.7 and later refuse to print an int of more than 4300 digits
+# unless the cap is lifted; valley counts at height 0, r = 2, pass it near
+# n = 7200. valley0_closed_count is binomials and no series.
+
+VALLEY0_R2 = ("--stat", "valley", "--k", "0", "--r", "2")
+
+
+def digit_cap():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+@contextmanager
+def no_digit_cap():
+    cap = digit_cap()
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
+
+
+def test_a_count_past_the_digit_cap_prints_the_binomial_closed_form(capsys):
+    cap = digit_cap()
+    result = run(capsys, "count", *VALLEY0_R2, "--n", "8000", "--method", "gf")
+    assert digit_cap() == cap
+    with no_digit_cap():
+        expected = f"{valley0_closed_count(8000, 2)}\n"
+    assert len(expected) > 4800
+    assert result == (0, expected, "")
+
+
+def test_the_last_series_coefficient_past_the_digit_cap_is_the_closed_form(capsys):
+    cap = digit_cap()
+    code, out, err = run(capsys, "series", *VALLEY0_R2, "--order", "7200", "--format", "json")
+    assert digit_cap() == cap
+    assert (code, err) == (0, "")
+    last = json.loads(out)["coefficients"][-1]
+    with no_digit_cap():
+        expected = str(valley0_closed_count(7200, 2))
+    assert len(expected) > 4300
+    assert last == expected
+
+
+IMPORT_AND_MAIN = """import sys
+def digit_cap():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+cap = digit_cap()
+import dyckpeaks, dyckpeaks.cli
+assert digit_cap() == cap, "import changed the cap"
+code = dyckpeaks.cli.main(sys.argv[1:])
+assert digit_cap() == cap, "main changed the cap"
+sys.exit(code)
+"""
+
+
+def test_a_fresh_import_and_main_leave_the_digit_cap_as_they_found_it():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_AND_MAIN, "count", *VALLEY0_R2, "--n", "8000", "--method", "gf"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert len(done.stdout.strip()) > 4800
 
 
 @pytest.mark.parametrize(

@@ -12,14 +12,13 @@ from dyckpeaks import gfcount
 from dyckpeaks.cfrac import peak_bivar_cfrac
 from dyckpeaks.chebyshev import r_series, u_inv_sq_series
 from dyckpeaks.gfcount import (
-    catalan_power_coefficient,
-    no_valley_band_gf,
+    _band_factor,
+    _valley0_binomial_literal,
     peak_gf,
     peak1_nonempty_blocks_gf,
     stat_family,
     stat_gf,
     valley_gf,
-    valley0_binomial_literal,
     valley0_closed_count,
 )
 from dyckpeaks.paths import StatKind, build_table, count_exact_dp, enumerate_paths, statistics
@@ -155,18 +154,18 @@ def band_no_valley_count(n, k):
 
 
 def test_no_valley_band_gf_k0_is_catalan():
-    assert no_valley_band_gf(0, 8) == catalan_series(8)
+    assert _band_factor(0, 8) == catalan_series(8)
 
 
 def test_no_valley_band_gf_frozen_values():
     # frozen from the DP oracle above
-    assert no_valley_band_gf(1, 6).as_integer_sequence() == [1, 1, 3, 8, 23, 69, 215]
-    assert no_valley_band_gf(2, 6).as_integer_sequence() == [1, 1, 3, 9, 28, 89, 288]
+    assert _band_factor(1, 6).as_integer_sequence() == [1, 1, 3, 8, 23, 69, 215]
+    assert _band_factor(2, 6).as_integer_sequence() == [1, 1, 3, 9, 28, 89, 288]
 
 
 @pytest.mark.parametrize("k", range(5))
 def test_no_valley_band_gf_matches_dp_oracle(k):
-    coeffs = no_valley_band_gf(k, 8).as_integer_sequence()
+    coeffs = _band_factor(k, 8).as_integer_sequence()
     assert coeffs == [band_no_valley_count(n, k) for n in range(9)]
 
 
@@ -179,9 +178,9 @@ def band_by_ratio(k, order):
 @pytest.mark.parametrize("order", [0, 1, 7, 40])
 def test_band_factor_equals_its_defining_form(order):
     for k in range(13):
-        assert no_valley_band_gf(k, order) == band_by_ratio(k, order), k
+        assert _band_factor(k, order) == band_by_ratio(k, order), k
     # height -1, where the peak family at height 1 reads it: R_0 = 0
-    assert gfcount._band_factor(-1, order) == band_by_ratio(-1, order)
+    assert _band_factor(-1, order) == band_by_ratio(-1, order)
 
 
 @pytest.mark.parametrize("order", [0, 1, 7, 40])
@@ -204,7 +203,7 @@ def test_unreachable_heights_ask_gfcount_for_no_high_polynomial(monkeypatch):
 
     monkeypatch.setattr(gfcount, "q_poly", guarded)
     zero = Series.zero(order)
-    assert no_valley_band_gf(2000, order) == no_valley_band_gf(order, order)
+    assert _band_factor(2000, order) == _band_factor(order, order)
     for kind in StatKind:
         assert stat_gf(kind, 2000, 0, order) == catalan_series(order)
         assert stat_gf(kind, 2000, 1, order) == zero
@@ -228,12 +227,12 @@ def test_family_divides_only_by_short_polynomials_in_the_integers(monkeypatch):
 
     monkeypatch.setattr(Series, "__truediv__", spy)
     monkeypatch.setattr(series_module, "Fraction", _FractionForbidden)
-    # kind None stands for no_valley_band_gf, the band factor at height k
+    # kind None stands for _band_factor, the band factor at height k
     for kind in [*StatKind, None]:
         for k in range(10):
             j = k - 2 if kind is StatKind.PEAK else k
             divisors.clear()
-            out = stat_family(kind, k, 40, 5) if kind else (no_valley_band_gf(k, 40),)
+            out = stat_family(kind, k, 40, 5) if kind else (_band_factor(k, 40),)
             for series in out:
                 assert {int} == set(map(type, series.coeffs)), (kind, k)
             for den in divisors:
@@ -375,34 +374,37 @@ def test_valley0_closed_count_matches_series():
 
 
 def test_valley0_binomial_literal_disagrees():
-    assert valley0_binomial_literal(2, 1) == 0  # true count is 1
-    assert valley0_binomial_literal(3, 1) == Fraction(2, 3)  # not even an integer
+    assert _valley0_binomial_literal(2, 1) == 0  # true count is 1
+    assert _valley0_binomial_literal(3, 1) == Fraction(2, 3)  # not even an integer
     with pytest.raises(ValueError):
-        valley0_binomial_literal(0, 0)
+        _valley0_binomial_literal(0, 0)
 
 
 # -- coefficient extraction ----------------------------------------------------
+# The coefficient of x^m in C^j, j >= 1, is valley0_closed_count(m + j, j - 1).
 
 
 def test_catalan_power_coefficient_examples():
-    assert catalan_power_coefficient(0, 1) == 1
-    assert catalan_power_coefficient(0, 7) == 1
-    assert catalan_power_coefficient(3, 1) == 5
-    assert catalan_power_coefficient(2, 3) == 9
+    assert valley0_closed_count(1, 0) == 1  # m = 0, j = 1
+    assert valley0_closed_count(7, 6) == 1  # m = 0, j = 7
+    assert valley0_closed_count(4, 0) == 5  # m = 3, j = 1
+    assert valley0_closed_count(5, 2) == 9  # m = 2, j = 3
 
 
 def test_catalan_power_coefficient_matches_convolution():
     for j in range(1, 9):
         coeffs = catalan_series(40).power(j).as_integer_sequence()
         for m in range(41):
-            assert catalan_power_coefficient(m, j) == coeffs[m]
+            assert valley0_closed_count(m + j, j - 1) == coeffs[m]
 
 
 def test_catalan_power_coefficient_validates():
+    # j = 0 reads as r = -1; m < 0 reads as n <= r, a zero count, so a
+    # negative n takes its place
     with pytest.raises(ValueError):
-        catalan_power_coefficient(3, 0)
+        valley0_closed_count(3, -1)
     with pytest.raises(ValueError):
-        catalan_power_coefficient(-1, 2)
+        valley0_closed_count(-1, 2)
 
 
 def test_a_remainder_in_the_closed_form_is_an_invariant_error(monkeypatch):
@@ -436,7 +438,7 @@ def test_series_are_integral():
             peak_gf(k, r, 25).as_integer_sequence()
             valley_gf(k, r, 25).as_integer_sequence()
     for k in range(5):
-        no_valley_band_gf(k, 25).as_integer_sequence()
+        _band_factor(k, 25).as_integer_sequence()
 
 
 def test_gf_query():
