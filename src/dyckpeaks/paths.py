@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, islice
+from operator import add, mul
 from typing import Iterator, Literal
 
 from .series import InvariantError, catalan_series
@@ -260,37 +260,43 @@ def count_exact_enum(n: int, k: int, r: int, kind: StatKind, *, guard: int = DEF
     return sum(ways for tally, ways in _enum_profiles(n, k) if tally[index] == r)
 
 
-def _dp_distribution(n: int, k: int, kind: StatKind, cap: int) -> list[list[int]]:
-    """Counts of paths by number of occurrences of the statistic, for every
-    semilength m = 0..n from one sweep of 2n steps.
+def _dp_bits(n: int) -> int:
+    """Width of one occurrence digit in the DP's packed integers for
+    semilength n: no digit counts 4^n prefixes or more, so none carries
+    into the next."""
+    return 2 * n + 2
 
-    Row m is a list of length cap + 1: index c < cap is the exact count of
-    semilength-m paths with c occurrences at height k, index cap collects
-    "cap or more". It is read at height 0 after step 2m; that endpoint is no
-    corner yet, since a corner is counted only when the next step is taken.
+
+def _dp_sweep(n: int, k: int, kind: StatKind, cap: int) -> Iterator[tuple[list[int], int]]:
+    """The dynamic program's one step loop, for paths of 2n steps: yields
+    (state, corner) for t = 0..2n, before the first step and after each.
 
     After t steps every prefix ends at a height of the parity of t, so the
     state is one integer per such height (entry j is height 2j + t % 2),
     trimmed to the heights from which the path can still return to the
-    axis by step 2n. Its base-2^B digit c, with B = 2n + 2, counts the
-    prefixes with c occurrences so far (digit cap: cap or more); no digit
-    reaches 4^n, so none carries into the next. The corner needs no
-    direction state: the prefixes at height k whose last step is the
-    corner's first (up for a peak, down for a valley) are exactly the
-    prefixes one step earlier at the height h on the far side (k - 1 for a
-    peak, k + 1 for a valley). The corner's second step brings them back to
-    h, and there their digits move up one bucket. This far side is the
-    height at which the corner's pair of opposite steps starts, the height
-    k - 1 at which :func:`psi` finds the peaks at k and the valleys at k - 2.
+    axis by step 2n. Its base-2^B digit c, with B = :func:`_dp_bits` of n,
+    counts the prefixes with c occurrences so far (digit cap: cap or more).
+    A corner at the point after step t is counted only when step t + 1 is
+    taken. Up to step n no height is trimmed, since every height a prefix
+    reaches by then can still return to the axis.
+
+    The corner needs no direction state: the prefixes at height k whose last
+    step is the corner's first (up for a peak, down for a valley) are
+    exactly the prefixes one step earlier at the height h on the far side
+    (k - 1 for a peak, k + 1 for a valley). The corner's second step brings
+    them back to h, and there their digits move up one bucket. ``corner``
+    is that set one step earlier: the packed prefixes at h after step
+    t - 1 (0 when no entry there holds h). This far side is the height at
+    which the corner's pair of opposite steps starts, the height k - 1 at
+    which :func:`psi` finds the peaks at k and the valleys at k - 2.
     """
-    bits = 2 * n + 2
-    digit = (1 << bits) - 1
+    bits = _dp_bits(n)
     low = (1 << bits * cap) - 1  # digits 0..cap-1; the digit for cap stays put
     side = k - 1 if kind is StatKind.PEAK else k + 1
     at_side = side // 2
     cur = [1]  # the empty prefix, at height 0 with no occurrences
-    corner = 0  # the prefixes at height ``side`` one step before ``cur``
-    rows = [[1] + [0] * cap]
+    corner = 0
+    yield cur, corner
     total_steps = 2 * n
     for pos in range(total_steps):
         size = min(pos + 1, total_steps - pos - 1) // 2 + 1  # entries after this step
@@ -303,24 +309,71 @@ def _dp_distribution(n: int, k: int, kind: StatKind, cap: int) -> list[list[int]
             nxt[at_side] += (moved << bits) - moved
         corner = cur[at_side] if side % 2 == pos % 2 and 0 <= at_side < len(cur) else 0
         cur = nxt
-        if pos % 2:
-            axis = cur[0]
-            rows.append([axis >> bits * c & digit for c in range(cap)] + [axis >> bits * cap])
+        yield cur, corner
+
+
+def _dp_distribution(n: int, k: int, kind: StatKind, cap: int) -> list[list[int]]:
+    """Counts of paths by number of occurrences of the statistic, for every
+    semilength m = 0..n from one sweep of 2n steps (:func:`_dp_sweep`).
+
+    Row m is a list of length cap + 1: index c < cap is the exact count of
+    semilength-m paths with c occurrences at height k, index cap collects
+    "cap or more". It is read at height 0 after step 2m; that endpoint is no
+    corner yet, since a corner is counted only when the next step is taken.
+    The whole sweep is needed because every row is read; a single count is
+    read at the sweep's middle point instead (:func:`count_exact_dp`).
+    """
+    bits = _dp_bits(n)
+    digit = (1 << bits) - 1
+    rows = []
+    for state, _ in islice(_dp_sweep(n, k, kind, cap), 0, None, 2):  # after each even step
+        axis = state[0]
+        rows.append([axis >> bits * c & digit for c in range(cap)] + [axis >> bits * cap])
     return rows
 
 
 def count_exact_dp(n: int, k: int, r: int, kind: StatKind) -> int:
     """Number of semilength-n paths with exactly r occurrences at height k.
 
-    Row n of the dynamic program's sweep. The occurrence axis is capped at
-    r + 1 (an overflow bucket), so each height's packed integer holds r + 2
-    digits of 2n + 2 bits, and a step costs one big-integer addition per
-    height that can still return to the axis.
+    Read from the first half of the dynamic program's sweep
+    (:func:`_dp_sweep`): the second half repeats it. A path read backwards
+    with its up- and down-steps exchanged is a path again, with every peak
+    and valley at its old height, so the suffixes from height h after step n
+    are the prefixes that reach h by step n, read backwards, with the same
+    occurrences. Let F_h[c] count the prefixes at h after step n with c
+    occurrences, and G[c] those among them at k whose last step came from
+    the corner's far side: the ``corner`` the sweep yields with that state,
+    the prefixes there one step earlier, whose step to k adds no occurrence.
+    Then
+
+        count = sum_h sum_c F_h[c]·F_h[r - c]
+                - sum_c G[c]·G[r - c] + sum_c G[c]·G[r - 1 - c]:
+
+    a prefix and a suffix meet at the middle point, which neither half
+    counts as a corner; it is one exactly when both halves are in G, so the
+    G terms move those paths up one occurrence. The first n steps are never
+    trimmed, so F_h holds every prefix, whichever height it ends at.
+
+    The occurrence axis is capped at r + 1 (an overflow bucket), so digits
+    0..r of each packed integer are exact, and each of the n steps costs one
+    big-integer addition per height of r + 2 digits of 2n + 2 bits, half the
+    additions of the whole sweep.
     """
     _check_count_args(n, k, r)
     if r > n:
         return 0
-    return _dp_distribution(n, k, kind, r + 1)[n][r]
+    for mid, corner in islice(_dp_sweep(n, k, kind, r + 1), n + 1):
+        pass
+    bits = _dp_bits(n)
+    digit = (1 << bits) - 1
+    # f[c][j] is F_h[c] for h = 2j + n % 2, and g[c] is G[c]
+    f = [[state >> bits * c & digit for state in mid] for c in range(r + 1)]
+    g = [corner >> bits * c & digit for c in range(r + 1)]
+    return (
+        sum(sum(map(mul, f[c], f[r - c])) for c in range(r + 1))
+        - sum(map(mul, g, reversed(g)))
+        + sum(map(mul, g, reversed(g[:r])))
+    )
 
 
 def _band_walk(n_steps: int, k: int, end: int) -> Iterator[list[int]]:

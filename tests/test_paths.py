@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyckpeaks import paths
-from dyckpeaks.gfcount import stat_gf
+from dyckpeaks.gfcount import stat_gf, valley0_closed_count
 from dyckpeaks.paths import (
     CountTable,
     DOWN,
@@ -254,6 +254,32 @@ def test_count_exact_dp_examples():
         assert count_exact_dp(n, 0, 0, StatKind.PEAK) == CATALAN[n]
         assert count_exact_dp(n, 0, 1, StatKind.PEAK) == 0
     assert count_exact_dp(3, 1, 7, StatKind.PEAK) == 0
+
+
+def test_count_exact_dp_equals_row_n_of_the_whole_sweep():
+    # the two readers of the one sweep: the middle point of its first half,
+    # and height 0 after its last step
+    for n in range(41):
+        for k in range(11):
+            for kind in StatKind:
+                for r in range(7):
+                    expected = _dp_distribution(n, k, kind, r + 1)[n][r]
+                    assert count_exact_dp(n, k, r, kind) == expected, (n, k, r, kind)
+
+
+def test_count_exact_dp_when_the_middle_point_is_a_corner():
+    # neither half counts the corner at the middle point of UUDD or UDUD
+    assert count_exact_dp(2, 2, 1, StatKind.PEAK) == 1  # UUDD
+    assert count_exact_dp(2, 2, 0, StatKind.PEAK) == 1  # UDUD
+    assert count_exact_dp(2, 0, 1, StatKind.VALLEY) == 1  # UDUD
+    assert count_exact_dp(2, 0, 0, StatKind.VALLEY) == 1  # UUDD
+
+
+@pytest.mark.parametrize("n", [1000, 1001])
+def test_count_exact_dp_valleys_at_0_equal_the_binomial_closed_form(n):
+    # the middle point's height has the parity of n, so both parities
+    for r in range(5):
+        assert count_exact_dp(n, 0, r, StatKind.VALLEY) == valley0_closed_count(n, r), r
 
 
 def test_count_exact_dp_matches_enumeration():
