@@ -4,7 +4,9 @@ The polynomial family here is q_0 = q_1 = 1, q_{k+1} = q_k - x * q_{k-1}.
 It is the renormalization q_k(x) = x^(k/2) * U_k(1/(2*sqrt(x))) of the
 second-kind Chebyshev polynomials, chosen so that the half-integer powers of
 x that U_k would otherwise drag in cancel structurally: every quantity below
-is an honest integer-coefficient object. Three families are derived from it:
+is an honest integer-coefficient object. The recurrence defines q_k and the
+tests check it; q_k itself is computed from its explicit coefficients,
+(-1)^i * C(k - i, i) at x^i. Three families are derived from it:
 
 * ``r_series(k)``: the ratio q_{k-1}/q_k, whose n-th coefficient counts
   Dyck paths of semilength n with maximum height at most k - 1, checked on
@@ -24,7 +26,8 @@ imports only ``series``.
 
 from __future__ import annotations
 
-from itertools import islice, zip_longest
+from itertools import islice
+from math import comb
 
 from .paths import _band_walk
 from .series import InvariantError, Series
@@ -34,16 +37,13 @@ def q_poly(k: int) -> tuple[int, ...]:
     """k-th polynomial of the recurrence q_0 = q_1 = 1, q_{k+1} = q_k - x*q_{k-1},
     as its coefficient tuple (entry i multiplies x^i).
 
-    q_k(0) = 1 for every k, so each q_k is invertible as a series, and
-    deg(q_k) = k // 2: the tuple has k // 2 + 1 entries and no trailing
-    zero. Each call runs the recurrence afresh, in O(k^2) integer steps.
+    Entry i is (-1)^i * C(k - i, i), the renormalized U_k coefficient. Each
+    q_k(0) is 1, so each q_k is invertible as a series, and deg(q_k) =
+    k // 2: the tuple has k // 2 + 1 entries and no trailing zero.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    prev, q = (1,), (1,)
-    for _ in range(k - 1):
-        prev, q = q, tuple(a - b for a, b in zip_longest(q, (0,) + prev, fillvalue=0))
-    return q
+    return tuple((-1) ** i * comb(k - i, i) for i in range(k // 2 + 1))
 
 
 def r_series(k: int, order: int) -> Series:

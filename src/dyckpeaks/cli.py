@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Literal
 
@@ -49,12 +48,6 @@ from .verify import run_verify
 OutputFormat = Literal["plain", "csv", "json"]
 
 
-def _coeff_str(c) -> str:
-    if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
-    return str(c)
-
-
 def _write_lines(lines: Iterable[str]) -> None:
     """Write ``lines`` to stdout 1024 at a time: an unbuffered stdout
     (``python -u``) makes every write a system call, and a batch of lines
@@ -72,7 +65,7 @@ def _write_csv(header: str, lines: Iterable[str]) -> None:
 
 
 def _format_series(series: Series, fmt: OutputFormat) -> None:
-    coeffs = [_coeff_str(c) for c in series.coeffs]
+    coeffs = list(map(str, series.coeffs))
     if fmt == "plain":
         print(",".join(coeffs))
     elif fmt == "csv":
@@ -82,7 +75,7 @@ def _format_series(series: Series, fmt: OutputFormat) -> None:
 
 
 def _format_bivar(bv: BivarSeries, fmt: OutputFormat) -> None:
-    entries = [[_coeff_str(c) for c in entry.coeffs] for entry in bv.entries]
+    entries = [list(map(str, entry.coeffs)) for entry in bv.entries]
     if fmt == "plain":
         print("\n".join(f"z^{j}: " + ",".join(coeffs) for j, coeffs in enumerate(entries)))
     elif fmt == "csv":

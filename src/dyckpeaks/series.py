@@ -17,14 +17,15 @@ terms (coefficients, or z-entries that are themselves Series), its zero
 term, ``_coerce``, which makes the other operand one of its own type, a
 scalar becoming a constant, and ``_divider``, which divides a term by the
 divisor's constant term. A foreign operand gets ``NotImplemented``, so
-``Series * BivarSeries`` reaches :meth:`BivarSeries.__rmul__`. Both types
-run one truncated convolution, which visits only pairs of nonzero terms, so
-a polynomial times a series costs its number of terms times the order, and
-one quotient recurrence: a reciprocal is the quotient of 1, and a quotient
-``a / b`` is one pass, not a reciprocal followed by a product. Each step
-divides by the divisor's constant term: a :class:`Series` divides each
-coefficient exactly, a :class:`BivarSeries` divides the z-entry by the
-divisor's z^0 entry, so no bivariate reciprocal is ever formed.
+``Series * BivarSeries`` reaches :meth:`BivarSeries.__rmul__`, and ``a - b``
+is ``a + (-b)``. Both types run one truncated convolution, which visits only
+pairs of nonzero terms, so a polynomial times a series costs its number of
+terms times the order, and one quotient recurrence: a reciprocal is the
+quotient of 1, and a quotient ``a / b`` is one pass, not a reciprocal
+followed by a product. Each step divides by the divisor's constant term: a
+:class:`Series` divides each coefficient exactly, a :class:`BivarSeries`
+divides the z-entry by the divisor's z^0 entry, so no bivariate reciprocal
+is ever formed.
 """
 
 from __future__ import annotations
@@ -248,16 +249,10 @@ class Series:
         return self._rebuild([-t for t in self._terms])
 
     def __sub__(self: Ring, other: Ring | Series | Rational) -> Ring:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self: Ring, other: Ring | Series | Rational) -> Ring:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self: Ring, other: Ring | Series | Rational) -> Ring:
         other = self._coerce(other)

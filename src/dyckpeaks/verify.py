@@ -296,9 +296,8 @@ def _check_valley0_binomial(report: VerifyReport, n_max: int, r_max: int, enum_t
             extraction = valley0_closed_count(n, r)
             literal = _valley0_binomial_literal(n, r)
             oracle = enum_table.rows[StatKind.VALLEY][0][n][r]
-            literal_text = str(literal) if literal.denominator != 1 else str(literal.numerator)
             marker = "" if literal == oracle else "   <- literal differs"
-            report.note(f"n={n:2d} r={r}: {extraction:>10d} | {literal_text:>10s} | {oracle:>10d}{marker}")
+            report.note(f"n={n:2d} r={r}: {extraction:>10d} | {literal!s:>10} | {oracle:>10d}{marker}")
             if extraction != oracle:
                 report.fail(f"coefficient extraction wrong at n={n}, r={r}")
                 return

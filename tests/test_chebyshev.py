@@ -1,7 +1,7 @@
 """Tests for the integer-polynomial recurrence and its derived series."""
 
 import json
-from itertools import islice
+from itertools import islice, zip_longest
 
 import pytest
 
@@ -18,6 +18,15 @@ def test_q_poly_base_cases_and_recurrence():
     assert q_poly(3) == (1, -2)
     assert q_poly(4) == (1, -3, 1)
     assert q_poly(5) == (1, -4, 3)
+
+
+def test_q_poly_satisfies_the_defining_recurrence_to_k_301():
+    # q_{k+1} = q_k - x * q_{k-1} in tuple arithmetic, apart from the closed
+    # form that computes q_k
+    for k in range(1, 301):
+        shifted = (0,) + q_poly(k - 1)
+        expected = tuple(a - b for a, b in zip_longest(q_poly(k), shifted, fillvalue=0))
+        assert q_poly(k + 1) == expected, k
 
 
 @pytest.mark.parametrize("k", range(13))

@@ -535,6 +535,40 @@ def test_cfrac_csv_bytes_are_pinned(capsys, tmp_path, text, argv, digest):
 
 
 @pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("plain", "z^0: -1/2,0,0\n"),
+        ("csv", "z,n,coefficient\n0,0,-1/2\n0,1,0\n0,2,0\n"),
+        ("json", json.dumps({"z_order": 0, "x_order": 2, "entries": [["-1/2", "0", "0"]]}, indent=2) + "\n"),
+    ],
+)
+def test_cfrac_prints_a_fraction_as_p_over_q(capsys, tmp_path, fmt, expected):
+    # 1 / (1 - 3) = -1/2 is the constant term
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"depth": 1, "lambdas": 0, "mus": 3}')
+    code, out, _ = run(capsys, "cfrac", "--spec", str(spec), "--order", "2", "--format", fmt)
+    assert (code, out) == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("plain", "1,1/2,0\n"),
+        ("csv", "n,coefficient\n0,1\n1,1/2\n2,0\n"),
+        ("json", json.dumps({"order": 2, "coefficients": ["1", "1/2", "0"]}, indent=2) + "\n"),
+    ],
+)
+def test_series_prints_a_fraction_as_p_over_q(capsys, monkeypatch, fmt, expected):
+    monkeypatch.setattr(
+        cli, "stat_gf", lambda kind, k, r, order: Series.from_coeffs([1, Fraction(1, 2)], order)
+    )
+    code, out, _ = run(
+        capsys, "series", "--stat", "peak", "--k", "1", "--r", "0", "--order", "2", "--format", fmt,
+    )
+    assert (code, out) == (0, expected)
+
+
+@pytest.mark.parametrize(
     "text, argv, message",
     [
         (LEVEL_2_SINGULAR_SPEC, (), "error: denominator at level 2 is not invertible"),

@@ -332,6 +332,32 @@ def test_scalars_coerce_alike_and_a_foreign_operand_is_refused():
     assert 1 - z == BivarSeries.one(2, 3) - z
 
 
+@pytest.mark.parametrize("foreign", ["x", None, 1.5])
+@pytest.mark.parametrize(
+    "value",
+    [Series.from_coeffs([2, 3, 4], 3), BivarSeries.monomial(1, 0, 1, 2, 3)],
+    ids=["Series", "BivarSeries"],
+)
+def test_a_foreign_operand_of_minus_is_refused_on_either_side(value, foreign):
+    with pytest.raises(TypeError):
+        value - foreign
+    with pytest.raises(TypeError):
+        foreign - value
+
+
+def test_minus_is_plus_of_the_negation():
+    a = Series.from_coeffs([2, 3, 4], 3)
+    z = BivarSeries.monomial(1, 0, 1, 2, 3)
+    assert 1 - a == -a + 1 == Series.from_coeffs([-1, -3, -4], 3)
+    assert a - 1 == a + (-1) == Series.from_coeffs([1, 3, 4], 3)
+    assert Fraction(1, 2) - a == -a + Fraction(1, 2)
+    assert a - z == a + (-z) == BivarSeries(2, 3, (a, Series.from_coeffs([-1], 3), Series.zero(3)))
+    assert z - a == z + (-a) == BivarSeries(2, 3, (-a, Series.one(3), Series.zero(3)))
+    for left, right in ((1, a), (a, 1), (1, z), (z, 1), (a, z), (z, a), (z, z)):
+        bivariate = isinstance(left, BivarSeries) or isinstance(right, BivarSeries)
+        assert type(left - right) is (BivarSeries if bivariate else Series)
+
+
 def test_bivar_reciprocal_roundtrip():
     c = catalan_series(8)
     z = BivarSeries.monomial(1, 1, 1, 4, 8)
