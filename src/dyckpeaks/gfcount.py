@@ -105,9 +105,21 @@ def _band_slice(j: int, r: int, order: int) -> Series:
     """Slice r of the valley family at band height j >= -1 without its
     R_{j+1} term, x^{j+1+r} * (C*D)^{r+1} / q_{j+1}^2, for j + 1 + r <= order:
     the direct form of :func:`stat_gf`, computed to order - j - 1 and then
-    shifted by x^{j+1}."""
+    shifted by x^{j+1}.
+
+    Only C is dense. With h = (j+1)//2, u and e have degree at most h and m
+    at most 2h + 1; each step of the (a, b) recurrence adds at most h + 1,
+    so a and b reach h + r*(h+1), a*u^{r-1} reaches 2rh + r, m^{r+1} reaches
+    (r+1)*(2h+1), and u*m (r = 0) reaches 3h + 1. No polynomial here, nor
+    any partial power, has degree above D = (r+1)*(2h+1) + h, so they are
+    computed at order min(order - j - 1, D): a cut at D drops only zero
+    coefficients, and the result is exact. Only a, b and the divisor are
+    padded to the full order, for the one product with C and the one
+    division.
+    """
     low = order - j - 1
-    u, e, m = _band(j, low)
+    h = (j + 1) // 2
+    u, e, m = _band(j, min(low, (r + 1) * (2 * h + 1) + h))
     a, b = e, u
     for _ in range(r):
         a, b = (a * e).shift(1) - b * u, (a * u + b * e).shift(1) + b * u
@@ -116,6 +128,7 @@ def _band_slice(j: int, r: int, order: int) -> Series:
         a, b, den = a * lift, b * lift, m.power(r + 1)
     else:
         den = u * m
+    a, b, den = (Series.from_coeffs(p.coeffs, low) for p in (a, b, den))
     quotient = (a + b * catalan_series(low)) / den
     return Series.from_coeffs((0,) * (j + 1) + quotient.coeffs, order)
 

@@ -260,25 +260,29 @@ def count_exact_enum(n: int, k: int, r: int, kind: StatKind, *, guard: int = DEF
     return sum(ways for tally, ways in _enum_profiles(n, k) if tally[index] == r)
 
 
-def _dp_bits(n: int) -> int:
-    """Width of one occurrence digit in the DP's packed integers for
-    semilength n: no digit counts 4^n prefixes or more, so none carries
-    into the next."""
-    return 2 * n + 2
+def _dp_bits(steps: int) -> int:
+    """Width of one occurrence digit in the DP's packed integers, for a
+    reader that sweeps ``steps`` steps: there are 2^steps step sequences of
+    that length, so no digit counts more prefixes than steps + 1 bits hold,
+    and none carries into the next. The width is steps + 2."""
+    return steps + 2
 
 
-def _dp_sweep(n: int, k: int, kind: StatKind, cap: int) -> Iterator[tuple[list[int], int]]:
+def _dp_sweep(
+    n: int, k: int, kind: StatKind, cap: int, bits: int
+) -> Iterator[tuple[list[int], int]]:
     """The dynamic program's one step loop, for paths of 2n steps: yields
     (state, corner) for t = 0..2n, before the first step and after each.
 
     After t steps every prefix ends at a height of the parity of t, so the
     state is one integer per such height (entry j is height 2j + t % 2),
     trimmed to the heights from which the path can still return to the
-    axis by step 2n. Its base-2^B digit c, with B = :func:`_dp_bits` of n,
-    counts the prefixes with c occurrences so far (digit cap: cap or more).
-    A corner at the point after step t is counted only when step t + 1 is
-    taken. Up to step n no height is trimmed, since every height a prefix
-    reaches by then can still return to the axis.
+    axis by step 2n. Its base-2^bits digit c counts the prefixes with c
+    occurrences so far (digit cap: cap or more). The reader gives the width,
+    :func:`_dp_bits` of the number of steps it reads; a digit is exact up to
+    that step. A corner at the point after step t is counted only when step
+    t + 1 is taken. Up to step n no height is trimmed, since every height a
+    prefix reaches by then can still return to the axis.
 
     The corner needs no direction state: the prefixes at height k whose last
     step is the corner's first (up for a peak, down for a valley) are
@@ -290,7 +294,6 @@ def _dp_sweep(n: int, k: int, kind: StatKind, cap: int) -> Iterator[tuple[list[i
     which the corner's pair of opposite steps starts, the height k - 1 at
     which :func:`psi` finds the peaks at k and the valleys at k - 2.
     """
-    bits = _dp_bits(n)
     low = (1 << bits * cap) - 1  # digits 0..cap-1; the digit for cap stays put
     side = k - 1 if kind is StatKind.PEAK else k + 1
     at_side = side // 2
@@ -321,12 +324,13 @@ def _dp_distribution(n: int, k: int, kind: StatKind, cap: int) -> list[list[int]
     "cap or more". It is read at height 0 after step 2m; that endpoint is no
     corner yet, since a corner is counted only when the next step is taken.
     The whole sweep is needed because every row is read; a single count is
-    read at the sweep's middle point instead (:func:`count_exact_dp`).
+    read at the sweep's middle point instead (:func:`count_exact_dp`). Its
+    digits are :func:`_dp_bits` of all 2n steps wide.
     """
-    bits = _dp_bits(n)
+    bits = _dp_bits(2 * n)
     digit = (1 << bits) - 1
     rows = []
-    for state, _ in islice(_dp_sweep(n, k, kind, cap), 0, None, 2):  # after each even step
+    for state, _ in islice(_dp_sweep(n, k, kind, cap, bits), 0, None, 2):  # after each even step
         axis = state[0]
         rows.append([axis >> bits * c & digit for c in range(cap)] + [axis >> bits * cap])
     return rows
@@ -355,16 +359,18 @@ def count_exact_dp(n: int, k: int, r: int, kind: StatKind) -> int:
     trimmed, so F_h holds every prefix, whichever height it ends at.
 
     The occurrence axis is capped at r + 1 (an overflow bucket), so digits
-    0..r of each packed integer are exact, and each of the n steps costs one
-    big-integer addition per height of r + 2 digits of 2n + 2 bits, half the
-    additions of the whole sweep.
+    0..r of each packed integer are exact. At most 2^n prefixes have n
+    steps, so a digit needs only :func:`_dp_bits` of n = n + 2 bits, half the
+    width the whole sweep packs. Each of the n steps costs one big-integer
+    addition per height of r + 2 digits of n + 2 bits: half the additions
+    of the whole sweep, each on integers of half the size.
     """
     _check_count_args(n, k, r)
     if r > n:
         return 0
-    for mid, corner in islice(_dp_sweep(n, k, kind, r + 1), n + 1):
-        pass
     bits = _dp_bits(n)
+    for mid, corner in islice(_dp_sweep(n, k, kind, r + 1, bits), n + 1):
+        pass
     digit = (1 << bits) - 1
     # f[c][j] is F_h[c] for h = 2j + n % 2, and g[c] is G[c]
     f = [[state >> bits * c & digit for state in mid] for c in range(r + 1)]

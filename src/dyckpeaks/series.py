@@ -16,16 +16,18 @@ functions. They read a few hooks of each type: its truncation orders, its
 terms (coefficients, or z-entries that are themselves Series), its zero
 term, ``_coerce``, which makes the other operand one of its own type, a
 scalar becoming a constant, and ``_divider``, which divides a term by the
-divisor's constant term. A foreign operand gets ``NotImplemented``, so
-``Series * BivarSeries`` reaches :meth:`BivarSeries.__rmul__`, and ``a - b``
-is ``a + (-b)``. Both types run one truncated convolution, which visits only
-pairs of nonzero terms, so a polynomial times a series costs its number of
-terms times the order, and one quotient recurrence: a reciprocal is the
-quotient of 1, and a quotient ``a / b`` is one pass, not a reciprocal
-followed by a product. Each step divides by the divisor's constant term: a
-:class:`Series` divides each coefficient exactly, a :class:`BivarSeries`
-divides the z-entry by the divisor's z^0 entry, so no bivariate reciprocal
-is ever formed.
+divisor's constant term. ``+`` and ``*`` need no constant for a scalar:
+adding one moves the constant term (of a BivarSeries, the z^0 entry's) and
+multiplying by one scales every term. A foreign operand gets
+``NotImplemented``, so ``Series * BivarSeries`` reaches
+:meth:`BivarSeries.__rmul__`, and ``a - b`` is ``a + (-b)``. Both types run
+one truncated convolution, which visits only pairs of nonzero terms, so a
+polynomial times a series costs its number of terms times the order, and
+one quotient recurrence: a reciprocal is the quotient of 1, and a quotient
+``a / b`` is one pass, not a reciprocal followed by a product. Each step
+divides by the divisor's constant term: a :class:`Series` divides each
+coefficient exactly, a :class:`BivarSeries` divides the z-entry by the
+divisor's z^0 entry, so no bivariate reciprocal is ever formed.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from operator import attrgetter, mul
 from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 Rational = Union[int, Fraction]
+_SCALARS = (int, Fraction)  # the operand types that act as a Rational
 Ring = TypeVar("Ring", "Series", "BivarSeries")  # the operand type of a ring operation
 
 
@@ -216,7 +219,7 @@ class Series:
         """``other`` as a Series; a scalar is a constant. None for any other type."""
         if isinstance(other, Series):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _SCALARS):
             return Series.from_coeffs([other], self.order)
         return None
 
@@ -237,6 +240,10 @@ class Series:
         return type(self)(*self._orders, tuple(terms))
 
     def __add__(self: Ring, other: Ring | Series | Rational) -> Ring:
+        if isinstance(other, _SCALARS):  # moves the constant term alone
+            terms = list(self._terms)
+            terms[0] += other
+            return self._rebuild(terms)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -255,6 +262,8 @@ class Series:
         return -self + other
 
     def __mul__(self: Ring, other: Ring | Series | Rational) -> Ring:
+        if isinstance(other, _SCALARS):  # scales every term
+            return self._rebuild([t * other for t in self._terms])
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -410,7 +419,7 @@ class BivarSeries:
         None for any other type."""
         if isinstance(other, BivarSeries):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _SCALARS):
             other = Series.from_coeffs([other], self.x_order)
         if isinstance(other, Series):
             return BivarSeries.from_series(other, self.z_order)

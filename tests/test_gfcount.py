@@ -298,6 +298,43 @@ def test_stat_gf_equals_its_family_slice_at_order_200():
                 assert stat_gf(kind, k, r, 200) == family[r], (kind, k, r)
 
 
+def _band_polynomials(j, r, order):
+    """a, b and the divisor of the direct slice at band height j (see
+    ``stat_gf``), every polynomial computed at ``order``: the reference for
+    the degree bound of ``_band_slice``."""
+    u, e, m = gfcount._band(j, order)
+    a, b = e, u
+    for _ in range(r):
+        a, b = (a * e).shift(1) - b * u, (a * u + b * e).shift(1) + b * u
+    if r:
+        lift = u.power(r - 1)
+        return a * lift, b * lift, m.power(r + 1)
+    return a, b, u * m
+
+
+@pytest.mark.parametrize("order", [0, 1, 7, 40, 200])
+def test_band_slice_equals_its_form_at_the_full_order(order):
+    # at order 200 every bound D is below order - j - 1; at 7 none is
+    for j in range(-1, 13):
+        for r in range(9):
+            if j + 1 + r > order:
+                continue
+            low = order - j - 1
+            a, b, den = _band_polynomials(j, r, low)
+            quotient = (a + b * catalan_series(low)) / den
+            expected = Series.from_coeffs((0,) * (j + 1) + quotient.coeffs, order)
+            assert gfcount._band_slice(j, r, order) == expected, (j, r)
+
+
+def test_band_polynomials_have_no_term_above_the_degree_bound():
+    for j in range(-1, 13):
+        h = (j + 1) // 2
+        for r in range(9):
+            bound = (r + 1) * (2 * h + 1) + h
+            for poly in _band_polynomials(j, r, bound + 8):
+                assert not any(poly.coeffs[bound + 1 :]), (j, r)
+
+
 def test_direct_slice_divides_in_the_integers(monkeypatch):
     # every divisor, the ratio check's included, has constant term 1 at band
     # heights j >= 0 (valleys at k >= 0, peaks at k >= 2) and 2^(r+1) at

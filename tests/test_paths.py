@@ -267,6 +267,18 @@ def test_count_exact_dp_equals_row_n_of_the_whole_sweep():
                     assert count_exact_dp(n, k, r, kind) == expected, (n, k, r, kind)
 
 
+def test_count_exact_dp_at_the_edge_of_its_digit_width():
+    # the single count packs digits of n + 2 bits; above height n no prefix
+    # of n steps meets an occurrence, so digit 0 holds every prefix, up to
+    # binom(n, n // 2) of them at one height
+    for n in range(61):
+        for k in sorted({0, 1, 2, n // 2, n, n + 1, n + 2}):
+            for kind in StatKind:
+                for r in range(4):
+                    expected = _dp_distribution(n, k, kind, r + 1)[n][r]
+                    assert count_exact_dp(n, k, r, kind) == expected, (n, k, r, kind)
+
+
 def test_count_exact_dp_when_the_middle_point_is_a_corner():
     # neither half counts the corner at the middle point of UUDD or UDUD
     assert count_exact_dp(2, 2, 1, StatKind.PEAK) == 1  # UUDD

@@ -358,6 +358,39 @@ def test_minus_is_plus_of_the_negation():
         assert type(left - right) is (BivarSeries if bivariate else Series)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        Series.from_coeffs([2, 3, 4], 3),
+        BivarSeries.monomial(1, 0, 1, 2, 3) + Series.from_coeffs([2, 3], 3),
+    ],
+    ids=["Series", "BivarSeries"],
+)
+def test_a_scalar_operand_touches_the_terms_without_a_constant_series(monkeypatch, value):
+    # + moves the constant term (the z^0 entry's) and * scales every term;
+    # the results equal those of the constant series the scalar stands for
+    constant = {n: value._coerce(n) for n in (3, Fraction(1, 2), 2)}
+    expected = {
+        "a + 3": value + constant[3],
+        "3 - a": constant[3] - value,
+        "a * 1/2": value * constant[Fraction(1, 2)],
+        "2 * a": constant[2] * value,
+    }
+
+    def refuse(self, other):
+        raise AssertionError(f"{other!r} was coerced")
+
+    monkeypatch.setattr(type(value), "_coerce", refuse)
+    actual = {
+        "a + 3": value + 3,
+        "3 - a": 3 - value,
+        "a * 1/2": value * Fraction(1, 2),
+        "2 * a": 2 * value,
+    }
+    assert actual == expected
+    assert all(type(result) is type(value) for result in actual.values())
+
+
 def test_bivar_reciprocal_roundtrip():
     c = catalan_series(8)
     z = BivarSeries.monomial(1, 1, 1, 4, 8)
