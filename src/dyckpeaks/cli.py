@@ -49,9 +49,10 @@ OutputFormat = Literal["plain", "csv", "json"]
 
 
 def _write_lines(lines: Iterable[str]) -> None:
-    """Write ``lines`` to stdout 1024 at a time: an unbuffered stdout
-    (``python -u``) makes every write a system call, and a batch of lines
-    is a few kilobytes where the whole output can be hundreds."""
+    """Write ``lines`` to stdout 1024 at a time: a text stream pays encoding
+    and buffering per write, even block-buffered. Written to a file, the
+    10,333 lines of ``table --method gf --n-max 40 --k-max 5 --format csv``
+    take 0.4-0.5 ms in batches, 0.9-1.0 ms by ``writelines`` (Python 3.11.7)."""
     lines = iter(lines)
     while chunk := "".join(islice(lines, 1024)):
         sys.stdout.write(chunk)

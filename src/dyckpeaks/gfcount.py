@@ -12,9 +12,9 @@ The Chebyshev ratio R_{j+1} enters it through the band factor C*D only,
 and :func:`_band` gives that factor one rational form,
 C*D = u*(e + u*C)/m, read by every generator here. A single slice
 (:func:`stat_gf`) is one polynomial times C and one division by a
-polynomial. A whole family (:func:`stat_family`) keeps a product loop
-because m^{r+1} outgrows the order as r grows: r_max + 1 such divisions
-cost more than r_max products.
+polynomial. A whole family (:func:`stat_family`) is x^{j+1}*g*(x*u^2*g)^r
+with the one quotient g = (e + u*C)/(u*m): one division, then one product
+per slice, as r_max + 1 divisions by m^{r+1} would cost more.
 
 :func:`valley0_closed_count` reads valleys at height 0 from binomials alone,
 with no series, so it checks the series route at any n.
@@ -40,23 +40,15 @@ def _band(j: int, order: int) -> tuple[Series, Series, Series]:
     F*(e + u*C) = m, so C*D = u*(e + u*C)/m: one polynomial times C and one
     division by m, of degree at most 2*((j+1)//2) + 1. q_j(0) = 1, so
     m(0) = 1 for j >= 0; at j = -1, e = u = 1 and m = 2 + x.
+
+    For j >= 0, C*D counts paths from height j+1 back to j+1 (floor 0) with
+    no valley at height j: blocks at or above j+1 (C) alternate with dips
+    into [0, j] (R_{j+1} - 1), each glued on by a down-step/up-step pair.
+    The families read it as u^2*g, with one quotient g = (e + u*C)/(u*m).
     """
     u = Series.from_coeffs(q_poly(j + 1), order)
     e = u - Series.from_coeffs(q_poly(j) if j >= 0 else (), order)
     return u, e, (u + e.shift(1)) * e + u * u
-
-
-def _band_factor(j: int, order: int) -> Series:
-    """The band factor C*D = u*(e + u*C)/m at band height j >= -1 (see
-    :func:`_band`). For j >= 0 it counts paths from height j+1 back to j+1
-    (floor 0) with no valley at height j: blocks at or above j+1 (C)
-    alternate with nonempty dips into [0, j] (R_{j+1} - 1), each glued on
-    by one down-step/up-step pair. It reads R_{j+1} only below x^order,
-    where every height from the order up gives the same series, so j is
-    clamped to the order.
-    """
-    u, e, m = _band(min(j, order), order)
-    return u * (e + u * catalan_series(order)) / m
 
 
 def _check_args(k: int, r: int, order: int) -> None:
@@ -83,18 +75,21 @@ def stat_family(kind: StatKind, k: int, order: int, r_max: int) -> tuple[Series,
     peak-at-1-free blocks, each counted by P. Height 0 is degenerate: no
     path has a peak there, so only the r = 0 slice is nonzero.
 
-    Slice 0 without its R_{k+1} term is :func:`_band_slice` at r = 0, zero
-    when k is at or past the order. Each further slice is one product with
-    x*C*D, the band factor of :func:`_band`. R_{k+1} comes from
-    :func:`r_series`, whose two-route check runs on every call.
+    With (u, e, m) of :func:`_band`, U*C*D = x^{k+1}*g for the one quotient
+    g = (e + u*C)/(u*m), so slice r without R_{k+1} is x^{k+1}*g*(x*u^2*g)^r:
+    one division, then one product per slice. The band reads R_{k+1} only
+    below x^order, where every height from the order up gives the same
+    series, so k is clamped to the order. :func:`r_series` gives R_{k+1} and
+    runs its two-route check on every call.
     """
     _check_args(k, r_max, order)
     if kind is StatKind.PEAK:
         if k == 0:
             return (catalan_series(order),) + (Series.zero(order),) * r_max
         k -= 2
-    step = _band_factor(k, order).shift(1)
-    slices = [_band_slice(k, 0, order) if k < order else Series.zero(order)]
+    u, e, m = _band(min(k, order), order)
+    g = (e + u * catalan_series(order)) / (u * m)
+    slices, step = [g.shift(k + 1)], (u * u * g).shift(1)
     for _ in range(r_max):
         slices.append(slices[-1] * step)
     slices[0] = r_series(k + 1, order) + slices[0]

@@ -12,7 +12,6 @@ from dyckpeaks import gfcount
 from dyckpeaks.cfrac import peak_bivar_cfrac
 from dyckpeaks.chebyshev import r_series, u_inv_sq_series
 from dyckpeaks.gfcount import (
-    _band_factor,
     _valley0_binomial_literal,
     peak_gf,
     peak1_nonempty_blocks_gf,
@@ -153,19 +152,26 @@ def band_no_valley_count(n, k):
     return sum(w for (h, _last), w in states.items() if h == k + 1)
 
 
+def band_factor(j, order):
+    """The band factor C*D = u*(e + u*C)/m at band height j, built from the
+    band polynomials of ``gfcount._band``."""
+    u, e, m = gfcount._band(j, order)
+    return u * (e + u * catalan_series(order)) / m
+
+
 def test_no_valley_band_gf_k0_is_catalan():
-    assert _band_factor(0, 8) == catalan_series(8)
+    assert band_factor(0, 8) == catalan_series(8)
 
 
 def test_no_valley_band_gf_frozen_values():
     # frozen from the DP oracle above
-    assert _band_factor(1, 6).as_integer_sequence() == [1, 1, 3, 8, 23, 69, 215]
-    assert _band_factor(2, 6).as_integer_sequence() == [1, 1, 3, 9, 28, 89, 288]
+    assert band_factor(1, 6).as_integer_sequence() == [1, 1, 3, 8, 23, 69, 215]
+    assert band_factor(2, 6).as_integer_sequence() == [1, 1, 3, 9, 28, 89, 288]
 
 
 @pytest.mark.parametrize("k", range(5))
 def test_no_valley_band_gf_matches_dp_oracle(k):
-    coeffs = _band_factor(k, 8).as_integer_sequence()
+    coeffs = band_factor(k, 8).as_integer_sequence()
     assert coeffs == [band_no_valley_count(n, k) for n in range(9)]
 
 
@@ -178,9 +184,9 @@ def band_by_ratio(k, order):
 @pytest.mark.parametrize("order", [0, 1, 7, 40])
 def test_band_factor_equals_its_defining_form(order):
     for k in range(13):
-        assert _band_factor(k, order) == band_by_ratio(k, order), k
+        assert band_factor(k, order) == band_by_ratio(k, order), k
     # height -1, where the peak family at height 1 reads it: R_0 = 0
-    assert _band_factor(-1, order) == band_by_ratio(-1, order)
+    assert band_factor(-1, order) == band_by_ratio(-1, order)
 
 
 @pytest.mark.parametrize("order", [0, 1, 7, 40])
@@ -203,7 +209,6 @@ def test_unreachable_heights_ask_gfcount_for_no_high_polynomial(monkeypatch):
 
     monkeypatch.setattr(gfcount, "q_poly", guarded)
     zero = Series.zero(order)
-    assert _band_factor(2000, order) == _band_factor(order, order)
     for kind in StatKind:
         assert stat_gf(kind, 2000, 0, order) == catalan_series(order)
         assert stat_gf(kind, 2000, 1, order) == zero
@@ -215,7 +220,7 @@ def test_unreachable_heights_ask_gfcount_for_no_high_polynomial(monkeypatch):
 
 
 def test_family_divides_only_by_short_polynomials_in_the_integers(monkeypatch):
-    # at band height j every divisor is u*m or m of the band factor, or the
+    # at band height j every divisor is u*m of the band quotient, or the
     # ratio check's q_{j+1}: of degree at most 3*((j+1)//2) + 1, with
     # constant term 1 for j >= 0 and 2 at j = -1 (peaks at height 1)
     divisors = []
@@ -227,18 +232,37 @@ def test_family_divides_only_by_short_polynomials_in_the_integers(monkeypatch):
 
     monkeypatch.setattr(Series, "__truediv__", spy)
     monkeypatch.setattr(series_module, "Fraction", _FractionForbidden)
-    # kind None stands for _band_factor, the band factor at height k
-    for kind in [*StatKind, None]:
+    for kind in StatKind:
         for k in range(10):
             j = k - 2 if kind is StatKind.PEAK else k
             divisors.clear()
-            out = stat_family(kind, k, 40, 5) if kind else (_band_factor(k, 40),)
-            for series in out:
+            for series in stat_family(kind, k, 40, 5):
                 assert {int} == set(map(type, series.coeffs)), (kind, k)
             for den in divisors:
                 degree = max(i for i, c in enumerate(den) if c)
                 assert degree <= 3 * ((j + 1) // 2) + 1, (kind, k, degree)
                 assert den[0] == (1 if j >= 0 else 2), (kind, k)
+
+
+def test_stat_family_divides_once_per_call(monkeypatch):
+    # the whole family reads one band quotient; with the ratio check stubbed
+    # out, that quotient is the only division, past the order too
+    divisions = []
+    real = Series.__truediv__
+
+    def spy(self, other):
+        divisions.append(other.coeffs)
+        return real(self, other)
+
+    monkeypatch.setattr(Series, "__truediv__", spy)
+    monkeypatch.setattr(gfcount, "r_series", lambda k, order: Series.zero(order))
+    for order in [0, 3, 8, 40]:
+        for kind in StatKind:
+            for k in range(9):
+                divisions.clear()
+                stat_family(kind, k, order, 4)
+                expected = 0 if (kind, k) == (StatKind.PEAK, 0) else 1
+                assert len(divisions) == expected, (order, kind, k)
 
 
 def test_stat_family_checks_the_height_ratio_once_per_call(monkeypatch):
@@ -475,7 +499,7 @@ def test_series_are_integral():
             peak_gf(k, r, 25).as_integer_sequence()
             valley_gf(k, r, 25).as_integer_sequence()
     for k in range(5):
-        _band_factor(k, 25).as_integer_sequence()
+        band_factor(k, 25).as_integer_sequence()
 
 
 def test_gf_query():
