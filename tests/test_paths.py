@@ -205,6 +205,32 @@ def test_enum_table_equals_a_recount_of_explicit_paths():
     assert build_table(n_max, k_max, "enum").rows == expected
 
 
+@pytest.mark.parametrize("n", range(11))
+def test_enum_profiles_equal_a_recount_across_the_junction(n):
+    # Each path is a walked prefix and a listed suffix; from n = 5 on, the
+    # junction between them is an interior point. The whole tally of every
+    # path, recounted from heights() alone, must come out as the search's,
+    # at heights below, at and above every corner a path can have.
+    recounts = [_recount(path)[:2] for path in enumerate_paths(n)]
+    for k_max in sorted({0, 1, 3, n + 2}):
+        expected = {}
+        for peaks, valleys in recounts:
+            tally = tuple(peaks.get(h, 0) for h in range(k_max + 1)) + tuple(
+                valleys.get(h, 0) for h in range(k_max + 1)
+            )
+            expected[tally] = expected.get(tally, 0) + 1
+        assert {tuple(tally): ways for tally, ways in paths._enum_profiles(n, k_max)} == expected, k_max
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_count_exact_enum_above_every_corner(n):
+    # no corner lies above height n: the count there is every path for r = 0
+    for k in (n, n + 1, 10**6):
+        for kind in StatKind:
+            for r in (0, 1):
+                assert count_exact_enum(n, k, r, kind) == count_exact_dp(n, k, r, kind), (k, kind, r)
+
+
 def test_enum_table_builds_no_path_objects(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the enumeration oracle built a path object")
