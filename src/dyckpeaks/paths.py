@@ -237,16 +237,17 @@ def _enum_profiles(n: int, k_max: int) -> Iterator[tuple[list[int], int]]:
     of a prefix code and a suffix code, and one count; no counts are merged
     before that.
     """
-    size = 2 * (k_max + 1)
     # A tally is one integer with a base-(n + 1) digit per entry (no height
     # holds more than n corners), so a path costs one addition and one
-    # count, and backtracking undoes nothing. No corner lies above height n.
+    # count, and backtracking undoes nothing. No corner lies above height n,
+    # so only heights below ``top`` get a digit; the rest are zeros.
     base = n + 1
     top = min(k_max, n) + 1
+    padding = [0] * (k_max + 1 - top)
     # the code a step from height h adds at the point before it: an up-step
     # after a down-step makes a valley there, a down-step after an up-step
     # a peak (the padding keeps h <= n in range)
-    valley = [base ** (k_max + 1 + h) for h in range(top)] + [0] * (n + 1 - top)
+    valley = [base ** (top + h) for h in range(top)] + [0] * (n + 1 - top)
     peak = [0] + [base**h for h in range(1, top)] + [0] * (n + 1 - top)
     codes: Counter[int] = Counter()
     lists: dict[tuple[int, int, bool], list[int]] = {}
@@ -275,12 +276,13 @@ def _enum_profiles(n: int, k_max: int) -> Iterator[tuple[list[int], int]]:
             walk(h - 1, ups, False, code + peak[h] if last_up else code)
 
     walk(0, n, True, 0)
+    walk = suffixes = None  # break the closures' cycles: the lists go with this call, not with the GC
     for code, ways in codes.items():
-        tally = []
-        for _ in range(size):
+        digits = []
+        for _ in range(2 * top):
             code, digit = divmod(code, base)
-            tally.append(digit)
-        yield tally, ways
+            digits.append(digit)
+        yield digits[:top] + padding + digits[top:] + padding, ways
 
 
 def count_exact_enum(n: int, k: int, r: int, kind: StatKind, *, guard: int = DEFAULT_ENUM_GUARD) -> int:

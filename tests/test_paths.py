@@ -223,6 +223,18 @@ def test_enum_profiles_equal_a_recount_across_the_junction(n):
 
 
 @pytest.mark.parametrize("n", range(9))
+def test_enum_profiles_far_above_every_corner_pad_the_tallies_of_k_max_n(n):
+    # no corner lies above height n, so a k_max far above n yields the
+    # k_max = n tallies with zeros at every height above n, in both halves
+    k_max = 10**4
+    padding = [0] * (k_max - n)
+    expected = {
+        tuple(tally[: n + 1] + padding + tally[n + 1 :] + padding): ways for tally, ways in paths._enum_profiles(n, n)
+    }
+    assert {tuple(tally): ways for tally, ways in paths._enum_profiles(n, k_max)} == expected
+
+
+@pytest.mark.parametrize("n", range(9))
 def test_count_exact_enum_above_every_corner(n):
     # no corner lies above height n: the count there is every path for r = 0
     for k in (n, n + 1, 10**6):

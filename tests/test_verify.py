@@ -1,5 +1,6 @@
 """Tests of the cross-validation report sections."""
 
+import gc
 import tracemalloc
 from operator import mul
 
@@ -81,28 +82,45 @@ def _steps_of(code: int) -> tuple[int, ...]:
     return tuple(UP if bit == "1" else DOWN for bit in bin(code)[3:])
 
 
+def _packed(n: int, code: int, image: int, peaks: int, valleys: int) -> int:
+    """A certificate record for semilength n: the code and the image in
+    2n + 1 bits each, then the two counts in n.bit_length() bits each."""
+    width, bits = 2 * n + 1, n.bit_length()
+    return ((code << width | image) << 2 * bits) + (peaks << bits) + valleys
+
+
+def _fields(n: int, record: int) -> tuple[int, int, int, int]:
+    """The (code, image, peaks, valleys) that ``_packed`` packed."""
+    width, bits = 2 * n + 1, n.bit_length()
+    counts, mask = (1 << bits) - 1, (1 << width) - 1
+    return record >> width + 2 * bits, record >> 2 * bits & mask, record >> bits & counts, record & counts
+
+
 def substitute_turn(monkeypatch, fake):
     """Make ``fake`` the step-level turn seen by the public ``psi`` that
     names the certificate's counterexample, and by the certificate itself.
 
-    The certificate's walk turns no steps, so its arrays are faked after the
-    walk: where ``fake`` turns a path's steps otherwise than the true
-    ``_turn``, the image's code is that of the fake image. ``fake`` is called
-    once per (path, k) of each sweep, in the sweep's order, then by ``psi``.
+    The certificate's walk turns no steps, so its records are faked after
+    the walk: where ``fake`` turns a path's steps otherwise than the true
+    ``_turn``, the path's record and swapped record are packed again with
+    the fake image's code. ``fake`` is called once per path of each (n, k)
+    sweep, in the sweep's order, then by ``psi``.
     """
     monkeypatch.setattr(paths, "_turn", fake)
     sweep = verify._sweep
 
-    def faked_sweep(n, ks):
-        codes, images, peaks, valleys = sweep(n, ks)
+    def faked_sweep(n, k):
+        records, swapped = sweep(n, k)
         weights = [1 << i for i in range(2 * n - 1, -1, -1)]
-        for j, code in enumerate(codes):
+        for j, record in enumerate(records):
+            code, _, peaks, valleys = _fields(n, record)
             steps = _steps_of(code)
-            for k, image_codes in zip(ks, images):
-                image = fake(steps, k)
-                if image != _turn(steps, k):
-                    image_codes[j] = _path_code(image, weights)
-        return codes, images, peaks, valleys
+            image = fake(steps, k)
+            if image != _turn(steps, k):
+                image_code = _path_code(image, weights)
+                records[j] = _packed(n, code, image_code, peaks, valleys)
+                swapped[j] = _packed(n, image_code, code, valleys, peaks)
+        return records, swapped
 
     monkeypatch.setattr(verify, "_sweep", faked_sweep)
 
@@ -221,22 +239,31 @@ def test_the_turn_rule_is_one_definition_for_psi_and_the_certificate(monkeypatch
 @pytest.mark.parametrize("n", range(11))
 def test_sweep_equals_the_arrays_of_enumerated_paths(n):
     # the independent route: enumerate_paths, statistics, _path_code and
-    # _turn on every path, in ascending order of the path's code
-    ks = range(2, 6)
+    # _turn on every path, in ascending order of the path's code; each
+    # record decodes to (code, image, peaks at k, valleys at k - 2) and its
+    # swapped record to (image, code, valleys, peaks)
     weights = [1 << i for i in range(2 * n - 1, -1, -1)]
-    rows = []
-    for path in enumerate_paths(n):
-        profile = statistics(path)
-        rows.append(
-            [_path_code(path.steps, weights)]
-            + [_path_code(_turn(path.steps, k), weights) for k in ks]
-            + [profile.count(StatKind.PEAK, k) for k in ks]
-            + [profile.count(StatKind.VALLEY, k - 2) for k in ks]
-        )
-    codes, images, peaks, valleys = _sweep(n, ks)
-    assert [list(codes), *map(list, images), *map(list, peaks), *map(list, valleys)] == [
-        list(column) for column in zip(*sorted(rows))
-    ]
+    paths_of_n = sorted((_path_code(path.steps, weights), path) for path in enumerate_paths(n))
+    for k in range(2, 6):
+        rows = []
+        for code, path in paths_of_n:
+            profile = statistics(path)
+            image = _path_code(_turn(path.steps, k), weights)
+            rows.append((code, image, profile.count(StatKind.PEAK, k), profile.count(StatKind.VALLEY, k - 2)))
+        records, swapped = _sweep(n, k)
+        assert [_fields(n, record) for record in records] == rows, k
+        assert [_fields(n, record) for record in swapped] == [(m, c, v, p) for c, m, p, v in rows], k
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_sweep_is_the_same_at_every_junction(monkeypatch, n):
+    # the prefix walk may stop at any number of up-steps left: every split
+    # joins prefixes and suffixes at another height, with either last step
+    ks = range(2, 6)
+    expected = [_sweep(n, k) for k in ks]
+    for split in range(n + 1):
+        monkeypatch.setattr(verify, "_SWEEP_SPLIT", split)
+        assert [_sweep(n, k) for k in ks] == expected, split
 
 
 @pytest.mark.parametrize(
@@ -250,13 +277,14 @@ def test_sweep_turns_the_pairs_that_the_step_kernel_turns_under_any_rule(monkeyp
     # A start below the axis or above every height turns nothing, and must
     # not wrap to another height's pairs.
     monkeypatch.setattr(paths, "_turn_start", rule)
-    ks = range(2, 6)
     for n in range(9):
         weights = [1 << i for i in range(2 * n - 1, -1, -1)]
-        codes, images, _, _ = _sweep(n, ks)
-        for k, image_codes in zip(ks, images):
+        for k in range(2, 6):
+            records, swapped = _sweep(n, k)
+            codes, image_codes = zip(*(_fields(n, record)[:2] for record in records))
             expected = [_path_code(_turn(_steps_of(code), k), weights) for code in codes]
             assert list(image_codes) == expected, (n, k)
+            assert [_fields(n, record)[:2] for record in swapped] == list(zip(image_codes, codes)), (n, k)
             if off_walk:
                 assert image_codes == codes, (n, k)
 
@@ -345,6 +373,23 @@ def test_bijection_section_keeps_no_path_objects():
         tracemalloc.stop()
     assert report.passed
     assert peak < 512 * 1024
+
+
+def test_enumeration_and_certificate_free_their_tables_without_the_cyclic_gc():
+    # the recursive closures of both walks refer to themselves; once a walk
+    # ends, its suffix lists must go by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(9):
+            for _ in paths._enum_profiles(n, 5):
+                pass
+        report = VerifyReport()
+        _check_bijection(report, 8)
+        assert report.passed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def bumped(family, r):
