@@ -21,6 +21,11 @@ rewrites used to certify count identities:
 * ``theta_forward``: strips the outer arch of a path with no valleys at
   height 0, a bijection onto paths one unit of semilength shorter.
 
+The enumeration walks every path of a semilength once, as a walked prefix
+joined to a listed suffix, in one kernel, ``_split_walk``, that sums the
+caller's per-step terms. The oracle sums corner codes with it, and
+``verify``'s certificate its packed records, each from its own terms.
+
 It also holds the one walk of single steps confined to a band [0, k], which
 yields its row after every step. ``bounded_height_count`` reads its last
 row, and ``chebyshev.r_series`` reads height 0 at every even step, the
@@ -210,12 +215,55 @@ def enumerate_paths(n: int, *, guard: int = DEFAULT_ENUM_GUARD) -> Iterator[Dyck
         steps[j:] = [DOWN] + [UP] * (ups + 1) + [DOWN] * (2 * n - j - ups - 2)
 
 
-# The prefix walk of ``_enum_profiles`` stops once this many up-steps are
+# The prefix walk of ``_split_walk`` stops once this many up-steps are
 # left. Every n <= 12 at k_max 5 (best of 5, Python 3.11, 2-CPU shared
 # host) took 72, 54, 49, 50, 55, 87 and 193 ms at the splits 2, 3, 4, 5, 6,
-# 8 and 12, and 108 ms by a walk down to every path. At n = 12 the suffix
-# lists add 0.38 MB to the traced peak at 4 and 2.6 MB at 6.
-_ENUM_SPLIT = 4
+# 8 and 12, and 108 ms by a walk down to every path; at n = 12 the suffix
+# lists add 0.38 MB to the traced peak at 4 and 2.6 MB at 6. The
+# certificate, every (n <= 10, k in 2..5), took 77, 48, 42, 53 and 57 ms at
+# the splits 2 to 6, and the traced peak of its n <= 8 was 154, 193, 273,
+# 401 and 576 KiB.
+_SPLIT = 4
+
+
+def _split_walk(n: int, start: int, steps, emit) -> None:
+    """Sum per-step terms over every semilength-n path, a walked prefix
+    joined to a listed suffix.
+
+    ``steps(h, ups, last_up)`` gives the steps from height h with ``ups`` of
+    the n up-steps left, after an up-step or not, down-step first, as
+    (term, state after it) pairs; a state's steps are the same whatever
+    prefix reached it. A path's sum is ``start`` plus the terms of its
+    steps. A depth-first walk sums the prefixes' terms up to the step that
+    leaves ``_SPLIT`` up-steps. For each state it stops in, a list holds the
+    sum of every suffix from there, one entry per suffix, built once per
+    call. Each prefix passes ``emit`` an iterator of its total plus every
+    entry, so the caller keeps what it needs (a tally of the sums, or the
+    sums themselves). The paths come in ascending order of their steps read
+    as binary numbers with the up-steps as 1s. ``steps`` runs once per
+    prefix and once per listed state, not once per path.
+    """
+    # the path's end adds nothing (it is reached after an up-step only when n = 0)
+    lists: dict[tuple[int, int, bool], list[int]] = {(0, 0, up): [0] for up in (False, True)}
+
+    def suffixes(h: int, ups: int, last_up: bool) -> list[int]:
+        key = (h, ups, last_up)
+        found = lists.get(key)
+        if found is None:
+            found = lists[key] = []
+            for term, state in steps(h, ups, last_up):
+                found += map(term.__add__, suffixes(*state))
+        return found
+
+    def walk(h: int, ups: int, last_up: bool, total: int) -> None:
+        if ups <= _SPLIT:
+            emit(map(total.__add__, suffixes(h, ups, last_up)))
+        else:
+            for term, state in steps(h, ups, last_up):
+                walk(*state, total + term)
+
+    walk(0, n, True, start)  # last_up starts true, so the first step is no valley
+    walk = suffixes = None  # break the closures' cycles: the lists go with this call, not with the GC
 
 
 def _enum_profiles(n: int, k_max: int) -> Iterator[tuple[list[int], int]]:
@@ -228,19 +276,15 @@ def _enum_profiles(n: int, k_max: int) -> Iterator[tuple[list[int], int]]:
     oracle, so it shares no code with the dynamic program or the series
     layer. Callers apply the enumeration guard.
 
-    Each path is a prefix and a suffix. A depth-first walk builds the
-    prefixes, up to the step that leaves ``_ENUM_SPLIT`` up-steps. For each
-    state it stops in (height, up-steps left, last step up?) a list holds
-    the code of every suffix from there, one entry per suffix, built once
-    per call. The corner at the junction is counted in the suffix's code:
-    the list is keyed by the prefix's last step. Every path is one addition
-    of a prefix code and a suffix code, and one count; no counts are merged
-    before that.
+    Each path's tally is the sum of its steps' corner codes, summed by
+    :func:`_split_walk` and counted as they come: a step that closes a
+    corner adds its code, the corner at the junction of a prefix and a
+    suffix included.
     """
     # A tally is one integer with a base-(n + 1) digit per entry (no height
     # holds more than n corners), so a path costs one addition and one
-    # count, and backtracking undoes nothing. No corner lies above height n,
-    # so only heights below ``top`` get a digit; the rest are zeros.
+    # count. No corner lies above height n, so only heights below ``top``
+    # get a digit; the rest are zeros.
     base = n + 1
     top = min(k_max, n) + 1
     padding = [0] * (k_max + 1 - top)
@@ -249,34 +293,18 @@ def _enum_profiles(n: int, k_max: int) -> Iterator[tuple[list[int], int]]:
     # a peak (the padding keeps h <= n in range)
     valley = [base ** (top + h) for h in range(top)] + [0] * (n + 1 - top)
     peak = [0] + [base**h for h in range(1, top)] + [0] * (n + 1 - top)
-    codes: Counter[int] = Counter()
-    lists: dict[tuple[int, int, bool], list[int]] = {}
 
-    # ``ups`` of the n up-steps are left at height h, so h + ups downs remain.
-    # ``last_up`` starts true so the first step is no valley.
-    def suffixes(h: int, ups: int, last_up: bool) -> list[int]:
-        key = (h, ups, last_up)
-        found = lists.get(key)
-        if found is None:
-            if ups == 0:  # only downs remain: the sole corner left is a peak here
-                found = [peak[h] if last_up else 0]
-            else:
-                found = list(map((0 if last_up else valley[h]).__add__, suffixes(h + 1, ups - 1, True)))
-                if h:
-                    found += map((peak[h] if last_up else 0).__add__, suffixes(h - 1, ups, False))
-            lists[key] = found
-        return found
-
-    def walk(h: int, ups: int, last_up: bool, code: int) -> None:
-        if ups <= _ENUM_SPLIT:
-            codes.update(map(code.__add__, suffixes(h, ups, last_up)))
-            return
-        walk(h + 1, ups - 1, True, code if last_up else code + valley[h])
+    def steps(h: int, ups: int, last_up: bool) -> list[tuple[int, tuple[int, int, bool]]]:
+        # ``ups`` of the n up-steps are left at height h, so h + ups downs remain
+        out = []
         if h:
-            walk(h - 1, ups, False, code + peak[h] if last_up else code)
+            out.append((peak[h] if last_up else 0, (h - 1, ups, False)))
+        if ups:
+            out.append((0 if last_up else valley[h], (h + 1, ups - 1, True)))
+        return out
 
-    walk(0, n, True, 0)
-    walk = suffixes = None  # break the closures' cycles: the lists go with this call, not with the GC
+    codes: Counter[int] = Counter()
+    _split_walk(n, 0, steps, codes.update)
     for code, ways in codes.items():
         digits = []
         for _ in range(2 * top):

@@ -90,14 +90,6 @@ def _check_three_way(report: VerifyReport, tables: dict, n_max: int, k_max: int)
         )
 
 
-# The prefix walk of ``_sweep`` stops once this many up-steps are left.
-# Every (n <= 10, k in 2..5), walked and checked in process (best of 5,
-# Python 3.11, 2-CPU shared host), took 77, 48, 42, 53 and 57 ms at the
-# splits 2 to 6; the traced peak of _check_bijection(report, 8) was 154,
-# 193, 273, 401 and 576 KiB.
-_SWEEP_SPLIT = 4
-
-
 def _sweep(n: int, k: int) -> tuple[list[int], list[int]]:
     """The certificate's records for semilength n at height k, and the same
     records swapped, one int each per path, in ascending order of the code.
@@ -120,67 +112,42 @@ def _sweep(n: int, k: int) -> tuple[list[int], list[int]]:
     never overlap, so each turn is one such term. A start below the axis or
     above every height matches no pair and turns nothing.
 
-    A depth-first walk, down-steps first so the codes ascend, sums the
-    prefixes' terms and stops once ``_SWEEP_SPLIT`` up-steps are left. For
-    each state it stops in (height, up-steps left, last step up?) a list
-    holds the sums of every suffix from there, built once per call; the
-    corner at the junction is the suffix's first term, keyed by the
-    prefix's last step. Each prefix adds its sum to every entry. The walk
-    builds no path object and turns no steps.
+    The enumeration's walk, ``paths._split_walk``, sums the records, and
+    then the swapped records, each its own lane. Its steps go down first, so
+    the codes ascend. It builds no path object and turns no steps.
     """
     width, bits = 2 * n + 1, n.bit_length()
     start = paths._turn_start(k)
 
-    def pack(code: int, image: int, peaks: int, valleys: int) -> int:
+    def record(code: int, image: int, peaks: int, valleys: int) -> int:
         return ((code << width) + image << 2 * bits) + (peaks << bits) + valleys
 
-    def steps(h: int, ups: int, last_up: bool) -> list[tuple[int, int, tuple[int, int, bool]]]:
-        # The steps from height h with ``ups`` up-steps left (not both 0),
-        # down first: each one's record and swapped terms and the state
-        # after it. The next step is the code's bit 2 * ups + h - 1.
-        bit = 1 << 2 * ups + h - 1
-        out = []
-        if h:
-            peak = last_up  # a peak at h, whose pair starts at h - 1
-            image = -bit if peak and h - 1 == start else 0
-            peaks = int(peak and h == k)
-            out.append((pack(0, image, peaks, 0), pack(image, 0, 0, peaks), (h - 1, ups, False)))
-        if ups:
-            valley = not last_up  # a valley at h, whose pair starts at h + 1
-            image = 2 * bit if valley and h + 1 == start else bit
-            valleys = int(valley and h == k - 2)
-            out.append((pack(bit, image, 0, valleys), pack(image, bit, valleys, 0), (h + 1, ups - 1, True)))
-        return out
+    def swapped_record(code: int, image: int, peaks: int, valleys: int) -> int:
+        return record(image, code, valleys, peaks)
 
-    # the path's end adds nothing (after an up-step only when n = 0)
-    lists: dict[tuple[int, int, bool], tuple[list[int], list[int]]] = {(0, 0, up): ([0], [0]) for up in (False, True)}
+    def lane(pack):
+        def steps(h: int, ups: int, last_up: bool) -> list[tuple[int, tuple[int, int, bool]]]:
+            # The steps from height h with ``ups`` up-steps left (not both 0),
+            # down first. The next step is the code's bit 2 * ups + h - 1.
+            bit = 1 << 2 * ups + h - 1
+            out = []
+            if h:
+                peak = last_up  # a peak at h, whose pair starts at h - 1
+                image = -bit if peak and h - 1 == start else 0
+                out.append((pack(0, image, int(peak and h == k), 0), (h - 1, ups, False)))
+            if ups:
+                valley = not last_up  # a valley at h, whose pair starts at h + 1
+                image = 2 * bit if valley and h + 1 == start else bit
+                out.append((pack(bit, image, 0, int(valley and h == k - 2)), (h + 1, ups - 1, True)))
+            return out
 
-    def suffixes(h: int, ups: int, last_up: bool) -> tuple[list[int], list[int]]:
-        key = (h, ups, last_up)
-        found = lists.get(key)
-        if found is None:
-            found = lists[key] = [], []
-            for term, swapped_term, state in steps(h, ups, last_up):
-                tails, swapped_tails = suffixes(*state)
-                found[0].extend(map(term.__add__, tails))
-                found[1].extend(map(swapped_term.__add__, swapped_tails))
-        return found
+        return steps
 
+    lead = record(1 << 2 * n, 1 << 2 * n, 0, 0)  # the leading 1 of the code and the image
     records: list[int] = []
     swapped: list[int] = []
-
-    def walk(h: int, ups: int, last_up: bool, record: int, swap: int) -> None:
-        if ups <= _SWEEP_SPLIT:
-            tails, swapped_tails = suffixes(h, ups, last_up)
-            records.extend(map(record.__add__, tails))
-            swapped.extend(map(swap.__add__, swapped_tails))
-        else:
-            for term, swapped_term, state in steps(h, ups, last_up):
-                walk(*state, record + term, swap + swapped_term)
-
-    lead = pack(1 << 2 * n, 1 << 2 * n, 0, 0)  # the leading 1 of the code and the image
-    walk(0, n, True, lead, lead)  # last_up starts true, so the first step is no valley
-    walk = suffixes = None  # break the closures' cycles: reference counting frees the lists
+    paths._split_walk(n, lead, lane(record), records.extend)
+    paths._split_walk(n, lead, lane(swapped_record), swapped.extend)
     return records, swapped
 
 

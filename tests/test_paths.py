@@ -206,11 +206,13 @@ def test_enum_table_equals_a_recount_of_explicit_paths():
 
 
 @pytest.mark.parametrize("n", range(11))
-def test_enum_profiles_equal_a_recount_across_the_junction(n):
+def test_enum_profiles_equal_a_recount_across_the_junction(monkeypatch, n):
     # Each path is a walked prefix and a listed suffix; from n = 5 on, the
-    # junction between them is an interior point. The whole tally of every
-    # path, recounted from heights() alone, must come out as the search's,
-    # at heights below, at and above every corner a path can have.
+    # junction between them is an interior point, and each split of
+    # paths._split_walk (0..n up-steps left) puts it at another height.
+    # The whole tally of every path, recounted from heights() alone, must
+    # come out as the search's, at heights below, at and above every corner
+    # a path can have.
     recounts = [_recount(path)[:2] for path in enumerate_paths(n)]
     for k_max in sorted({0, 1, 3, n + 2}):
         expected = {}
@@ -219,7 +221,9 @@ def test_enum_profiles_equal_a_recount_across_the_junction(n):
                 valleys.get(h, 0) for h in range(k_max + 1)
             )
             expected[tally] = expected.get(tally, 0) + 1
-        assert {tuple(tally): ways for tally, ways in paths._enum_profiles(n, k_max)} == expected, k_max
+        for split in range(n + 1):  # a split above n walks no prefix, as one at n
+            monkeypatch.setattr(paths, "_SPLIT", split)
+            assert {tuple(tally): ways for tally, ways in paths._enum_profiles(n, k_max)} == expected, (k_max, split)
 
 
 @pytest.mark.parametrize("n", range(9))

@@ -107,6 +107,10 @@ def test_the_sets_see_what_each_route_names():
     enumeration, dp, gf = reached(ENUMERATION), reached(DP), reached(GF)
     assert {"paths.DyckPath", "paths.PathError", "paths._check_guard"} <= enumeration
     assert {"paths._check_count_args", "paths.StatKind"} <= enumeration & dp
+    # the enumeration's prefix/suffix walk also sums the certificate's
+    # records, and neither the DP nor the series layer names it
+    assert "paths._split_walk" in enumeration & reached(["verify._sweep"])
+    assert "paths._split_walk" not in dp | gf
     # both DP readers run the one sweep kernel, which enumeration never names
     both_readers = reached(["paths.count_exact_dp"]) & reached(["paths._dp_distribution"])
     assert {"paths._dp_sweep", "paths._dp_bits"} <= both_readers - enumeration

@@ -257,12 +257,13 @@ def test_sweep_equals_the_arrays_of_enumerated_paths(n):
 
 @pytest.mark.parametrize("n", range(9))
 def test_sweep_is_the_same_at_every_junction(monkeypatch, n):
-    # the prefix walk may stop at any number of up-steps left: every split
-    # joins prefixes and suffixes at another height, with either last step
+    # the prefix walk of paths._split_walk may stop at any number of
+    # up-steps left: every split joins prefixes and suffixes at another
+    # height, with either last step
     ks = range(2, 6)
     expected = [_sweep(n, k) for k in ks]
     for split in range(n + 1):
-        monkeypatch.setattr(verify, "_SWEEP_SPLIT", split)
+        monkeypatch.setattr(paths, "_SPLIT", split)
         assert [_sweep(n, k) for k in ks] == expected, split
 
 
