@@ -1,14 +1,5 @@
 """Exact counting of peaks and valleys at a fixed height in Dyck paths."""
 
-from .cfrac import (
-    WeightSpec,
-    catalan_cfrac,
-    lemma_iterated_cfrac,
-    lemma_rhs,
-    peak_bivar_cfrac,
-    rv_cfrac,
-    weight_spec_from_json,
-)
 from .chebyshev import f_series_t, q_poly, r_series, u_inv_sq_series
 from .gfcount import (
     peak_gf,
@@ -44,6 +35,16 @@ from .series import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the names in __all__ not imported above are cfrac's, imported on first use
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import cfrac
+
+    return getattr(cfrac, name)
+
 
 __all__ = [
     "BivarSeries",

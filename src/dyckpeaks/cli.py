@@ -26,7 +26,6 @@ import sys
 from itertools import islice
 from typing import Iterable, Literal
 
-from .cfrac import rv_cfrac, weight_spec_from_json
 from .gfcount import stat_gf
 from .paths import (
     DEFAULT_ENUM_GUARD,
@@ -43,26 +42,18 @@ from .paths import (
     theta_forward,
 )
 from .series import BivarSeries, InvariantError, NonIntegralError, Series
-from .verify import run_verify
 
 OutputFormat = Literal["plain", "csv", "json"]
 
 
 def _write_lines(lines: Iterable[str]) -> None:
     """Write ``lines`` to stdout 1024 at a time: a text stream pays encoding
-    and buffering per write, even block-buffered. Written to a file, the
-    10,333 lines of ``table --method gf --n-max 40 --k-max 5 --format csv``
-    take 0.4-0.5 ms in batches, 0.9-1.0 ms by ``writelines`` (Python 3.11.7)."""
+    and buffering per write, even block-buffered, so one write per line of
+    a long series costs about twice as much. A table needs no batches: it
+    is written one string per (n, k) pair of rows (:func:`_format_table`)."""
     lines = iter(lines)
     while chunk := "".join(islice(lines, 1024)):
         sys.stdout.write(chunk)
-
-
-def _write_csv(header: str, lines: Iterable[str]) -> None:
-    """A header line, then ``lines``, each one row's fields comma-joined and
-    ending in a newline."""
-    sys.stdout.write(f"{header}\n")
-    _write_lines(lines)
 
 
 def _format_series(series: Series, fmt: OutputFormat) -> None:
@@ -70,7 +61,8 @@ def _format_series(series: Series, fmt: OutputFormat) -> None:
     if fmt == "plain":
         print(",".join(coeffs))
     elif fmt == "csv":
-        _write_csv("n,coefficient", (f"{n},{c}\n" for n, c in enumerate(coeffs)))
+        sys.stdout.write("n,coefficient\n")
+        _write_lines(f"{n},{c}\n" for n, c in enumerate(coeffs))
     else:
         print(json.dumps({"order": series.order, "coefficients": coeffs}, indent=2))
 
@@ -80,32 +72,36 @@ def _format_bivar(bv: BivarSeries, fmt: OutputFormat) -> None:
     if fmt == "plain":
         print("\n".join(f"z^{j}: " + ",".join(coeffs) for j, coeffs in enumerate(entries)))
     elif fmt == "csv":
-        _write_csv(
-            "z,n,coefficient",
-            (f"{j},{n},{c}\n" for j, coeffs in enumerate(entries) for n, c in enumerate(coeffs)),
-        )
+        sys.stdout.write("z,n,coefficient\n")
+        _write_lines(f"{j},{n},{c}\n" for j, coeffs in enumerate(entries) for n, c in enumerate(coeffs))
     else:
         print(json.dumps({"z_order": bv.z_order, "x_order": bv.x_order, "entries": entries}, indent=2))
 
 
 def _format_table(table: CountTable, fmt: OutputFormat) -> None:
-    """The cells in the table's order, streamed: a 40 x 5 table is hundreds
-    of kilobytes of text, and none of it is held at once."""
-    cells = table.sorted_items()
-    if fmt == "csv":
-        _write_csv(
-            "n,k,r,kind,count", (f"{n},{k},{r},{kind.value},{count}\n" for (n, k, r, kind), count in cells)
-        )
-    elif fmt == "json":  # the layout of json.dumps(..., indent=2), counts as decimal strings
-        sys.stdout.write('{\n  "entries": [')
-        _write_lines(
-            f'{"," if i else ""}\n    {{\n      "n": {n},\n      "k": {k},\n      "r": {r},\n'
-            f'      "kind": "{kind.value}",\n      "count": "{count}"\n    }}'
-            for i, ((n, k, r, kind), count) in enumerate(cells)
-        )
-        sys.stdout.write("\n  ]\n}\n")
+    """The cells in the table's order, one string per (n, k) pair of rows
+    (:meth:`CountTable.row_pairs`): a 40 x 5 table is hundreds of kilobytes
+    of text, and only one pair's is held at once. A cell is its pair's head,
+    r, its kind's text, its count and a tail."""
+    if fmt == "json":  # the layout of json.dumps(..., indent=2), counts as decimal strings
+        head = ',\n    {{\n      "n": {},\n      "k": {},\n      "r": '
+        text, tail = ',\n      "kind": "{}",\n      "count": "', '"\n    }'
+        opening, closing = '{\n  "entries": [', "\n  ]\n}\n"
     else:
-        _write_lines(f"{n} {k} {r} {kind.value} {count}\n" for (n, k, r, kind), count in cells)
+        sep = "," if fmt == "csv" else " "
+        head, text, tail = f"{{}}{sep}{{}}{sep}", f"{sep}{{}}{sep}", "\n"
+        opening, closing = "n,k,r,kind,count\n" if fmt == "csv" else "", ""
+    peak, valley = text.format(StatKind.PEAK.value), text.format(StatKind.VALLEY.value)
+
+    def pair(n: int, k: int, peaks: list[int], valleys: list[int]) -> str:
+        pre = head.format(n, k)
+        cells = enumerate(zip(peaks, valleys))
+        return "".join(f"{pre}{r}{peak}{p}{tail}{pre}{r}{valley}{v}{tail}" for r, (p, v) in cells)
+
+    pairs = (pair(*rows) for rows in table.row_pairs())
+    sys.stdout.write(opening + next(pairs, "").lstrip(","))  # only a JSON entry begins with a comma
+    sys.stdout.writelines(pairs)
+    sys.stdout.write(closing)
 
 
 def _profile_dict(path) -> dict:
@@ -179,6 +175,8 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_cfrac(args) -> int:
+    from .cfrac import rv_cfrac, weight_spec_from_json
+
     with open(args.spec, "r", encoding="utf-8") as handle:
         text = handle.read()
     spec = weight_spec_from_json(text, args.order, args.z_order)
@@ -187,6 +185,8 @@ def _cmd_cfrac(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verify
+
     report = run_verify(
         n_max=args.n_max,
         k_max=args.k_max,

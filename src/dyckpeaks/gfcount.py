@@ -51,6 +51,12 @@ def _band(j: int, order: int) -> tuple[Series, Series, Series]:
     return u, e, (u + e.shift(1)) * e + u * u
 
 
+def _band_height(kind: StatKind, k: int) -> int:
+    """The band height whose valley form counts ``kind`` at height k (see
+    :func:`stat_family`); only peaks at height 0, with no band, get -2."""
+    return k if kind is StatKind.VALLEY else k - 2
+
+
 def _check_args(k: int, r: int, order: int) -> None:
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -83,16 +89,15 @@ def stat_family(kind: StatKind, k: int, order: int, r_max: int) -> tuple[Series,
     runs its two-route check on every call.
     """
     _check_args(k, r_max, order)
-    if kind is StatKind.PEAK:
-        if k == 0:
-            return (catalan_series(order),) + (Series.zero(order),) * r_max
-        k -= 2
-    u, e, m = _band(min(k, order), order)
+    j = _band_height(kind, k)
+    if j == -2:
+        return (catalan_series(order),) + (Series.zero(order),) * r_max
+    u, e, m = _band(min(j, order), order)
     g = (e + u * catalan_series(order)) / (u * m)
-    slices, step = [g.shift(k + 1)], (u * u * g).shift(1)
+    slices, step = [g.shift(j + 1)], (u * u * g).shift(1)
     for _ in range(r_max):
         slices.append(slices[-1] * step)
-    slices[0] = r_series(k + 1, order) + slices[0]
+    slices[0] = r_series(j + 1, order) + slices[0]
     return tuple(slices)
 
 
@@ -152,7 +157,7 @@ def stat_gf(kind: StatKind, k: int, r: int, order: int) -> Series:
     _check_args(k, r, order)
     if kind is StatKind.PEAK and k == 0:
         return catalan_series(order) if r == 0 else Series.zero(order)
-    j = k if kind is StatKind.VALLEY else k - 2
+    j = _band_height(kind, k)
     # the two-route check runs on every call, also when r >= 1 leaves R unused
     ratio = r_series(j + 1, order)
     band = _band_slice(j, r, order) if j + 1 + r <= order else Series.zero(order)

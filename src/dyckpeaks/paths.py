@@ -37,6 +37,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, islice
 from operator import add, mul
 from typing import Iterator, Literal
@@ -241,8 +242,9 @@ def _split_walk(n: int, start: int, steps, emit) -> None:
     entry, so the caller keeps what it needs (a tally of the sums, or the
     sums themselves). The paths come in ascending order of their steps read
     as binary numbers with the up-steps as 1s. ``steps`` runs once per
-    prefix and once per listed state, not once per path.
+    state in a call, memoized: prefixes share their states.
     """
+    steps = cache(steps)
     # the path's end adds nothing (it is reached after an up-step only when n = 0)
     lists: dict[tuple[int, int, bool], list[int]] = {(0, 0, up): [0] for up in (False, True)}
 
@@ -567,8 +569,8 @@ Method = Literal["enum", "dp", "gf"]
 class CountTable:
     """Exact counts as rows: ``rows[kind][k][n][r]``, r <= n, is the number of
     semilength-n paths with exactly r occurrences of ``kind`` at height k.
-    The one cell order, (n, k, r, kind) with peak before valley, is
-    :meth:`sorted_items`'s; the command line renders the table in it."""
+    The one cell order, (n, k, r, kind) with peak before valley, is set by
+    :meth:`row_pairs`; the command line renders a pair of rows at a time."""
 
     rows: dict[StatKind, list[list[list[int]]]]
 
@@ -576,14 +578,20 @@ class CountTable:
         rows = self.rows[kind]  # 0 outside the grid, where a negative index would wrap
         return rows[k][n][r] if 0 <= k < len(rows) and 0 <= n < len(rows[k]) and 0 <= r <= n else 0
 
-    def sorted_items(self) -> Iterator[tuple[tuple[int, int, int, StatKind], int]]:
-        """Every cell as ((n, k, r, kind), count), in the table's cell order."""
+    def row_pairs(self) -> Iterator[tuple[int, int, list[int], list[int]]]:
+        """Every (n, k) as (n, k, peak row, valley row), n first; the table's
+        cells are entry r of each row in turn, the peak's before the valley's."""
         peak, valley = self.rows[StatKind.PEAK], self.rows[StatKind.VALLEY]
         for n in range(len(peak[0])):
             for k, (peak_rows, valley_rows) in enumerate(zip(peak, valley)):
-                for r, (p, v) in enumerate(zip(peak_rows[n], valley_rows[n])):
-                    yield (n, k, r, StatKind.PEAK), p
-                    yield (n, k, r, StatKind.VALLEY), v
+                yield n, k, peak_rows[n], valley_rows[n]
+
+    def sorted_items(self) -> Iterator[tuple[tuple[int, int, int, StatKind], int]]:
+        """Every cell as ((n, k, r, kind), count), in the table's cell order."""
+        for n, k, peaks, valleys in self.row_pairs():
+            for r, (p, v) in enumerate(zip(peaks, valleys)):
+                yield (n, k, r, StatKind.PEAK), p
+                yield (n, k, r, StatKind.VALLEY), v
 
     def check_sum_rule(self) -> None:
         """Every (n, k, kind) row must sum to the total path count; the first
@@ -617,8 +625,9 @@ def build_table(
     the :class:`CountTable` rows in the form it makes them: enumeration adds
     each tally's paths to one row per (k, kind), a DP sweep gives the row of
     every semilength, and a series family gives one slice per r, read across.
-    The last two make one pass per (k, kind). A negative guard is refused
-    under every method.
+    The DP sweeps once per (k, kind), and a family is read once per band
+    height, for every (k, kind) there. A negative guard is refused under
+    every method.
     """
     if n_max < 0 or k_max < 0:
         raise ValueError("n_max and k_max must be >= 0")
@@ -633,15 +642,18 @@ def build_table(
                 for k_rows, occurrences in zip(by_tally, tally):
                     k_rows[n][occurrences] += ways
     elif method in ("dp", "gf"):
-        from .gfcount import stat_family
+        from .gfcount import _band_height, stat_family
 
-        rows = {kind: [] for kind in StatKind}
+        rows, families = {kind: [] for kind in StatKind}, {}  # families: by band height, this call only
         for kind, k_rows in rows.items():
             for k in range(k_max + 1):
                 if method == "dp":  # the sweep to n_max has a row for every n
                     by_n = _dp_distribution(n_max, k, kind, n_max + 1)
-                else:  # slice r holds entry r of every row: read across the slices
-                    by_n = zip(*(s.as_integer_sequence() for s in stat_family(kind, k, n_max, n_max)))
+                else:  # slice r holds entry r of every row: read across, each (k, kind) to its own rows
+                    j = _band_height(kind, k)
+                    if j not in families:
+                        families[j] = list(zip(*(s.as_integer_sequence() for s in stat_family(kind, k, n_max, n_max))))
+                    by_n = families[j]
                 k_rows.append([list(row[: n + 1]) for n, row in enumerate(by_n)])
     else:
         raise ValueError(f"unknown method {method!r}")

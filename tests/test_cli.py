@@ -149,6 +149,83 @@ def test_a_fresh_import_and_main_leave_the_digit_cap_as_they_found_it():
     assert len(done.stdout.strip()) > 4800
 
 
+# -- start-up imports: a command loads the layers it runs ----------------------
+# verify and cfrac are imported inside their commands, and the package serves
+# the cfrac names on first use, so the other commands never compile them.
+
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+
+COMMANDS_THEN_LAYERS = """import sys
+from dyckpeaks.cli import main
+for argv in sys.argv[1:]:
+    assert main(argv.split()) == 0, argv
+print(sorted({"dyckpeaks.cfrac", "dyckpeaks.verify"} & set(sys.modules)), file=sys.stderr)
+"""
+
+
+def test_commands_without_a_fraction_load_neither_verify_nor_cfrac():
+    commands = [
+        f"table --method {method} --n-max 6 --k-max 3 --format {fmt}"
+        for method, fmt in (("gf", "csv"), ("dp", "json"), ("enum", "plain"))
+    ] + [
+        f"count --stat peak --k 2 --r 1 --n 9 --method {method}" for method in ("gf", "dp", "enum")
+    ] + [
+        "series --stat valley --k 1 --r 0 --format json",
+        "bijection --map psi --k 2 --path UUDUDD",
+        "bijection --map theta --path UUDD --format json",
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", COMMANDS_THEN_LAYERS, *commands],
+        env=SRC_ENV, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "[]\n")
+
+
+CLI_MAIN = "import sys\nfrom dyckpeaks.cli import main\nsys.exit(main(sys.argv[1:]))"
+
+
+def test_verify_and_cfrac_print_their_pinned_bytes_from_a_fresh_process(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(DENSE_LAMBDA_SPEC)
+    for argv, digest in (
+        (["verify"], "4155400197daac625527afbfb7f6657d697d3132fa51113442a7d1e0b2784614"),
+        (
+            ["cfrac", "--spec", str(spec), "--order", "30", "--z-order", "2", "--format", "csv"],
+            "cb57d02f89c063a805ee206a658be4767cb7ffcd83122d909924442a8f304836",
+        ),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-c", CLI_MAIN, *argv], env=SRC_ENV, capture_output=True, timeout=120
+        )
+        assert (done.returncode, done.stderr) == (0, b""), argv
+        assert sha256(done.stdout).hexdigest() == digest, argv
+
+
+PACKAGE_NAMES = """import sys
+import dyckpeaks
+assert "dyckpeaks.cfrac" not in sys.modules, "importing the package loaded cfrac"
+unresolved = [name for name in dyckpeaks.__all__ if getattr(dyckpeaks, name, None) is None]
+star = {}
+exec("from dyckpeaks import *", star)
+from dyckpeaks import cfrac
+try:
+    dyckpeaks.no_such_name
+except AttributeError as exc:
+    missing = str(exc)
+print(unresolved, sorted(set(dyckpeaks.__all__) ^ set(star) - {"__builtins__"}))
+print(dyckpeaks.peak_bivar_cfrac is cfrac.peak_bivar_cfrac and dyckpeaks.WeightSpec is cfrac.WeightSpec)
+print(missing)
+"""
+
+
+def test_every_public_name_resolves_and_the_cfrac_names_are_cfracs():
+    done = subprocess.run(
+        [sys.executable, "-c", PACKAGE_NAMES], env=SRC_ENV, capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[] []\nTrue\nmodule 'dyckpeaks' has no attribute 'no_such_name'\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -428,8 +505,9 @@ def test_table_json_and_plain_agree(capsys):
 
 
 def test_table_json_is_the_json_dumps_layout_across_write_batches(capsys):
-    # 2772 cells, more than one batch of lines: the streamed text is the
-    # indent=2 layout of its own document, and holds the table's counts
+    # 2772 cells, written as 126 strings, one per (n, k) pair of rows: the
+    # streamed text is the indent=2 layout of its own document, and holds
+    # the table's counts
     code, out, _ = run(capsys, "table", "--n-max", "20", "--k-max", "5", "--format", "json")
     assert code == 0
     doc = json.loads(out)

@@ -397,6 +397,46 @@ def test_dp_table_sweeps_once_per_height_and_kind(monkeypatch):
     assert {args[0] for args in calls} == {9} and {args[3] for args in calls} == {10}
 
 
+def test_gf_table_builds_one_family_per_band_height(monkeypatch):
+    # peaks at k are the valley form at k - 2, so k_max = 5 has 8 distinct
+    # band heights (-2 for peaks at 0, -1..5), not 12 (kind, k) pairs; each
+    # family that reads a ratio still runs the r_series check once
+    from dyckpeaks import gfcount
+
+    calls, ratios = [], []
+    family, r_series = gfcount.stat_family, gfcount.r_series
+
+    def counting(kind, k, order, r_max):
+        before = len(ratios)
+        out = family(kind, k, order, r_max)
+        calls.append((gfcount._band_height(kind, k), len(ratios) - before))
+        return out
+
+    monkeypatch.setattr(gfcount, "stat_family", counting)
+    monkeypatch.setattr(gfcount, "r_series", lambda *args: ratios.append(args) or r_series(*args))
+    table = build_table(12, 5, "gf")
+    assert sorted(calls) == [(-2, 0)] + [(j, 1) for j in range(-1, 6)]
+    assert table.rows == build_table(12, 5, "dp").rows
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 2])
+def test_gf_table_equals_the_dp_table_where_little_is_shared(k_max):
+    # k_max 0 and 1 share no band height, and k_max 2 shares only height 0
+    assert build_table(16, k_max, "gf").rows == build_table(16, k_max, "dp").rows
+
+
+def test_gf_table_rows_sharing_a_family_are_not_aliased():
+    # valleys at 1 and peaks at 3 read one family; a caller that edits one
+    # (verify's reshaped tables in the CLI tests) must not edit the other
+    table = build_table(8, 5, "gf")
+    peaks = [list(row) for row in table.rows[StatKind.PEAK][3]]
+    valleys = table.rows[StatKind.VALLEY][1]
+    assert valleys == peaks
+    valleys[4][1] += 1
+    valleys.append([0] * 10)
+    assert table.rows[StatKind.PEAK][3] == peaks
+
+
 @settings(deadline=None)
 @given(st.integers(0, LONG), st.integers(0, 10), st.integers(0, 5), st.sampled_from(list(StatKind)))
 def test_dp_equals_the_generating_function_past_the_enumeration_guard(n, k, r, kind):
