@@ -50,28 +50,23 @@ for k = 1..7), so no power of x cancels to leave an invertible divisor.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
 
 from .chebyshev import r_series
-from .series import BivarSeries, InvariantError, NonInvertibleError, Series, catalan_series
+from .series import BivarSeries, InvariantError, NonInvertibleError, Series, _Frozen, catalan_series
 
 
-@dataclass(frozen=True)
-class WeightSpec:
+class WeightSpec(_Frozen):
     """Per-height down-step weights, an evaluation depth, and a tail value."""
 
-    lambdas: tuple[BivarSeries, ...]
-    mus: tuple[BivarSeries, ...]
-    depth: int
-    tail: BivarSeries
+    __slots__ = ("lambdas", "mus", "depth", "tail")
 
-    def __post_init__(self) -> None:
-        if self.depth < 0:
+    def __init__(self, lambdas: tuple[BivarSeries, ...], mus: tuple[BivarSeries, ...], depth: int, tail: BivarSeries):
+        if depth < 0:
             raise ValueError("depth must be >= 0")
-        if len(self.lambdas) < self.depth or len(self.mus) < self.depth:
+        if len(lambdas) < depth or len(mus) < depth:
             raise ValueError("need at least `depth` lambda and mu weights")
+        super().__init__(lambdas, mus, depth, tail)
 
 
 def _continuants(w: WeightSpec, k: BivarSeries, k_next: BivarSeries):
@@ -306,6 +301,7 @@ def weight_spec_from_json(text: str, x_order: int, z_order: int) -> WeightSpec:
     or list of expressions, at least ``depth`` long) and optional ``tail``
     (expression, default 1).
     """
+    import json  # only a weight spec is read as JSON, so no other command loads it
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -21,7 +21,6 @@ after it; importing the package leaves the cap alone.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import islice
 from typing import Iterable, Literal
@@ -56,6 +55,11 @@ def _write_lines(lines: Iterable[str]) -> None:
         sys.stdout.write(chunk)
 
 
+def _print_json(doc: object) -> None:
+    import json  # only JSON output needs it, so no other command loads it
+    print(json.dumps(doc, indent=2))
+
+
 def _format_series(series: Series, fmt: OutputFormat) -> None:
     coeffs = list(map(str, series.coeffs))
     if fmt == "plain":
@@ -64,7 +68,7 @@ def _format_series(series: Series, fmt: OutputFormat) -> None:
         sys.stdout.write("n,coefficient\n")
         _write_lines(f"{n},{c}\n" for n, c in enumerate(coeffs))
     else:
-        print(json.dumps({"order": series.order, "coefficients": coeffs}, indent=2))
+        _print_json({"order": series.order, "coefficients": coeffs})
 
 
 def _format_bivar(bv: BivarSeries, fmt: OutputFormat) -> None:
@@ -75,7 +79,7 @@ def _format_bivar(bv: BivarSeries, fmt: OutputFormat) -> None:
         sys.stdout.write("z,n,coefficient\n")
         _write_lines(f"{j},{n},{c}\n" for j, coeffs in enumerate(entries) for n, c in enumerate(coeffs))
     else:
-        print(json.dumps({"z_order": bv.z_order, "x_order": bv.x_order, "entries": entries}, indent=2))
+        _print_json({"z_order": bv.z_order, "x_order": bv.x_order, "entries": entries})
 
 
 def _format_table(table: CountTable, fmt: OutputFormat) -> None:
@@ -163,7 +167,7 @@ def _cmd_bijection(args) -> int:
             "input": _profile_dict(path),
             "output": _profile_dict(image) if image is not None else None,
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
         return 0
     lines = _profile_lines("input", path)
     if image is None:

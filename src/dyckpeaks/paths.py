@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, islice
 from operator import add, mul
-from typing import Iterator, Literal
+from typing import Iterable, Iterator, Literal
 
-from .series import InvariantError, catalan_series
+from .series import InvariantError, _Frozen, _Record, catalan_series
 
 DEFAULT_ENUM_GUARD = 14
 
@@ -68,16 +67,17 @@ class PathError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class DyckPath:
+class DyckPath(_Frozen):
     """An explicit up/down step sequence, validated on construction."""
 
-    steps: tuple[int, ...]
+    __slots__ = ("steps",)  # a tuple of UP and DOWN
+
+    def __init__(self, steps: Iterable[int]) -> None:
+        super().__init__(tuple(steps))
+        self.__post_init__()  # a method of its own: perfbench's tracer wraps it to count validations
 
     def __post_init__(self) -> None:
-        steps = tuple(self.steps)
-        if steps is not self.steps:
-            object.__setattr__(self, "steps", steps)
+        steps = self.steps
         # Accept at C speed (unit steps, as many ups as downs, no prefix
         # below the axis); the walk below runs only to locate a rejection.
         ups = steps.count(UP)
@@ -136,13 +136,13 @@ def parse_path(text: str) -> DyckPath:
         raise PathError(exc.reason, positions[exc.index]) from None
 
 
-@dataclass(frozen=True)
-class StatProfile:
+class StatProfile(_Frozen):
     """Peak and valley counts, keyed by height; only nonzero counts stored."""
 
-    peaks_by_height: dict[int, int]
-    valleys_by_height: dict[int, int]
-    max_height: int
+    __slots__ = ("peaks_by_height", "valleys_by_height", "max_height")
+
+    def __init__(self, peaks_by_height: dict[int, int], valleys_by_height: dict[int, int], max_height: int) -> None:
+        super().__init__(peaks_by_height, valleys_by_height, max_height)
 
     def count(self, kind: StatKind, height: int) -> int:
         table = self.peaks_by_height if kind is StatKind.PEAK else self.valleys_by_height
@@ -565,14 +565,16 @@ def theta_inverse(path: DyckPath) -> DyckPath:
 Method = Literal["enum", "dp", "gf"]
 
 
-@dataclass
-class CountTable:
+class CountTable(_Record):
     """Exact counts as rows: ``rows[kind][k][n][r]``, r <= n, is the number of
     semilength-n paths with exactly r occurrences of ``kind`` at height k.
     The one cell order, (n, k, r, kind) with peak before valley, is set by
     :meth:`row_pairs`; the command line renders a pair of rows at a time."""
 
-    rows: dict[StatKind, list[list[list[int]]]]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: dict[StatKind, list[list[list[int]]]]) -> None:
+        super().__init__(rows)
 
     def get(self, n: int, k: int, r: int, kind: StatKind) -> int:
         rows = self.rows[kind]  # 0 outside the grid, where a negative index would wrap

@@ -28,11 +28,13 @@ one quotient recurrence: a reciprocal is the quotient of 1, and a quotient
 divides by the divisor's constant term: a :class:`Series` divides each
 coefficient exactly, a :class:`BivarSeries` divides the z-entry by the
 divisor's z^0 entry, so no bivariate reciprocal is ever formed.
+
+Immutability: series, paths, profiles and weight specs derive from :class:`_Frozen`,
+which keeps their fields in ``__slots__`` and refuses to set or delete one after ``__init__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import attrgetter, mul
@@ -124,8 +126,43 @@ def _common(a: Ring, b: Ring) -> tuple[Ring, Ring]:
     return a.truncate(*orders), b.truncate(*orders)
 
 
-@dataclass(frozen=True)
-class Series:
+class _Record:
+    """A value whose fields are its ``__slots__``, compared and printed by them
+    and pickled through its checking constructor; unhashable, as it has ``__eq__`` alone."""
+
+    __slots__ = ()
+    _fields = property(lambda self: tuple(map(self.__getattribute__, self.__slots__)))
+
+    def __init__(self, *fields: object) -> None:
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields == other._fields if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields
+
+
+class _Frozen(_Record):
+    """A :class:`_Record` closed to assignment and deletion, and hashed by its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields)
+
+    def _refuse(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __setattr__ = __delattr__ = _refuse
+
+
+class Series(_Frozen):
     """A univariate power series truncated at ``order`` (inclusive).
 
     ``coeffs[i]`` is the coefficient of the i-th power of the variable;
@@ -133,21 +170,18 @@ class Series:
     all operations are pure, so unrestricted concurrent use is safe.
     """
 
-    order: int
-    coeffs: tuple[Rational, ...]
+    __slots__ = ("order", "coeffs")
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
+    def __init__(self, order: int, coeffs: Iterable[Rational]) -> None:
+        if order < 0:
             raise ValueError("order must be >= 0")
-        coeffs = tuple(self.coeffs)
+        coeffs = tuple(coeffs)
         # Plain ints, the common case, need no per-coefficient normalization.
         if not {int}.issuperset(map(type, coeffs)):
             coeffs = tuple(map(_normalize, coeffs))
-        if len(coeffs) != self.order + 1:
-            raise ValueError(
-                f"expected {self.order + 1} coefficients for order {self.order}, "
-                f"got {len(coeffs)}"
-            )
+        if len(coeffs) != order + 1:
+            raise ValueError(f"expected {order + 1} coefficients for order {order}, got {len(coeffs)}")
+        object.__setattr__(self, "order", order)  # not by _Record.__init__: every operation ends here
         object.__setattr__(self, "coeffs", coeffs)
 
     # -- constructors ----------------------------------------------------
@@ -195,12 +229,11 @@ class Series:
         denominator; for counting series that signals a formula or
         implementation bug upstream.
         """
-        out: list[int] = []
-        for i, c in enumerate(self.coeffs):
-            if isinstance(c, Fraction):
-                raise NonIntegralError(f"coefficient of order {i} is non-integral: {c}")
-            out.append(c)
-        return out
+        if not {int}.issuperset(map(type, self.coeffs)):  # plain ints, the common case, hold no Fraction
+            for i, c in enumerate(self.coeffs):
+                if isinstance(c, Fraction):
+                    raise NonIntegralError(f"coefficient of order {i} is non-integral: {c}")
+        return list(self.coeffs)
 
     def truncate(self, order: int) -> Series:
         if order > self.order:
@@ -332,29 +365,26 @@ def catalan_series(order: int) -> Series:
     return Series(order, tuple(cs))
 
 
-@dataclass(frozen=True)
-class BivarSeries:
+class BivarSeries(_Frozen):
     """Polynomial in a marker variable z, truncated in z, with Series entries.
 
     ``entries[j]`` is the univariate x-series multiplying the z^j term. All
     entries share ``x_order``. Immutable; operations are pure functions.
     """
 
-    z_order: int
-    x_order: int
-    entries: tuple[Series, ...]
+    __slots__ = ("z_order", "x_order", "entries")
 
-    def __post_init__(self) -> None:
-        if self.z_order < 0:
+    def __init__(self, z_order: int, x_order: int, entries: tuple[Series, ...]) -> None:
+        if z_order < 0:
             raise ValueError("z_order must be >= 0")
-        if len(self.entries) != self.z_order + 1:
-            raise ValueError(
-                f"expected {self.z_order + 1} entries for z_order {self.z_order}, "
-                f"got {len(self.entries)}"
-            )
-        for e in self.entries:
-            if e.order != self.x_order:
+        if len(entries) != z_order + 1:
+            raise ValueError(f"expected {z_order + 1} entries for z_order {z_order}, got {len(entries)}")
+        for e in entries:
+            if e.order != x_order:
                 raise ValueError("all entries must share the same x_order")
+        object.__setattr__(self, "z_order", z_order)  # not by _Record.__init__: every operation ends here
+        object.__setattr__(self, "x_order", x_order)
+        object.__setattr__(self, "entries", entries)
 
     # -- constructors ----------------------------------------------------
 

@@ -8,20 +8,18 @@ fails, in which case a minimal counterexample is included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cfrac import _marked_fraction, catalan_cfrac, lemma_iterated_cfrac, lemma_rhs, peak_bivar_cfrac
 from .gfcount import _valley0_binomial_literal, peak1_nonempty_blocks_gf, stat_family, valley0_closed_count
 from . import paths
 from .paths import DEFAULT_ENUM_GUARD, StatKind, build_table, enumerate_paths, psi, statistics
-from .series import BivarSeries, InvariantError, catalan_series
+from .series import BivarSeries, InvariantError, _Record, catalan_series
 
 
-@dataclass
-class VerifyReport:
-    lines: list[str] = field(default_factory=list)
-    failures: int = 0
-    warnings: int = 0
+class VerifyReport(_Record):
+    __slots__ = ("lines", "failures", "warnings")
+
+    def __init__(self, lines: list[str] | None = None, failures: int = 0, warnings: int = 0) -> None:
+        super().__init__([] if lines is None else lines, failures, warnings)
 
     def section(self, title: str) -> None:
         if self.lines:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_series import _FractionForbidden
+from test_series import _FractionForbidden, check_value_type
 
 import dyckpeaks.cfrac as cfrac_module
 import dyckpeaks.series as series_module
@@ -323,3 +323,14 @@ def test_weight_spec_needs_depth_weights():
     x = x_weight(0, 4)
     with pytest.raises(ValueError, match="need at least `depth` lambda and mu weights"):
         WeightSpec((x, x), (x,), 2, BivarSeries.one(0, 4))
+
+
+def test_weight_spec_is_a_frozen_value():
+    x, one = x_weight(0, 1), BivarSeries.one(0, 1)
+    x_text = "BivarSeries(z_order=0, x_order=1, entries=(Series(order=1, coeffs=(0, 1)),))"
+    check_value_type(
+        WeightSpec,
+        {"lambdas": (x,), "mus": (x,), "depth": 1, "tail": x},
+        WeightSpec((x,), (x,), 1, one),
+        f"WeightSpec(lambdas=({x_text},), mus=({x_text},), depth=1, tail={x_text})",
+    )

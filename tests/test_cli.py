@@ -151,7 +151,9 @@ def test_a_fresh_import_and_main_leave_the_digit_cap_as_they_found_it():
 
 # -- start-up imports: a command loads the layers it runs ----------------------
 # verify and cfrac are imported inside their commands, and the package serves
-# the cfrac names on first use, so the other commands never compile them.
+# the cfrac names on first use, so the other commands never compile them;
+# json is imported only where JSON is read or written. -S keeps the modules
+# that the host's .pth files import out of sys.modules.
 
 SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
 
@@ -159,26 +161,44 @@ COMMANDS_THEN_LAYERS = """import sys
 from dyckpeaks.cli import main
 for argv in sys.argv[1:]:
     assert main(argv.split()) == 0, argv
-print(sorted({"dyckpeaks.cfrac", "dyckpeaks.verify"} & set(sys.modules)), file=sys.stderr)
+    print(sorted({"dyckpeaks.cfrac", "dyckpeaks.verify", "json"} & set(sys.modules)), file=sys.stderr)
 """
 
 
 def test_commands_without_a_fraction_load_neither_verify_nor_cfrac():
-    commands = [
+    # the commands that need no json module come first: json stays unloaded
+    # until the first that does; the table writes its JSON layout itself
+    plain = [
         f"table --method {method} --n-max 6 --k-max 3 --format {fmt}"
-        for method, fmt in (("gf", "csv"), ("dp", "json"), ("enum", "plain"))
+        for method, fmt in (("gf", "csv"), ("dp", "json"), ("enum", "plain"), ("dp", "plain"))
     ] + [
         f"count --stat peak --k 2 --r 1 --n 9 --method {method}" for method in ("gf", "dp", "enum")
     ] + [
-        "series --stat valley --k 1 --r 0 --format json",
+        "series --stat peak --k 2 --r 1 --format csv",
         "bijection --map psi --k 2 --path UUDUDD",
+    ]
+    with_json = [
+        "series --stat valley --k 1 --r 0 --format json",
         "bijection --map theta --path UUDD --format json",
     ]
     done = subprocess.run(
-        [sys.executable, "-c", COMMANDS_THEN_LAYERS, *commands],
+        [sys.executable, "-S", "-c", COMMANDS_THEN_LAYERS, *plain, *with_json],
         env=SRC_ENV, capture_output=True, text=True, timeout=120,
     )
-    assert (done.returncode, done.stderr) == (0, "[]\n")
+    assert (done.returncode, done.stderr) == (0, "[]\n" * len(plain) + "['json']\n" * len(with_json))
+
+
+IMPORTED_AT_START = """import sys
+import dyckpeaks.cli, dyckpeaks.verify
+print(sorted({"dataclasses", "inspect", "json"} & set(sys.modules)))
+"""
+
+
+def test_start_up_imports_no_dataclasses_inspect_or_json():
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORTED_AT_START], env=SRC_ENV, capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
 
 
 CLI_MAIN = "import sys\nfrom dyckpeaks.cli import main\nsys.exit(main(sys.argv[1:]))"

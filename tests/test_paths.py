@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_series import check_value_type
 
 from dyckpeaks import paths
 from dyckpeaks.gfcount import stat_gf, valley0_closed_count
@@ -109,6 +110,34 @@ def test_list_input_is_stored_as_the_validated_tuple():
     assert type(path.steps) is tuple
     assert path == DyckPath((UP, DOWN))
     assert hash(path) == hash(DyckPath((UP, DOWN)))
+
+
+def test_path_and_profile_are_frozen_values():
+    check_value_type(
+        DyckPath, {"steps": (UP, UP, DOWN, DOWN)}, DyckPath((UP, DOWN, UP, DOWN)),
+        "DyckPath(steps=(1, 1, -1, -1))",
+    )
+    # a profile holds dicts, so, frozen as it is, it has no hash
+    check_value_type(
+        StatProfile,
+        {"peaks_by_height": {1: 1, 2: 1}, "valleys_by_height": {0: 1}, "max_height": 2},
+        statistics(parse_path("UUDUDD")),
+        "StatProfile(peaks_by_height={1: 1, 2: 1}, valleys_by_height={0: 1}, max_height=2)",
+        hashable=False,
+    )
+    assert statistics(parse_path("UDUUDD")) == StatProfile({1: 1, 2: 1}, {0: 1}, 2)
+
+
+def test_count_table_is_a_mutable_value():
+    table = build_table(1, 0, "dp")
+    check_value_type(
+        CountTable, {"rows": table.rows}, build_table(2, 0, "dp"),
+        "CountTable(rows={<StatKind.PEAK: 'peak'>: [[[1], [1, 0]]], "
+        "<StatKind.VALLEY: 'valley'>: [[[1], [1, 0]]]})",
+        frozen=False,
+    )
+    table.rows = {}
+    assert table == CountTable({}) and repr(table) == "CountTable(rows={})"
 
 
 # -- statistics ---------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for the exact truncated-series layer."""
 
+import copy
 import gc
+import pickle
 import sys
 from fractions import Fraction
 from math import comb
@@ -195,6 +197,78 @@ def test_as_integer_sequence():
     assert catalan_series(5).as_integer_sequence() == [1, 1, 2, 5, 14, 42]
     with pytest.raises(NonIntegralError):
         Series.from_coeffs([0, Fraction(1, 2)], 1).as_integer_sequence()
+
+
+def test_as_integer_sequence_of_ints_is_a_new_list():
+    s = catalan_series(5)
+    coeffs = s.as_integer_sequence()
+    assert type(coeffs) is list and coeffs == list(s.coeffs)
+    coeffs[0] = 99
+    assert s.coeffs == (1, 1, 2, 5, 14, 42) and s.as_integer_sequence()[0] == 1
+
+
+def test_as_integer_sequence_names_a_last_fractional_index():
+    with pytest.raises(NonIntegralError, match=r"^coefficient of order 3 is non-integral: 1/3$"):
+        Series.from_coeffs([1, 2, 3, Fraction(1, 3)], 3).as_integer_sequence()
+
+
+def test_as_integer_sequence_keeps_a_bool_coefficient():
+    coeffs = Series(1, (True, 2)).as_integer_sequence()
+    assert coeffs == [1, 2] and coeffs[0] is True
+
+
+def check_value_type(cls, fields, other, text, *, frozen=True, hashable=None):
+    """Pin a value type's behaviour: construction by position and keyword,
+    ``==`` against an equal value, ``other`` (a different value), another
+    type and a plain tuple, hashing, ``repr`` (``text``), frozen fields, and
+    pickle, copy and deepcopy round trips."""
+    value, again = cls(*fields.values()), cls(**fields)
+    assert repr(value) == repr(again) == text
+    assert value == again and not value != again
+    assert value != other and not value == other
+    for foreign in (tuple(fields.values()), object(), None):
+        assert value != foreign and not value == foreign
+        assert value.__eq__(foreign) is NotImplemented
+    with pytest.raises(TypeError):
+        iter(value)
+    if hashable is None:
+        hashable = frozen
+    if hashable:
+        assert hash(value) == hash(again)
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+    if frozen:
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(other, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert repr(value) == text
+    for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(copied) is cls and copied == value and repr(copied) == text
+
+
+def test_series_is_a_frozen_value():
+    check_value_type(
+        Series,
+        {"order": 2, "coeffs": (1, Fraction(1, 2), 3)},
+        Series(2, (1, 0, 3)),
+        "Series(order=2, coeffs=(1, Fraction(1, 2), 3))",
+    )
+    assert Series(1, [1, Fraction(4, 2)]).coeffs == (1, 2)  # any iterable, normalized
+
+
+def test_bivar_series_is_a_frozen_value():
+    entries = (Series(1, (1, 2)), Series(1, (0, 1)))
+    check_value_type(
+        BivarSeries,
+        {"z_order": 1, "x_order": 1, "entries": entries},
+        BivarSeries(1, 1, entries[::-1]),
+        "BivarSeries(z_order=1, x_order=1, entries=(Series(order=1, coeffs=(1, 2)), "
+        "Series(order=1, coeffs=(0, 1))))",
+    )
+    assert Series(0, (1,)) != BivarSeries(0, 0, (Series(0, (1,)),))
 
 
 def test_fraction_coefficients_normalize_to_int():

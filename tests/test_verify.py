@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_paths import dyck_paths
+from test_series import check_value_type
 
 from dyckpeaks import paths, verify
 from dyckpeaks.cfrac import _marked_fraction, catalan_cfrac, lemma_rhs, peak_bivar_cfrac
@@ -486,3 +487,17 @@ def test_mark_convention_section_fails_a_raw_slice_off_the_peak_series(monkeypat
         "FAIL raw-mark slices do not reduce to the peak series after the x^r shift",
     ]
     assert report.failures == 1
+
+
+def test_verify_report_is_a_mutable_value():
+    check_value_type(
+        VerifyReport, {"lines": ["PASS a"], "failures": 1, "warnings": 2}, VerifyReport(),
+        "VerifyReport(lines=['PASS a'], failures=1, warnings=2)", frozen=False,
+    )
+    report, other = VerifyReport(), VerifyReport()
+    assert repr(report) == "VerifyReport(lines=[], failures=0, warnings=0)"
+    assert report.lines is not other.lines  # each report gets its own list
+    report.fail("x")
+    assert report != other and report == VerifyReport(["FAIL x"], failures=1)
+    report.failures = 0
+    assert report.passed and report == VerifyReport(lines=["FAIL x"])
