@@ -27,10 +27,13 @@ orders may differ and the value comes out at the smallest of them.
 The peak fraction, whose tail is the path-counting series C, keeps its
 continuants as polynomials: K_j = alpha_j + beta_j*C, and
 K_2/K_1 = (p + q*C)/N with polynomials N, p and q (see
-:func:`peak_bivar_cfrac`). Its value costs one polynomial times C and one
-division by N: O(z_order*x_order*k) big-integer operations in place of the
-O(z_order*x_order^2) of dense continuants. ``peak_bivar_cfrac(4, 3000, 2)``
-takes 0.08 s (78 s densely) on a 2-CPU host.
+:func:`peak_bivar_cfrac`). Only the mark level involves z, so the fraction
+splits there: the levels above the mark run once, as univariate
+continuants, and the mark level joins the two starts to them. Its value
+costs one polynomial times C and one division by N: O(z_order*x_order*k)
+big-integer operations in place of the O(z_order*x_order^2) of dense
+continuants. ``peak_bivar_cfrac(4, 3000, 2)`` takes 0.04 s (78 s densely) on
+a 2-CPU host.
 
 Every fraction the library builds itself is one marked fraction: all
 down-steps weigh x, except the peak down-step at the innermost level k,
@@ -69,11 +72,11 @@ class WeightSpec(_Frozen):
         super().__init__(lambdas, mus, depth, tail)
 
 
-def _continuants(w: WeightSpec, k: BivarSeries, k_next: BivarSeries):
+def _continuants(w: WeightSpec, k: Series | BivarSeries, k_next: Series | BivarSeries):
     """Run the continuant recurrence of the module docstring over levels
     ``w.depth`` .. 1 from (K_{depth+1}, K_{depth+2}) = (k, k_next), yielding
     (level, K_level, K_{level+1}) after each level; the tail of ``w`` is not
-    read."""
+    read, and z-free weights and starts may be plain Series."""
     for level in range(w.depth, 0, -1):
         lam = w.lambdas[level - 1]
         d = 1 - (w.mus[level - 1] - lam)
@@ -154,9 +157,15 @@ def peak_bivar_cfrac(k: int, x_order: int, z_order: int) -> BivarSeries:
     start, so K_j = alpha_j + beta_j*C, where alpha and beta come from the
     same recurrence run from (K_{k+1}, K_{k+2}) = (1, 0) and (0, 1); they
     are polynomials in x and z, affine in z, of x-degree at most
-    floor((k + 1)/2). With s = x*alpha_1 + beta_1, multiplying K_2 and K_1
-    by the conjugate of K_1 and using x*C^2 = C - 1 gives
-    K_2/K_1 = (p + q*C)/N, where
+    floor((k + 1)/2). Only the mark level involves z: d_k = 1 + x - x*z.
+    Levels 1..k-1 are the plain level, lambda = mu = x, so one univariate
+    run from (K_k, K_{k+1}) = (1, 0) gives A_j, and, the levels being
+    alike, the run from (0, 1) is B_j = -x*A_{j+1} for j <= k, with
+    B_{k+1} = 1. By linearity alpha_j = A_j*d_k + B_j and beta_j = -x*A_j.
+    Level 1's step A_1 = A_2 - x*A_3 makes B_2 = A_1 - A_2, which holds at
+    k = 1 too: no level runs, A_1 = 1, A_2 = 0 and B_2 = 1. With
+    s = x*alpha_1 + beta_1, multiplying K_2 and K_1 by the conjugate of
+    K_1 and using x*C^2 = C - 1 gives K_2/K_1 = (p + q*C)/N, where
 
         N = alpha_1*s + beta_1^2,
         p = alpha_2*s + beta_1*beta_2,
@@ -170,16 +179,20 @@ def peak_bivar_cfrac(k: int, x_order: int, z_order: int) -> BivarSeries:
     ``x_order``. What remains is one polynomial times C and one bivariate
     division by N: O(z_order*x_order*k) big-integer operations where the
     dense continuants cost O(z_order*x_order^2). On a 2-CPU host
-    ``peak_bivar_cfrac(4, 1000, 2)`` takes 0.015 s (0.99 s densely).
+    ``peak_bivar_cfrac(4, 1000, 2)`` takes 0.008 s (1.06 s densely).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    small_z, small_x = min(z_order, 2), k + 4
-    one, zero = BivarSeries.one(small_z, small_x), BivarSeries.zero(small_z, small_x)
-    spec = _marked_spec(k, BivarSeries.monomial(1, 1, 1, small_z, small_x), zero)
-    *_, (_, alpha_1, alpha_2) = _continuants(spec, one, zero)
-    *_, (_, beta_1, beta_2) = _continuants(spec, zero, one)
-    x = spec.lambdas[0]
+    small_x = k + 4
+    x, zero = Series.monomial(1, 1, small_x), Series.zero(small_x)
+    a_1, a_2 = Series.one(small_x), zero
+    if k > 1:
+        spec = WeightSpec((x,) * (k - 1), (x,) * (k - 1), k - 1, zero)
+        *_, (_, a_1, a_2) = _continuants(spec, a_1, a_2)
+    d_k = 1 + x - BivarSeries.monomial(1, 1, 1, min(z_order, 2), small_x)
+    b_1, b_2 = -x * a_2, a_1 - a_2
+    alpha_1, alpha_2 = a_1 * d_k + b_1, a_2 * d_k + b_2
+    beta_1, beta_2 = -x * a_1, -x * a_2
     s = x * alpha_1 + beta_1
     norm, p, q = (
         _cancel_x_squared(b, k, z_order, x_order)

@@ -27,7 +27,9 @@ one quotient recurrence: a reciprocal is the quotient of 1, and a quotient
 ``a / b`` is one pass, not a reciprocal followed by a product. Each step
 divides by the divisor's constant term: a :class:`Series` divides each
 coefficient exactly, a :class:`BivarSeries` divides the z-entry by the
-divisor's z^0 entry, so no bivariate reciprocal is ever formed.
+divisor's z^0 entry, so no bivariate reciprocal is ever formed. A constant
+of 1 or -1, as almost every divisor of the counting formulas has, divides
+by ``operator.pos`` or ``neg``: no Python call per coefficient.
 
 Immutability: series, paths, profiles and weight specs derive from :class:`_Frozen`,
 which keeps their fields in ``__slots__`` and refuses to set or delete one after ``__init__``.
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from operator import attrgetter, mul
+from operator import attrgetter, mul, neg, pos
 from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 Rational = Union[int, Fraction]
@@ -258,10 +260,13 @@ class Series(_Frozen):
 
     def _divider(self) -> Callable[[Rational], Rational]:
         """Division of a coefficient by this divisor's constant term, exact
-        when it can be: an integral quotient stays in the integers."""
-        if self.coeffs[0] == 0:
+        when it can be: an integral quotient stays in the integers. A unit
+        constant divides in C: 1 by ``pos`` and -1 by ``neg``, with no
+        Python call per coefficient."""
+        c0 = self.coeffs[0]
+        if c0 == 0:
             raise NonInvertibleError("series with zero constant term has no reciprocal")
-        return partial(_divide, self.coeffs[0])
+        return pos if c0 == 1 else neg if c0 == -1 else partial(_divide, c0)
 
     def _rebuild(self: Ring, terms: list) -> Ring:
         """A result of this operand's type and orders with the given terms."""

@@ -132,6 +132,29 @@ def test_peak_bivar_cfrac_equals_the_dense_continuants(k):
             assert got == dense_peak_cfrac(k, x_order, z_order), (k, x_order, z_order)
 
 
+@settings(deadline=None)
+@given(st.integers(1, 10), st.integers(0, 50), st.integers(0, 6))
+def test_peak_bivar_cfrac_matches_the_dense_continuants_at_random_orders(k, x_order, z_order):
+    got = peak_bivar_cfrac(k, x_order, z_order)
+    assert got == dense_peak_cfrac(k, x_order, z_order)
+    assert all(type(c) is int for e in got.entries for c in e.coeffs)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_peak_bivar_cfrac_runs_the_unmarked_levels_once_without_z(monkeypatch, k):
+    # levels 1..k-1 carry no z, so one univariate continuant run serves
+    # both starts; only the mark level is bivariate
+    runs, continuants = [], cfrac_module._continuants
+
+    def recorded(w, start, start_next):
+        runs.append((w.depth, {type(s) for s in (start, start_next, *w.lambdas, *w.mus)}))
+        return continuants(w, start, start_next)
+
+    monkeypatch.setattr(cfrac_module, "_continuants", recorded)
+    peak_bivar_cfrac(k, 40, 3)
+    assert runs == ([] if k == 1 else [(k - 1, {Series})])
+
+
 @pytest.mark.parametrize("extra_power, message", [(1, "x\\^2 does not divide"), (7, "exceeds x-degree 6")])
 def test_peak_bivar_cfrac_checks_the_norm_polynomials(monkeypatch, extra_power, message):
     # a cancel that sees a nonzero x^1 coefficient, or a coefficient past

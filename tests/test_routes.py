@@ -136,3 +136,11 @@ def test_the_two_bounded_height_routes_share_nothing():
     division = reached(["chebyshev.q_poly", "series.Series.from_coeffs", "series.Series.__truediv__"])
     assert walk == {"paths._band_walk"}
     assert not walk & division
+
+
+def test_the_peak_fraction_reads_no_band_formula():
+    # verify's cfrac section compares the fraction with the band formula,
+    # so the fraction must derive its continuants without it
+    fraction = reached(["cfrac.peak_bivar_cfrac"])
+    assert {"cfrac._continuants", "cfrac._cancel_x_squared", "series.catalan_series"} <= fraction
+    assert not fraction & {"chebyshev.q_poly", "chebyshev.r_series", "gfcount._band"}

@@ -123,13 +123,13 @@ def test_non_unit_constant_reciprocal_is_exact_fractions():
     assert all(type(c) is Fraction for c in inv.coeffs)
 
 
-def dense_reciprocal(coeffs):
-    """Reference inverse: the recurrence over every earlier coefficient."""
-    inv0 = Fraction(1) / coeffs[0]
-    out = [inv0]
-    for n in range(1, len(coeffs)):
-        out.append(-inv0 * sum(coeffs[i] * out[n - i] for i in range(1, n + 1)))
-    return out
+def dense_quotient(num, den):
+    """Reference quotient: the recurrence over every earlier coefficient, in
+    Fractions, each result reduced to an int where its denominator is 1."""
+    out = []
+    for n in range(len(den)):
+        out.append(Fraction(num[n] - sum(den[i] * out[n - i] for i in range(1, n + 1))) / den[0])
+    return [v.numerator if v.denominator == 1 else v for v in out]
 
 
 @settings(deadline=None)
@@ -141,7 +141,7 @@ def test_reciprocal_of_a_polynomial_matches_the_dense_recurrence(poly, extra):
     # a polynomial padded with zeros up to the order: the sparse bound applies
     order = len(poly) - 1 + extra
     a = Series.from_coeffs(poly, order)
-    assert list(a.reciprocal().coeffs) == dense_reciprocal(list(a.coeffs))
+    assert list(a.reciprocal().coeffs) == dense_quotient([1] + [0] * order, a.coeffs)
 
 
 def test_power_binomial():
@@ -638,6 +638,65 @@ def test_bivar_division_is_the_product_with_the_reciprocal(pair):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(series_module, "Fraction", _FractionForbidden)
             assert a / b == quotient
+
+
+def _divide_forbidden(d, v):
+    """Stands in for series._divide where a unit constant must divide in C."""
+    raise AssertionError("_divide was called")
+
+
+@pytest.mark.parametrize("c0", [1, -1])
+@pytest.mark.parametrize(
+    "num",
+    [
+        [3, -1, 4, 1, -5, 9, 2, 6],
+        [Fraction(1, 2), 3, Fraction(-7, 3), 0, 1, Fraction(5, 6), -2, 4],
+    ],
+    ids=["ints", "fractions"],
+)
+def test_unit_constant_division_makes_no_python_call_per_coefficient(monkeypatch, c0, num):
+    den = [c0, 2, 0, -3, 1, 0, 0, 5]
+    monkeypatch.setattr(series_module, "_divide", _divide_forbidden)
+    quotient = Series.from_coeffs(num, 7) / Series.from_coeffs(den, 7)
+    reciprocal = Series.from_coeffs(den, 7).reciprocal()
+    # a z^0 entry with a unit constant divides each z-entry the same way
+    bivar = _bivar([num, num[::-1]]) / _bivar([den, [0, 1, 0, 0, 0, 0, 0, 2]])
+    monkeypatch.undo()
+    assert list(quotient.coeffs) == dense_quotient(num, den)
+    assert list(reciprocal.coeffs) == dense_quotient([1] + [0] * 7, den)
+    assert bivar * _bivar([den, [0, 1, 0, 0, 0, 0, 0, 2]]) == _bivar([num, num[::-1]])
+
+
+def test_other_constants_still_divide_by_the_exact_step(monkeypatch):
+    calls, divide = [], series_module._divide
+
+    def counted(d, v):
+        calls.append(d)
+        return divide(d, v)
+
+    monkeypatch.setattr(series_module, "_divide", counted)
+    quotient = Series.from_coeffs([4, 1, 2], 5) / Series.from_coeffs([2, -1], 5)
+    assert calls == [2] * 6
+    assert list(quotient.coeffs) == dense_quotient([4, 1, 2, 0, 0, 0], [2, -1, 0, 0, 0, 0])
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(-50, 50), st.fractions(min_value=-5, max_value=5, max_denominator=7)),
+        min_size=1,
+        max_size=25,
+    ),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=25),
+    st.sampled_from([1, -1]),
+)
+def test_unit_constant_quotient_matches_the_dense_recurrence(num, cb, c0):
+    order = min(len(num), len(cb)) - 1
+    den = [c0] + cb[1 : order + 1]
+    quotient = Series.from_coeffs(num, order) / Series.from_coeffs(den, order)
+    expected = dense_quotient(num[: order + 1], den)
+    assert list(quotient.coeffs) == expected
+    assert list(map(type, quotient.coeffs)) == list(map(type, expected))
 
 
 def test_division_by_a_zero_constant_raises():
