@@ -18,7 +18,8 @@ d_j = 1 - (mu_j - lambda_j) and T the tail,
     K_j = d_j * K_{j+1} - lambda_j * K_{j+2},   K_{depth+1} = 1, K_{depth+2} = T,
 
 the value of levels j..depth is K_{j+1} / K_j, so the whole fraction is
-K_2 / K_1. A level costs two products, and a weight that is a polynomial
+K_2 / K_1. A level costs two products (one when mu_j is lambda_j, the same
+weight object, so that d_j = 1), and a weight that is a polynomial
 of t terms costs t passes over the series it multiplies, since the product
 kernel walks only nonzero terms. The series arithmetic truncates every
 result to the smaller orders of its operands, so weights, tail and requested
@@ -29,7 +30,8 @@ continuants as polynomials: K_j = alpha_j + beta_j*C, and
 K_2/K_1 = (p + q*C)/N with polynomials N, p and q (see
 :func:`peak_bivar_cfrac`). Only the mark level involves z, so the fraction
 splits there: the levels above the mark run once, as univariate
-continuants, and the mark level joins the two starts to them. Its value
+continuants, and the mark level joins the two starts to them by
+univariate products, one z-coefficient of N, p or q at a time. Its value
 costs one polynomial times C and one division by N: O(z_order*x_order*k)
 big-integer operations in place of the O(z_order*x_order^2) of dense
 continuants. ``peak_bivar_cfrac(4, 3000, 2)`` takes 0.04 s (78 s densely) on
@@ -76,11 +78,14 @@ def _continuants(w: WeightSpec, k: Series | BivarSeries, k_next: Series | BivarS
     """Run the continuant recurrence of the module docstring over levels
     ``w.depth`` .. 1 from (K_{depth+1}, K_{depth+2}) = (k, k_next), yielding
     (level, K_level, K_{level+1}) after each level; the tail of ``w`` is not
-    read, and z-free weights and starts may be plain Series."""
+    read, and z-free weights and starts may be plain Series. A level whose
+    mu is its lambda, the same object, has d_j = 1 and steps
+    K_j = K_{j+1} - lambda_j*K_{j+2}: one product, and the same value and
+    orders as the general step."""
     for level in range(w.depth, 0, -1):
-        lam = w.lambdas[level - 1]
-        d = 1 - (w.mus[level - 1] - lam)
-        k_next, k = k, d * k - lam * k_next
+        lam, mu = w.lambdas[level - 1], w.mus[level - 1]
+        scaled = k if mu is lam else (1 - (mu - lam)) * k
+        k_next, k = k, scaled - lam * k_next
         yield level, k, k_next
 
 
@@ -173,8 +178,19 @@ def peak_bivar_cfrac(k: int, x_order: int, z_order: int) -> BivarSeries:
 
     N, p and q have x-degree at most k + 2 and z-degree 2, and x^2 divides
     all three; after the cancel N(0, 0) is 1 for k >= 2 and 2 at k = 1, so
-    every quotient step divides exactly in Z. They are built at x-order
-    k + 4, where every product is exact, and :func:`_cancel_x_squared`
+    every quotient step divides exactly in Z. They are built from their
+    z-coefficients with univariate Series only: d_k = (1 + x) - x*z gives
+
+        alpha_1 = (A_1*(1 + x) - x*A_2) - x*A_1*z,
+        alpha_2 = (A_1 + x*A_2) - x*A_2*z,
+
+    so alpha_j1 = beta_j, s_0 = x*alpha_10 + beta_1 and s_1 = x*alpha_11;
+    then N_0 = alpha_10*s_0 + beta_1^2, N_1 = alpha_10*s_1 + alpha_11*s_0,
+    N_2 = alpha_11*s_1, and p likewise. q has no z^2 term, and its z^1
+    term beta_2*s_1 - x*alpha_21*beta_1 vanishes, since alpha_21 = beta_2
+    and s_1 = x*beta_1, so q is its z^0 coefficient. Each is one
+    BivarSeries cut to z-order min(z_order, 2), built at x-order k + 4,
+    where every product is exact, and :func:`_cancel_x_squared`
     checks the cancel and the degree bound before padding them to
     ``x_order``. What remains is one polynomial times C and one bivariate
     division by N: O(z_order*x_order*k) big-integer operations where the
@@ -189,17 +205,20 @@ def peak_bivar_cfrac(k: int, x_order: int, z_order: int) -> BivarSeries:
     if k > 1:
         spec = WeightSpec((x,) * (k - 1), (x,) * (k - 1), k - 1, zero)
         *_, (_, a_1, a_2) = _continuants(spec, a_1, a_2)
-    d_k = 1 + x - BivarSeries.monomial(1, 1, 1, min(z_order, 2), small_x)
-    b_1, b_2 = -x * a_2, a_1 - a_2
-    alpha_1, alpha_2 = a_1 * d_k + b_1, a_2 * d_k + b_2
-    beta_1, beta_2 = -x * a_1, -x * a_2
-    s = x * alpha_1 + beta_1
+    # the mark level's z^0 and z^1 coefficients, from d_k = (1 + x) - x*z
+    x_a1, x_a2 = a_1.shift(1), a_2.shift(1)
+    beta_1, beta_2 = -x_a1, -x_a2
+    alpha_10, alpha_11 = a_1 + x_a1 - x_a2, beta_1
+    alpha_20, alpha_21 = a_1 + x_a2, beta_2
+    s_0, s_1 = alpha_10.shift(1) + beta_1, alpha_11.shift(1)
+    b_12 = beta_1 * beta_2
+    z_cap = min(z_order, 2)
     norm, p, q = (
-        _cancel_x_squared(b, k, z_order, x_order)
+        _cancel_x_squared(BivarSeries(z_cap, small_x, (*b, zero)[: z_cap + 1]), k, z_order, x_order)
         for b in (
-            alpha_1 * s + beta_1 * beta_1,
-            alpha_2 * s + beta_1 * beta_2,
-            beta_2 * s - x * alpha_2 * beta_1 - beta_1 * beta_2,
+            (alpha_10 * s_0 + beta_1 * beta_1, alpha_10 * s_1 + alpha_11 * s_0, alpha_11 * s_1),
+            (alpha_20 * s_0 + b_12, alpha_20 * s_1 + alpha_21 * s_0, alpha_21 * s_1),
+            (beta_2 * s_0 - (alpha_20 * beta_1).shift(1) - b_12, zero),
         )
     )
     tail = BivarSeries.from_series(catalan_series(x_order), z_order)

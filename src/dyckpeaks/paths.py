@@ -268,33 +268,29 @@ def _split_walk(n: int, start: int, steps, emit) -> None:
     walk = suffixes = None  # break the closures' cycles: the lists go with this call, not with the GC
 
 
-def _enum_profiles(n: int, k_max: int) -> Iterator[tuple[list[int], int]]:
-    """Semilength-n paths counted by their peak and valley tallies.
+def _enum_codes(n: int, top: int) -> Counter[int]:
+    """Semilength-n paths counted by their packed corner tallies, for
+    1 <= top <= n + 1: the enumeration oracle.
 
-    An enumeration that builds no path objects. Yields (tally, ways) once
-    per distinct tally: ``tally[h]`` is the number of peaks at height h and
-    ``tally[k_max + 1 + h]`` the number of valleys at height h, for
-    h <= k_max; ``ways`` is how many paths share it. It is the enumeration
-    oracle, so it shares no code with the dynamic program or the series
-    layer. Callers apply the enumeration guard.
+    A code has fields of w = n.bit_length() bits: field h counts the peaks
+    at height h and field top + h the valleys at h, for h < top. No height
+    holds more than n < 2^w corners, so no field carries into the next (at
+    n = 0 every field is empty and reads 0). Callers read a field by shift
+    and mask. The walk builds no path object and shares no code with the
+    dynamic program or the series layer; callers apply the enumeration
+    guard.
 
-    Each path's tally is the sum of its steps' corner codes, summed by
+    A path's code is the sum of its steps' corner codes, summed by
     :func:`_split_walk` and counted as they come: a step that closes a
     corner adds its code, the corner at the junction of a prefix and a
     suffix included.
     """
-    # A tally is one integer with a base-(n + 1) digit per entry (no height
-    # holds more than n corners), so a path costs one addition and one
-    # count. No corner lies above height n, so only heights below ``top``
-    # get a digit; the rest are zeros.
-    base = n + 1
-    top = min(k_max, n) + 1
-    padding = [0] * (k_max + 1 - top)
+    w = n.bit_length()
     # the code a step from height h adds at the point before it: an up-step
     # after a down-step makes a valley there, a down-step after an up-step
-    # a peak (the padding keeps h <= n in range)
-    valley = [base ** (top + h) for h in range(top)] + [0] * (n + 1 - top)
-    peak = [0] + [base**h for h in range(1, top)] + [0] * (n + 1 - top)
+    # a peak (the zeros keep every h <= n in range)
+    valley = [1 << w * (top + h) for h in range(top)] + [0] * (n + 1 - top)
+    peak = [0] + [1 << w * h for h in range(1, top)] + [0] * (n + 1 - top)
 
     def steps(h: int, ups: int, last_up: bool) -> list[tuple[int, tuple[int, int, bool]]]:
         # ``ups`` of the n up-steps are left at height h, so h + ups downs remain
@@ -307,24 +303,20 @@ def _enum_profiles(n: int, k_max: int) -> Iterator[tuple[list[int], int]]:
 
     codes: Counter[int] = Counter()
     _split_walk(n, 0, steps, codes.update)
-    for code, ways in codes.items():
-        digits = []
-        for _ in range(2 * top):
-            code, digit = divmod(code, base)
-            digits.append(digit)
-        yield digits[:top] + padding + digits[top:] + padding, ways
+    return codes
 
 
 def count_exact_enum(n: int, k: int, r: int, kind: StatKind, *, guard: int = DEFAULT_ENUM_GUARD) -> int:
     """Number of semilength-n paths with exactly r occurrences at height k,
     by exhaustive enumeration (refused above ``guard``, like
-    :func:`enumerate_paths`)."""
+    :func:`enumerate_paths`): one field of each :func:`_enum_codes` code."""
     _check_count_args(n, k, r)
     _check_guard(n, guard)
     if k > n:  # no corner lies above height n: every path has none at k
-        return sum(ways for _, ways in _enum_profiles(n, 0)) if r == 0 else 0
-    index = k if kind is StatKind.PEAK else 2 * k + 1
-    return sum(ways for tally, ways in _enum_profiles(n, k) if tally[index] == r)
+        return sum(_enum_codes(n, 1).values()) if r == 0 else 0
+    w = n.bit_length()
+    shift = w * (k if kind is StatKind.PEAK else 2 * k + 1)  # top = k + 1
+    return sum(ways for code, ways in _enum_codes(n, k + 1).items() if code >> shift & (1 << w) - 1 == r)
 
 
 def _dp_bits(steps: int) -> int:
@@ -624,9 +616,11 @@ def build_table(
     """Full table of counts for n <= n_max, k <= k_max, r <= n, both kinds.
 
     The three methods are independent routes to the same numbers. Each fills
-    the :class:`CountTable` rows in the form it makes them: enumeration adds
-    each tally's paths to one row per (k, kind), a DP sweep gives the row of
-    every semilength, and a series family gives one slice per r, read across.
+    the :class:`CountTable` rows in the form it makes them: enumeration reads
+    each distinct code of :func:`_enum_codes` field by field straight into
+    its rows, and gives the rows above height n every path at r = 0; a DP
+    sweep gives the row of every semilength, and a series family gives one
+    slice per r, read across.
     The DP sweeps once per (k, kind), and a family is read once per band
     height, for every (k, kind) there. A negative guard is refused under
     every method.
@@ -636,13 +630,18 @@ def build_table(
     _check_guard(n_max if method == "enum" else 0, guard)  # only enumeration has a size to guard
     if method == "enum":
         rows = {kind: [[] for _ in range(k_max + 1)] for kind in StatKind}
-        by_tally = rows[StatKind.PEAK] + rows[StatKind.VALLEY]  # the tally's entry order
         for n in range(n_max + 1):
-            for k_rows in by_tally:
-                k_rows.append([0] * (n + 1))
-            for tally, ways in _enum_profiles(n, k_max):
-                for k_rows, occurrences in zip(by_tally, tally):
-                    k_rows[n][occurrences] += ways
+            top, w = min(k_max, n) + 1, n.bit_length()
+            codes, mask = _enum_codes(n, top), (1 << w) - 1
+            total = sum(codes.values())
+            for kind_rows in rows.values():  # no corner lies above n: every path has none there
+                for k, k_rows in enumerate(kind_rows):
+                    k_rows.append([0] * (n + 1) if k < top else [total] + [0] * n)
+            # field i of a code fills row i here: the peaks' heights below top, then the valleys'
+            fields = list(enumerate(k_rows[n] for kind_rows in rows.values() for k_rows in kind_rows[:top]))
+            for code, ways in codes.items():
+                for i, row in fields:
+                    row[code >> w * i & mask] += ways
     elif method in ("dp", "gf"):
         from .gfcount import _band_height, stat_family
 

@@ -185,6 +185,94 @@ def test_peak_bivar_cfrac_equals_the_dp_past_the_enumeration_guard(k, r):
     assert peak_bivar_cfrac(k, n, r).z_slice(r).coefficient(n) == count_exact_dp(n, k, r, StatKind.PEAK)
 
 
+@pytest.mark.parametrize("k", range(1, 13))
+def test_peak_bivar_cfrac_equals_the_dense_continuants_below_the_z_cap(k):
+    # N, p and q are cut to z-order min(z_order, 2); at 0 and 1 the cut
+    # drops their higher z-coefficients
+    for x_order in (3, k + 4, 40):
+        for z_order in (0, 1):
+            got = peak_bivar_cfrac(k, x_order, z_order)
+            assert (got.z_order, got.x_order) == (z_order, x_order)
+            assert got == dense_peak_cfrac(k, x_order, z_order), (k, x_order, z_order)
+
+
+def counted_bivariate_products(monkeypatch):
+    """Patch BivarSeries products to record the orders of their left
+    operands; returns the list they are recorded in."""
+    products, multiply = [], BivarSeries.__mul__
+
+    def counted(a, b):
+        products.append((a.z_order, a.x_order))
+        return multiply(a, b)
+
+    monkeypatch.setattr(BivarSeries, "__mul__", counted)
+    monkeypatch.setattr(BivarSeries, "__rmul__", counted)
+    return products
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_peak_bivar_cfrac_mark_level_multiplies_no_bivariate_series(monkeypatch, k):
+    # the mark level builds N, p and q from univariate products of their
+    # z-coefficients; the one BivarSeries product is the final numerator's q*C
+    products = counted_bivariate_products(monkeypatch)
+    got = peak_bivar_cfrac(k, 30, 3)
+    monkeypatch.undo()
+    assert products == [(3, 30)]
+    assert got == dense_peak_cfrac(k, 30, 3)
+
+
+# -- plain levels: mu_j is lambda_j -------------------------------------------
+
+
+def test_plain_levels_equal_the_general_step_for_equal_separate_weights():
+    # one weight object for lambda and mu skips d_j = 1; equal but separate
+    # objects take the general step, to the same values and orders
+    for z_order, x_order, tail_orders in ((0, 12, (0, 12)), (3, 10, (2, 14)), (2, 9, (4, 6))):
+        x = x_weight(z_order, x_order)
+        other = x_weight(z_order, x_order)
+        assert other == x and other is not x
+        tail = BivarSeries.from_series(catalan_series(tail_orders[1]), tail_orders[0])
+        mark = BivarSeries.monomial(1, 1, 1, z_order, x_order)
+        for depth in (0, 1, 4, 9):
+            shared = WeightSpec((x,) * depth, (x,) * depth, depth, tail)
+            separate = WeightSpec((x,) * depth, (other,) * depth, depth, tail)
+            got = rv_cfrac(shared, 20, 5)
+            assert got == rv_cfrac(separate, 20, 5), (z_order, depth)
+            if depth:  # the value comes out at the smallest of all the orders
+                assert (got.z_order, got.x_order) == (min(z_order, tail_orders[0]), min(x_order, tail_orders[1]))
+            if depth:
+                marked = WeightSpec((x,) * depth, (x,) * (depth - 1) + (mark,), depth, tail)
+                marked_separate = WeightSpec((x,) * depth, (other,) * (depth - 1) + (mark,), depth, tail)
+                assert rv_cfrac(marked, 20, 5) == rv_cfrac(marked_separate, 20, 5), (z_order, depth)
+    # the JSON parser builds lambdas and mus apart: the general step
+    doc = '{"depth": 6, "lambdas": "x", "mus": "x", "tail": "C"}'
+    spec = weight_spec_from_json(doc, 10, 2)
+    assert spec.lambdas[0] == spec.mus[0] and spec.lambdas[0] is not spec.mus[0]
+    x = spec.lambdas[0]
+    assert rv_cfrac(spec, 10, 2) == rv_cfrac(WeightSpec((x,) * 6, (x,) * 6, 6, spec.tail), 10, 2)
+    # univariate, as peak_bivar_cfrac runs its unmarked levels
+    ux, uy = Series.monomial(1, 1, 9), Series.monomial(1, 1, 9)
+    start = (Series.one(9), Series.zero(9))
+    shared = list(cfrac_module._continuants(WeightSpec((ux,) * 7, (ux,) * 7, 7, start[1]), *start))
+    assert shared == list(cfrac_module._continuants(WeightSpec((ux,) * 7, (uy,) * 7, 7, start[1]), *start))
+
+
+@pytest.mark.parametrize("depth", [1, 3, 8])
+def test_plain_levels_form_no_d_product(monkeypatch, depth):
+    x, other = x_weight(2, 10), x_weight(2, 10)
+    tail = BivarSeries.from_series(catalan_series(10), 2)
+    mark = BivarSeries.monomial(1, 1, 1, 2, 10)
+    products = counted_bivariate_products(monkeypatch)
+    rv_cfrac(WeightSpec((x,) * depth, (x,) * depth, depth, tail), 10, 2)
+    assert len(products) == depth  # lambda_j*K_{j+2} alone on every level
+    products.clear()
+    rv_cfrac(WeightSpec((x,) * depth, (x,) * (depth - 1) + (mark,), depth, tail), 10, 2)
+    assert len(products) == depth + 1  # the marked level also forms d_k*K_{k+1}
+    products.clear()
+    rv_cfrac(WeightSpec((x,) * depth, (other,) * depth, depth, tail), 10, 2)
+    assert len(products) == 2 * depth  # separate objects: the general step
+
+
 def test_raw_mark_convention_differs_by_x_power():
     # weighting the marked down-step z instead of x*z drops one x per mark
     order, z_order, k = 10, 3, 1

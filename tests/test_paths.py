@@ -234,37 +234,59 @@ def test_enum_table_equals_a_recount_of_explicit_paths():
     assert build_table(n_max, k_max, "enum").rows == expected
 
 
+def decoded_codes(n, top):
+    """paths._enum_codes(n, top) read by its documented layout, as
+    {tally: ways}: fields of w = n.bit_length() bits, the peaks at
+    heights 0..top-1 first, then the valleys; nothing above the last field."""
+    w = n.bit_length()
+    tallies = {}
+    for code, ways in paths._enum_codes(n, top).items():
+        assert code >> 2 * top * w == 0, (n, top, code)
+        tally = tuple(code >> w * i & (1 << w) - 1 for i in range(2 * top))
+        tallies[tally] = tallies.get(tally, 0) + ways
+    return tallies
+
+
 @pytest.mark.parametrize("n", range(11))
 def test_enum_profiles_equal_a_recount_across_the_junction(monkeypatch, n):
     # Each path is a walked prefix and a listed suffix; from n = 5 on, the
     # junction between them is an interior point, and each split of
     # paths._split_walk (0..n up-steps left) puts it at another height.
     # The whole tally of every path, recounted from heights() alone, must
-    # come out as the search's, at heights below, at and above every corner
-    # a path can have.
+    # come out as the search's codes, decoded field by field, at tops
+    # below, at and above every corner a path can have.
     recounts = [_recount(path)[:2] for path in enumerate_paths(n)]
-    for k_max in sorted({0, 1, 3, n + 2}):
+    for top in sorted({1, 2, min(4, n + 1), n + 1}):
         expected = {}
         for peaks, valleys in recounts:
-            tally = tuple(peaks.get(h, 0) for h in range(k_max + 1)) + tuple(
-                valleys.get(h, 0) for h in range(k_max + 1)
-            )
+            tally = tuple(peaks.get(h, 0) for h in range(top)) + tuple(valleys.get(h, 0) for h in range(top))
             expected[tally] = expected.get(tally, 0) + 1
         for split in range(n + 1):  # a split above n walks no prefix, as one at n
             monkeypatch.setattr(paths, "_SPLIT", split)
-            assert {tuple(tally): ways for tally, ways in paths._enum_profiles(n, k_max)} == expected, (k_max, split)
+            assert decoded_codes(n, top) == expected, (top, split)
 
 
 @pytest.mark.parametrize("n", range(9))
 def test_enum_profiles_far_above_every_corner_pad_the_tallies_of_k_max_n(n):
-    # no corner lies above height n, so a k_max far above n yields the
-    # k_max = n tallies with zeros at every height above n, in both halves
+    # no corner lies above height n, so a k_max far above n gives the
+    # k_max = n rows, and every row above n holds each path at r = 0
     k_max = 10**4
-    padding = [0] * (k_max - n)
-    expected = {
-        tuple(tally[: n + 1] + padding + tally[n + 1 :] + padding): ways for tally, ways in paths._enum_profiles(n, n)
-    }
-    assert {tuple(tally): ways for tally, ways in paths._enum_profiles(n, k_max)} == expected
+    table = build_table(n, k_max, "enum")
+    for kind in StatKind:
+        assert table.rows[kind][: n + 1] == build_table(n, n, "enum").rows[kind]
+        assert table.rows[kind][n + 1 :] == [[[CATALAN[m]] + [0] * m for m in range(n + 1)]] * (k_max - n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 7, 8, 12])
+def test_enum_table_equals_the_dp_table_at_every_field_width(n):
+    # a field of w = n.bit_length() bits is full at n = 1, 3 and 7
+    # ((UD)^n has n peaks at height 1), one bit wider at 4 and 8, and
+    # empty at n = 0
+    for k_max in (0, 5, n + 3):
+        assert build_table(n, k_max, "enum").rows == build_table(n, k_max, "dp").rows, k_max
+    for kind, k in ((StatKind.PEAK, 1), (StatKind.VALLEY, 0)):
+        for r in {max(n - 1, 0), n}:
+            assert count_exact_enum(n, k, r, kind) == count_exact_dp(n, k, r, kind), (kind, k, r)
 
 
 @pytest.mark.parametrize("n", range(9))

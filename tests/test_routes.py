@@ -14,7 +14,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dyckpeaks"
 
-ENUMERATION = ("paths.enumerate_paths", "paths._enum_profiles", "paths.count_exact_enum")
+ENUMERATION = ("paths.enumerate_paths", "paths._enum_codes", "paths.count_exact_enum")
 DP = ("paths.count_exact_dp", "paths._dp_distribution")
 GF = ("gfcount.stat_gf", "gfcount.stat_family", "cfrac.peak_bivar_cfrac")
 
@@ -120,7 +120,7 @@ def test_the_sets_see_what_each_route_names():
 def test_the_known_cross_route_edges_are_named():
     enumeration, dp, gf = reached(ENUMERATION), reached(DP), reached(GF)
     # build_table dispatches to all three routes and belongs to none
-    assert {"paths._enum_profiles", "paths._dp_distribution", "gfcount.stat_family"} <= _edges("paths.build_table")
+    assert {"paths._enum_codes", "paths._dp_distribution", "gfcount.stat_family"} <= _edges("paths.build_table")
     assert "paths.build_table" not in enumeration | dp | gf
     # the sum rule reads the path series: a check, not a route
     assert "series.catalan_series" in _edges("paths.CountTable.check_sum_rule")
