@@ -268,14 +268,15 @@ def _split_walk(n: int, start: int, steps, emit) -> None:
     walk = suffixes = None  # break the closures' cycles: the lists go with this call, not with the GC
 
 
-def _enum_codes(n: int, top: int) -> Counter[int]:
-    """Semilength-n paths counted by their packed corner tallies, for
-    1 <= top <= n + 1: the enumeration oracle.
+def _enum_codes(n: int, heights: range) -> Counter[int]:
+    """Semilength-n paths counted by their packed corner tallies at
+    ``heights``: the enumeration oracle.
 
-    A code has fields of w = n.bit_length() bits: field h counts the peaks
-    at height h and field top + h the valleys at h, for h < top. No height
-    holds more than n < 2^w corners, so no field carries into the next (at
-    n = 0 every field is empty and reads 0). Callers read a field by shift
+    A code has fields of w = n.bit_length() bits: field i counts the peaks
+    at height heights[i] and field len(heights) + i the valleys there. No
+    height holds more than n < 2^w corners, so no field carries into the
+    next (at n = 0 every field is empty and reads 0). A height above n
+    holds no corner, so its fields read 0. Callers read a field by shift
     and mask. The walk builds no path object and shares no code with the
     dynamic program or the series layer; callers apply the enumeration
     guard.
@@ -288,9 +289,11 @@ def _enum_codes(n: int, top: int) -> Counter[int]:
     w = n.bit_length()
     # the code a step from height h adds at the point before it: an up-step
     # after a down-step makes a valley there, a down-step after an up-step
-    # a peak (the zeros keep every h <= n in range)
-    valley = [1 << w * (top + h) for h in range(top)] + [0] * (n + 1 - top)
-    peak = [0] + [1 << w * h for h in range(1, top)] + [0] * (n + 1 - top)
+    # a peak (the zeros keep every h <= n in range; no step reads a peak at 0)
+    peak, valley = [0] * (n + 1), [0] * (n + 1)
+    for i, h in enumerate(heights):
+        if h <= n:
+            peak[h], valley[h] = 1 << w * i, 1 << w * (len(heights) + i)
 
     def steps(h: int, ups: int, last_up: bool) -> list[tuple[int, tuple[int, int, bool]]]:
         # ``ups`` of the n up-steps are left at height h, so h + ups downs remain
@@ -309,14 +312,13 @@ def _enum_codes(n: int, top: int) -> Counter[int]:
 def count_exact_enum(n: int, k: int, r: int, kind: StatKind, *, guard: int = DEFAULT_ENUM_GUARD) -> int:
     """Number of semilength-n paths with exactly r occurrences at height k,
     by exhaustive enumeration (refused above ``guard``, like
-    :func:`enumerate_paths`): one field of each :func:`_enum_codes` code."""
+    :func:`enumerate_paths`): one field of each :func:`_enum_codes` code,
+    which packs the corners at k alone."""
     _check_count_args(n, k, r)
     _check_guard(n, guard)
-    if k > n:  # no corner lies above height n: every path has none at k
-        return sum(_enum_codes(n, 1).values()) if r == 0 else 0
     w = n.bit_length()
-    shift = w * (k if kind is StatKind.PEAK else 2 * k + 1)  # top = k + 1
-    return sum(ways for code, ways in _enum_codes(n, k + 1).items() if code >> shift & (1 << w) - 1 == r)
+    shift = 0 if kind is StatKind.PEAK else w  # field 0 holds the peaks at k, field 1 the valleys
+    return sum(ways for code, ways in _enum_codes(n, range(k, k + 1)).items() if code >> shift & (1 << w) - 1 == r)
 
 
 def _dp_bits(steps: int) -> int:
@@ -617,10 +619,10 @@ def build_table(
 
     The three methods are independent routes to the same numbers. Each fills
     the :class:`CountTable` rows in the form it makes them: enumeration reads
-    each distinct code of :func:`_enum_codes` field by field straight into
-    its rows, and gives the rows above height n every path at r = 0; a DP
-    sweep gives the row of every semilength, and a series family gives one
-    slice per r, read across.
+    each distinct code of :func:`_enum_codes` at the heights 0..min(k_max, n)
+    field by field straight into its rows, and gives the rows above height n
+    every path at r = 0; a DP sweep gives the row of every semilength, and a
+    series family gives one slice per r, read across.
     The DP sweeps once per (k, kind), and a family is read once per band
     height, for every (k, kind) there. A negative guard is refused under
     every method.
@@ -632,7 +634,7 @@ def build_table(
         rows = {kind: [[] for _ in range(k_max + 1)] for kind in StatKind}
         for n in range(n_max + 1):
             top, w = min(k_max, n) + 1, n.bit_length()
-            codes, mask = _enum_codes(n, top), (1 << w) - 1
+            codes, mask = _enum_codes(n, range(top)), (1 << w) - 1
             total = sum(codes.values())
             for kind_rows in rows.values():  # no corner lies above n: every path has none there
                 for k, k_rows in enumerate(kind_rows):

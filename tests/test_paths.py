@@ -234,16 +234,26 @@ def test_enum_table_equals_a_recount_of_explicit_paths():
     assert build_table(n_max, k_max, "enum").rows == expected
 
 
-def decoded_codes(n, top):
-    """paths._enum_codes(n, top) read by its documented layout, as
+def decoded_codes(n, heights):
+    """paths._enum_codes(n, heights) read by its documented layout, as
     {tally: ways}: fields of w = n.bit_length() bits, the peaks at
-    heights 0..top-1 first, then the valleys; nothing above the last field."""
-    w = n.bit_length()
+    ``heights`` first, then the valleys; nothing above the last field."""
+    w, fields = n.bit_length(), 2 * len(heights)
     tallies = {}
-    for code, ways in paths._enum_codes(n, top).items():
-        assert code >> 2 * top * w == 0, (n, top, code)
-        tally = tuple(code >> w * i & (1 << w) - 1 for i in range(2 * top))
+    for code, ways in paths._enum_codes(n, heights).items():
+        assert code >> fields * w == 0, (n, heights, code)
+        tally = tuple(code >> w * i & (1 << w) - 1 for i in range(fields))
         tallies[tally] = tallies.get(tally, 0) + ways
+    return tallies
+
+
+def recounted_tallies(recounts, heights):
+    """{tally: paths} in the layout of decoded_codes, from each path's
+    (peaks, valleys) recount."""
+    tallies = {}
+    for peaks, valleys in recounts:
+        tally = tuple(peaks.get(h, 0) for h in heights) + tuple(valleys.get(h, 0) for h in heights)
+        tallies[tally] = tallies.get(tally, 0) + 1
     return tallies
 
 
@@ -257,13 +267,10 @@ def test_enum_profiles_equal_a_recount_across_the_junction(monkeypatch, n):
     # below, at and above every corner a path can have.
     recounts = [_recount(path)[:2] for path in enumerate_paths(n)]
     for top in sorted({1, 2, min(4, n + 1), n + 1}):
-        expected = {}
-        for peaks, valleys in recounts:
-            tally = tuple(peaks.get(h, 0) for h in range(top)) + tuple(valleys.get(h, 0) for h in range(top))
-            expected[tally] = expected.get(tally, 0) + 1
+        expected = recounted_tallies(recounts, range(top))
         for split in range(n + 1):  # a split above n walks no prefix, as one at n
             monkeypatch.setattr(paths, "_SPLIT", split)
-            assert decoded_codes(n, top) == expected, (top, split)
+            assert decoded_codes(n, range(top)) == expected, (top, split)
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -296,6 +303,30 @@ def test_count_exact_enum_above_every_corner(n):
         for kind in StatKind:
             for r in (0, 1):
                 assert count_exact_enum(n, k, r, kind) == count_exact_dp(n, k, r, kind), (k, kind, r)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_enum_codes_pack_the_heights_they_are_given(n):
+    # field i counts the peaks at heights[i] and field len(heights) + i the
+    # valleys there, for a range that need not start at 0 or end below n
+    recounts = [_recount(path)[:2] for path in enumerate_paths(n)]
+    for heights in (range(1, 2), range(n, n + 1), range(2, n + 3), range(n + 1, n + 4)):
+        assert decoded_codes(n, heights) == recounted_tallies(recounts, heights), heights
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 9, 10**6])
+def test_count_exact_enum_packs_the_one_height_it_reads(monkeypatch, k):
+    asked = []
+
+    def spy(n, heights):
+        asked.append(heights)
+        return codes(n, heights)
+
+    codes = paths._enum_codes
+    monkeypatch.setattr(paths, "_enum_codes", spy)
+    for kind in StatKind:
+        assert count_exact_enum(8, k, 1, kind) == count_exact_dp(8, k, 1, kind), kind
+    assert asked == [range(k, k + 1)] * 2
 
 
 def test_enum_table_builds_no_path_objects(monkeypatch):

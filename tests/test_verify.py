@@ -384,7 +384,7 @@ def test_enumeration_and_certificate_free_their_tables_without_the_cyclic_gc():
     gc.disable()
     try:
         for n in range(9):
-            paths._enum_codes(n, min(5, n) + 1)
+            paths._enum_codes(n, range(min(5, n) + 1))
         report = VerifyReport()
         _check_bijection(report, 8)
         assert report.passed
