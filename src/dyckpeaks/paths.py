@@ -22,9 +22,11 @@ rewrites used to certify count identities:
   height 0, a bijection onto paths one unit of semilength shorter.
 
 The enumeration walks every path of a semilength once, as a walked prefix
-joined to a listed suffix, in one kernel, ``_split_walk``, that sums the
-caller's per-step terms. The oracle sums corner codes with it, and
-``verify``'s certificate its packed records, each from its own terms.
+joined to a listed suffix, in one kernel, ``_split_walk``. It alone forms
+the lattice's steps and decides which step closes a peak or a valley, and
+it sums the caller's term for each step: the oracle's term is the code of
+the corner a step closes, and that of ``verify``'s certificate the step's
+share of a path's packed record.
 
 It also holds the one walk of single steps confined to a band [0, k], which
 yields its row after every step. ``bounded_height_count`` reads its last
@@ -78,17 +80,22 @@ class DyckPath(_Frozen):
 
     def __post_init__(self) -> None:
         steps = self.steps
-        # Accept at C speed (unit steps, as many ups as downs, no prefix
+        # Accept at C speed (int unit steps, as many ups as downs, no prefix
         # below the axis); the walk below runs only to locate a rejection.
+        # The type test refuses 1.0, True and Fraction(1), which equal UP.
         ups = steps.count(UP)
-        if 2 * ups == len(steps) == ups + steps.count(DOWN) and min(accumulate(steps), default=0) >= 0:
+        if (
+            2 * ups == len(steps) == ups + steps.count(DOWN)
+            and {int}.issuperset(map(type, steps))
+            and min(accumulate(steps), default=0) >= 0
+        ):
             return
         height = 0
         # The last up-step to leave the axis is the first one never matched
         # when the path ends above the axis.
         last_rise = 0
         for i, s in enumerate(steps):
-            if s not in (UP, DOWN):
+            if type(s) is not int or s not in (UP, DOWN):
                 raise PathError(f"step must be +1 or -1, got {s!r}", i)
             if height == 0:
                 last_rise = i
@@ -227,24 +234,38 @@ def enumerate_paths(n: int, *, guard: int = DEFAULT_ENUM_GUARD) -> Iterator[Dyck
 _SPLIT = 4
 
 
-def _split_walk(n: int, start: int, steps, emit) -> None:
+def _split_walk(n: int, start: int, term, emit) -> None:
     """Sum per-step terms over every semilength-n path, a walked prefix
     joined to a listed suffix.
 
-    ``steps(h, ups, last_up)`` gives the steps from height h with ``ups`` of
-    the n up-steps left, after an up-step or not, down-step first, as
-    (term, state after it) pairs; a state's steps are the same whatever
-    prefix reached it. A path's sum is ``start`` plus the terms of its
-    steps. A depth-first walk sums the prefixes' terms up to the step that
-    leaves ``_SPLIT`` up-steps. For each state it stops in, a list holds the
-    sum of every suffix from there, one entry per suffix, built once per
-    call. Each prefix passes ``emit`` an iterator of its total plus every
-    entry, so the caller keeps what it needs (a tally of the sums, or the
-    sums themselves). The paths come in ascending order of their steps read
-    as binary numbers with the up-steps as 1s. ``steps`` runs once per
-    state in a call, memoized: prefixes share their states.
+    The kernel owns the lattice. A walk state is (height h, up-steps left,
+    whether the last step went up); from it a down-step goes first, when
+    h > 0, and then an up-step, when one is left. A down-step after an
+    up-step closes a peak at h, and an up-step after a down-step a valley
+    at h: that step is a corner. A step adds ``term(h, ups, up, corner)``,
+    and a path's sum is ``start`` plus the terms of its steps. A step's
+    term is the same whatever prefix reached its state, so ``term`` runs
+    once per (state, step) in a call: the states' steps are memoized.
+
+    A depth-first walk sums the prefixes' terms up to the step that leaves
+    ``_SPLIT`` up-steps. For each state it stops in, a list holds the sum
+    of every suffix from there, one entry per suffix, built once per call.
+    Each prefix passes ``emit`` an iterator of its total plus every entry,
+    so the caller keeps what it needs (a tally of the sums, or the sums
+    themselves). The paths come in ascending order of their steps read as
+    binary numbers with the up-steps as 1s.
     """
-    steps = cache(steps)
+
+    @cache
+    def steps(h: int, ups: int, last_up: bool) -> list[tuple[int, tuple[int, int, bool]]]:
+        # ``ups`` of the n up-steps are left at height h, so h + ups downs remain
+        out = []
+        if h:
+            out.append((term(h, ups, False, last_up), (h - 1, ups, False)))
+        if ups:
+            out.append((term(h, ups, True, not last_up), (h + 1, ups - 1, True)))
+        return out
+
     # the path's end adds nothing (it is reached after an up-step only when n = 0)
     lists: dict[tuple[int, int, bool], list[int]] = {(0, 0, up): [0] for up in (False, True)}
 
@@ -253,16 +274,16 @@ def _split_walk(n: int, start: int, steps, emit) -> None:
         found = lists.get(key)
         if found is None:
             found = lists[key] = []
-            for term, state in steps(h, ups, last_up):
-                found += map(term.__add__, suffixes(*state))
+            for value, state in steps(h, ups, last_up):
+                found += map(value.__add__, suffixes(*state))
         return found
 
     def walk(h: int, ups: int, last_up: bool, total: int) -> None:
         if ups <= _SPLIT:
             emit(map(total.__add__, suffixes(h, ups, last_up)))
         else:
-            for term, state in steps(h, ups, last_up):
-                walk(*state, total + term)
+            for value, state in steps(h, ups, last_up):
+                walk(*state, total + value)
 
     walk(0, n, True, start)  # last_up starts true, so the first step is no valley
     walk = suffixes = None  # break the closures' cycles: the lists go with this call, not with the GC
@@ -281,31 +302,20 @@ def _enum_codes(n: int, heights: range) -> Counter[int]:
     dynamic program or the series layer; callers apply the enumeration
     guard.
 
-    A path's code is the sum of its steps' corner codes, summed by
+    A path's code is the sum of its steps' terms, summed by
     :func:`_split_walk` and counted as they come: a step that closes a
-    corner adds its code, the corner at the junction of a prefix and a
-    suffix included.
+    corner adds that corner's code, the corner at the junction of a prefix
+    and a suffix included.
     """
     w = n.bit_length()
-    # the code a step from height h adds at the point before it: an up-step
-    # after a down-step makes a valley there, a down-step after an up-step
-    # a peak (the zeros keep every h <= n in range; no step reads a peak at 0)
+    # the code of a corner at height h (the zeros keep every h <= n in
+    # range; no step closes a peak at 0)
     peak, valley = [0] * (n + 1), [0] * (n + 1)
     for i, h in enumerate(heights):
         if h <= n:
             peak[h], valley[h] = 1 << w * i, 1 << w * (len(heights) + i)
-
-    def steps(h: int, ups: int, last_up: bool) -> list[tuple[int, tuple[int, int, bool]]]:
-        # ``ups`` of the n up-steps are left at height h, so h + ups downs remain
-        out = []
-        if h:
-            out.append((peak[h] if last_up else 0, (h - 1, ups, False)))
-        if ups:
-            out.append((0 if last_up else valley[h], (h + 1, ups - 1, True)))
-        return out
-
     codes: Counter[int] = Counter()
-    _split_walk(n, 0, steps, codes.update)
+    _split_walk(n, 0, lambda h, ups, up, corner: (valley if up else peak)[h] if corner else 0, codes.update)
     return codes
 
 
@@ -581,13 +591,6 @@ class CountTable(_Record):
         for n in range(len(peak[0])):
             for k, (peak_rows, valley_rows) in enumerate(zip(peak, valley)):
                 yield n, k, peak_rows[n], valley_rows[n]
-
-    def sorted_items(self) -> Iterator[tuple[tuple[int, int, int, StatKind], int]]:
-        """Every cell as ((n, k, r, kind), count), in the table's cell order."""
-        for n, k, peaks, valleys in self.row_pairs():
-            for r, (p, v) in enumerate(zip(peaks, valleys)):
-                yield (n, k, r, StatKind.PEAK), p
-                yield (n, k, r, StatKind.VALLEY), v
 
     def check_sum_rule(self) -> None:
         """Every (n, k, kind) row must sum to the total path count; the first

@@ -66,8 +66,12 @@ def _check_three_way(report: VerifyReport, tables: dict, n_max: int, k_max: int)
     elif enum.rows == dp.rows == gf.rows:
         report.ok(f"all {cells} cells agree for n <= {n_max}, k <= {k_max}, r <= n, both kinds")
     else:
-        (n, k, r, kind), count = next(
-            (key, count) for key, count in enum.sorted_items() if not dp.get(*key) == count == gf.get(*key)
+        n, k, r, kind, count = next(
+            (n, k, r, kind, count)
+            for n, k, peaks, valleys in enum.row_pairs()
+            for r, (p, v) in enumerate(zip(peaks, valleys))
+            for kind, count in ((StatKind.PEAK, p), (StatKind.VALLEY, v))
+            if not dp.get(n, k, r, kind) == count == gf.get(n, k, r, kind)
         )
         report.fail(
             f"counterexample (n={n}, k={k}, r={r}, kind={kind.value}): "
@@ -111,8 +115,9 @@ def _sweep(n: int, k: int) -> tuple[list[int], list[int]]:
     above every height matches no pair and turns nothing.
 
     The enumeration's walk, ``paths._split_walk``, sums the records, and
-    then the swapped records, each its own lane. Its steps go down first, so
-    the codes ascend. It builds no path object and turns no steps.
+    then the swapped records, each its own lane: the kernel finds the
+    corners, and a lane gives each step's term. Its steps go down first,
+    so the codes ascend. It builds no path object and turns no steps.
     """
     width, bits = 2 * n + 1, n.bit_length()
     start = paths._turn_start(k)
@@ -120,32 +125,22 @@ def _sweep(n: int, k: int) -> tuple[list[int], list[int]]:
     def record(code: int, image: int, peaks: int, valleys: int) -> int:
         return ((code << width) + image << 2 * bits) + (peaks << bits) + valleys
 
-    def swapped_record(code: int, image: int, peaks: int, valleys: int) -> int:
-        return record(image, code, valleys, peaks)
-
     def lane(pack):
-        def steps(h: int, ups: int, last_up: bool) -> list[tuple[int, tuple[int, int, bool]]]:
-            # The steps from height h with ``ups`` up-steps left (not both 0),
-            # down first. The next step is the code's bit 2 * ups + h - 1.
-            bit = 1 << 2 * ups + h - 1
-            out = []
-            if h:
-                peak = last_up  # a peak at h, whose pair starts at h - 1
-                image = -bit if peak and h - 1 == start else 0
-                out.append((pack(0, image, int(peak and h == k), 0), (h - 1, ups, False)))
-            if ups:
-                valley = not last_up  # a valley at h, whose pair starts at h + 1
-                image = 2 * bit if valley and h + 1 == start else bit
-                out.append((pack(bit, image, 0, int(valley and h == k - 2)), (h + 1, ups - 1, True)))
-            return out
+        def term(h: int, ups: int, up: bool, corner: bool) -> int:
+            bit = 1 << 2 * ups + h - 1  # the step's bit in the code
+            if up:  # a corner here is a valley at h, whose pair starts at h + 1
+                return pack(bit, 2 * bit if corner and h + 1 == start else bit, 0, int(corner and h == k - 2))
+            # a corner here is a peak at h, whose pair starts at h - 1
+            return pack(0, -bit if corner and h - 1 == start else 0, int(corner and h == k), 0)
 
-        return steps
+        return term
 
     lead = record(1 << 2 * n, 1 << 2 * n, 0, 0)  # the leading 1 of the code and the image
     records: list[int] = []
     swapped: list[int] = []
     paths._split_walk(n, lead, lane(record), records.extend)
-    paths._split_walk(n, lead, lane(swapped_record), swapped.extend)
+    swap = lane(lambda code, image, peaks, valleys: record(image, code, valleys, peaks))  # the fields exchanged
+    paths._split_walk(n, lead, swap, swapped.extend)
     return records, swapped
 
 

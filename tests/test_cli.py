@@ -533,7 +533,10 @@ def test_table_json_is_the_json_dumps_layout_across_write_batches(capsys):
     doc = json.loads(out)
     assert out == json.dumps(doc, indent=2) + "\n"
     assert [int(row["count"]) for row in doc["entries"]] == [
-        count for _, count in build_table(20, 5, "dp").sorted_items()
+        count
+        for _, _, peaks, valleys in build_table(20, 5, "dp").row_pairs()
+        for pair in zip(peaks, valleys)
+        for count in pair
     ]
 
 

@@ -1,5 +1,7 @@
 """Tests for explicit paths, statistics, oracles, and the two rewrites."""
 
+from collections import Counter
+from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
@@ -103,6 +105,22 @@ def test_direct_construction_validates():
         DyckPath((UP,))
     with pytest.raises(PathError):
         DyckPath((UP, 2))
+
+
+def test_steps_that_equal_a_unit_but_are_no_int_are_refused():
+    # 1.0, True and Fraction(1) all compare equal to UP, and would put
+    # floats and bools into the statistics; the message names the first one
+    cases = [
+        ((1.0, 1.0, -1.0, -1.0), "step must be +1 or -1, got 1.0 (index 0)"),
+        ((True, DOWN), "step must be +1 or -1, got True (index 0)"),
+        ((Fraction(1), DOWN), "step must be +1 or -1, got Fraction(1, 1) (index 0)"),
+        ((UP, -1.0), "step must be +1 or -1, got -1.0 (index 1)"),
+        ((UP, False), "step must be +1 or -1, got False (index 1)"),
+    ]
+    for steps, message in cases:
+        with pytest.raises(PathError) as exc:
+            DyckPath(steps)
+        assert str(exc.value) == message, steps
 
 
 def test_list_input_is_stored_as_the_validated_tuple():
@@ -271,6 +289,25 @@ def test_enum_profiles_equal_a_recount_across_the_junction(monkeypatch, n):
         for split in range(n + 1):  # a split above n walks no prefix, as one at n
             monkeypatch.setattr(paths, "_SPLIT", split)
             assert decoded_codes(n, range(top)) == expected, (top, split)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_split_walk_asks_each_step_of_a_state_for_its_term_once(monkeypatch, n):
+    # (h, ups, up, corner) names one step from one state, so the kernel's
+    # memo asks for it at most once in a call, however many prefixes reach
+    # the state; a term of 1 per step makes every path's sum start + 2n
+    for split in range(n + 1):
+        monkeypatch.setattr(paths, "_SPLIT", split)
+        asked = Counter()
+
+        def term(h, ups, up, corner):
+            asked[h, ups, up, corner] += 1
+            return 1
+
+        sums = []
+        paths._split_walk(n, 7, term, sums.extend)
+        assert sums == [7 + 2 * n] * CATALAN[n], split
+        assert set(asked.values()) <= {1}, (split, asked.most_common(1))
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -460,8 +497,11 @@ def test_dp_table_rows_do_not_depend_on_n_max(a, b, k):
     small = build_table(a, k, "dp")
     large = build_table(b, k, "dp")
     assert small.rows == {kind: [n_rows[: a + 1] for n_rows in k_rows] for kind, k_rows in large.rows.items()}
-    for (n, k_, r, kind), count in small.sorted_items():
-        assert count_exact_dp(n, k_, r, kind) == count, (n, k_, r, kind)
+    for kind, k_rows in small.rows.items():
+        for k_, n_rows in enumerate(k_rows):
+            for n, row in enumerate(n_rows):
+                for r, count in enumerate(row):
+                    assert count_exact_dp(n, k_, r, kind) == count, (n, k_, r, kind)
 
 
 def test_dp_table_sweeps_once_per_height_and_kind(monkeypatch):
