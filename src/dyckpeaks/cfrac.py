@@ -71,19 +71,18 @@ class WeightSpec(_Frozen):
             raise ValueError("depth must be >= 0")
         if len(lambdas) < depth or len(mus) < depth:
             raise ValueError("need at least `depth` lambda and mu weights")
-        super().__init__(lambdas, mus, depth, tail)
+        super().__init__(tuple(lambdas), tuple(mus), depth, tail)  # tuples: equal specs compare and hash equal
 
 
-def _continuants(w: WeightSpec, k: Series | BivarSeries, k_next: Series | BivarSeries):
+def _continuants(lambdas: tuple, mus: tuple, k: Series | BivarSeries, k_next: Series | BivarSeries):
     """Run the continuant recurrence of the module docstring over levels
-    ``w.depth`` .. 1 from (K_{depth+1}, K_{depth+2}) = (k, k_next), yielding
-    (level, K_level, K_{level+1}) after each level; the tail of ``w`` is not
-    read, and z-free weights and starts may be plain Series. A level whose
-    mu is its lambda, the same object, has d_j = 1 and steps
-    K_j = K_{j+1} - lambda_j*K_{j+2}: one product, and the same value and
-    orders as the general step."""
-    for level in range(w.depth, 0, -1):
-        lam, mu = w.lambdas[level - 1], w.mus[level - 1]
+    depth = len(lambdas) .. 1 from (K_{depth+1}, K_{depth+2}) = (k, k_next),
+    yielding (level, K_level, K_{level+1}) after each level; z-free weights
+    and starts may be plain Series. A level whose mu is its lambda, the
+    same object, has d_j = 1 and steps K_j = K_{j+1} - lambda_j*K_{j+2}:
+    one product, and the same value and orders as the general step."""
+    for level in range(len(lambdas), 0, -1):
+        lam, mu = lambdas[level - 1], mus[level - 1]
         scaled = k if mu is lam else (1 - (mu - lam)) * k
         k_next, k = k, scaled - lam * k_next
         yield level, k, k_next
@@ -103,40 +102,36 @@ def rv_cfrac(w: WeightSpec, x_order: int, z_order: int) -> BivarSeries:
     the tail.
     """
     k, k_next = BivarSeries.one(z_order, x_order), w.tail
-    for level, k, k_next in _continuants(w, k, k_next):
+    for level, k, k_next in _continuants(w.lambdas[: w.depth], w.mus[: w.depth], k, k_next):
         if k.entries[0].coeffs[0] == 0:
             raise NonInvertibleError(f"denominator at level {level} is not invertible")
     return k_next / k
 
 
-def _marked_spec(depth: int, mark: BivarSeries, tail: BivarSeries) -> WeightSpec:
-    """Every down-step weighs x except the peak down-step at level
-    ``depth``, which weighs ``mark``; the orders are the tail's."""
-    x = BivarSeries.monomial(1, 1, 0, tail.z_order, tail.x_order)
-    return WeightSpec((x,) * depth, (x,) * (depth - 1) + (mark,), depth, tail)
-
-
 def _marked_fraction(depth: int, mark: BivarSeries, tail: BivarSeries) -> BivarSeries:
-    """The marked fraction of :func:`_marked_spec`, evaluated densely."""
-    return rv_cfrac(_marked_spec(depth, mark, tail), tail.x_order, tail.z_order)
+    """Every down-step weighs x except the peak down-step at level ``depth``,
+    which weighs ``mark``: the fraction evaluated densely at the tail's orders."""
+    x = BivarSeries.monomial(1, 1, 0, tail.z_order, tail.x_order)
+    return rv_cfrac(WeightSpec((x,) * depth, (x,) * (depth - 1) + (mark,), depth, tail), tail.x_order, tail.z_order)
 
 
-def _cancel_x_squared(b: BivarSeries, degree: int, z_order: int, x_order: int) -> BivarSeries:
-    """b / x^2 at the given orders, for a polynomial b of x-degree at most
-    ``degree`` + 2 carried at a higher x-order.
+def _cancel_x_squared(terms: tuple[Series, ...], degree: int, z_order: int, x_order: int) -> BivarSeries:
+    """b / x^2 at the given orders, for the z-coefficients ``terms`` (cut
+    to ``z_order``, zero past the last) of a polynomial b of x-degree at
+    most ``degree`` + 2 carried at a higher x-order.
 
-    Raises :class:`InvariantError` unless x^2 divides every z-entry and
-    every coefficient above x^(degree + 2) is zero, so that padding the
-    quotient to ``x_order`` drops no nonzero coefficient.
+    Raises :class:`InvariantError` unless x^2 divides every term and every
+    coefficient above x^(degree + 2) is zero, so that padding the quotient
+    to ``x_order`` drops no nonzero coefficient.
     """
-    for e in b.entries:
+    for e in terms:
         if e.coeffs[0] or e.coeffs[1]:
             raise InvariantError("x^2 does not divide the peak fraction's N, p or q")
         if any(e.coeffs[degree + 3 :]):
             raise InvariantError(f"the peak fraction's N, p or q exceeds x-degree {degree + 2}")
-    entries = [Series.from_coeffs(e.coeffs[2:], x_order) for e in b.entries]
-    entries += [Series.zero(x_order)] * (z_order - b.z_order)
-    return BivarSeries(z_order, x_order, tuple(entries))
+    entries = [Series.from_coeffs(e.coeffs[2:], x_order) for e in terms[: z_order + 1]]
+    entries += [Series.zero(x_order)] * (z_order + 1 - len(terms))
+    return BivarSeries(z_order, x_order, entries)
 
 
 def catalan_cfrac(depth: int, order: int) -> Series:
@@ -188,23 +183,22 @@ def peak_bivar_cfrac(k: int, x_order: int, z_order: int) -> BivarSeries:
     then N_0 = alpha_10*s_0 + beta_1^2, N_1 = alpha_10*s_1 + alpha_11*s_0,
     N_2 = alpha_11*s_1, and p likewise. q has no z^2 term, and its z^1
     term beta_2*s_1 - x*alpha_21*beta_1 vanishes, since alpha_21 = beta_2
-    and s_1 = x*beta_1, so q is its z^0 coefficient. Each is one
-    BivarSeries cut to z-order min(z_order, 2), built at x-order k + 4,
-    where every product is exact, and :func:`_cancel_x_squared`
-    checks the cancel and the degree bound before padding them to
-    ``x_order``. What remains is one polynomial times C and one bivariate
-    division by N: O(z_order*x_order*k) big-integer operations where the
-    dense continuants cost O(z_order*x_order^2). On a 2-CPU host
-    ``peak_bivar_cfrac(4, 1000, 2)`` takes 0.008 s (1.06 s densely).
+    and s_1 = x*beta_1, so q is its z^0 coefficient. Each is a tuple of its
+    z-coefficients, built at x-order k + 4, where every product is exact;
+    :func:`_cancel_x_squared` checks the cancel and the degree bound, cuts
+    them to ``z_order`` and pads them to ``x_order``. What remains is one
+    polynomial times C and one bivariate division by N: O(z_order*x_order*k)
+    big-integer operations where the dense continuants cost
+    O(z_order*x_order^2). On a 2-CPU host ``peak_bivar_cfrac(4, 1000, 2)``
+    takes 0.008 s (1.06 s densely).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     small_x = k + 4
-    x, zero = Series.monomial(1, 1, small_x), Series.zero(small_x)
-    a_1, a_2 = Series.one(small_x), zero
+    plain = (Series.monomial(1, 1, small_x),) * (k - 1)  # lambda = mu = x, one object
+    a_1, a_2 = Series.one(small_x), Series.zero(small_x)
     if k > 1:
-        spec = WeightSpec((x,) * (k - 1), (x,) * (k - 1), k - 1, zero)
-        *_, (_, a_1, a_2) = _continuants(spec, a_1, a_2)
+        *_, (_, a_1, a_2) = _continuants(plain, plain, a_1, a_2)
     # the mark level's z^0 and z^1 coefficients, from d_k = (1 + x) - x*z
     x_a1, x_a2 = a_1.shift(1), a_2.shift(1)
     beta_1, beta_2 = -x_a1, -x_a2
@@ -212,13 +206,12 @@ def peak_bivar_cfrac(k: int, x_order: int, z_order: int) -> BivarSeries:
     alpha_20, alpha_21 = a_1 + x_a2, beta_2
     s_0, s_1 = alpha_10.shift(1) + beta_1, alpha_11.shift(1)
     b_12 = beta_1 * beta_2
-    z_cap = min(z_order, 2)
     norm, p, q = (
-        _cancel_x_squared(BivarSeries(z_cap, small_x, (*b, zero)[: z_cap + 1]), k, z_order, x_order)
-        for b in (
+        _cancel_x_squared(terms, k, z_order, x_order)
+        for terms in (
             (alpha_10 * s_0 + beta_1 * beta_1, alpha_10 * s_1 + alpha_11 * s_0, alpha_11 * s_1),
             (alpha_20 * s_0 + b_12, alpha_20 * s_1 + alpha_21 * s_0, alpha_21 * s_1),
-            (beta_2 * s_0 - (alpha_20 * beta_1).shift(1) - b_12, zero),
+            (beta_2 * s_0 - (alpha_20 * beta_1).shift(1) - b_12,),
         )
     )
     tail = BivarSeries.from_series(catalan_series(x_order), z_order)

@@ -58,6 +58,8 @@ def r_series(k: int, order: int) -> Series:
     big-integer additions. No path of semilength <= order reaches height
     order + 1, so any k above order + 1 is computed as order + 1.
     """
+    if order < 0:  # before k is clamped to order + 1
+        raise ValueError("order must be >= 0")
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:

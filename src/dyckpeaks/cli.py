@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import islice
-from typing import Iterable, Literal
+from typing import Literal
 
 from .gfcount import stat_gf
 from .paths import (
@@ -45,16 +44,6 @@ from .series import BivarSeries, InvariantError, NonIntegralError, Series
 OutputFormat = Literal["plain", "csv", "json"]
 
 
-def _write_lines(lines: Iterable[str]) -> None:
-    """Write ``lines`` to stdout 1024 at a time: a text stream pays encoding
-    and buffering per write, even block-buffered, so one write per line of
-    a long series costs about twice as much. A table needs no batches: it
-    is written one string per (n, k) pair of rows (:func:`_format_table`)."""
-    lines = iter(lines)
-    while chunk := "".join(islice(lines, 1024)):
-        sys.stdout.write(chunk)
-
-
 def _print_json(doc: object) -> None:
     import json  # only JSON output needs it, so no other command loads it
     print(json.dumps(doc, indent=2))
@@ -66,7 +55,7 @@ def _format_series(series: Series, fmt: OutputFormat) -> None:
         print(",".join(coeffs))
     elif fmt == "csv":
         sys.stdout.write("n,coefficient\n")
-        _write_lines(f"{n},{c}\n" for n, c in enumerate(coeffs))
+        sys.stdout.writelines(f"{n},{c}\n" for n, c in enumerate(coeffs))
     else:
         _print_json({"order": series.order, "coefficients": coeffs})
 
@@ -77,7 +66,7 @@ def _format_bivar(bv: BivarSeries, fmt: OutputFormat) -> None:
         print("\n".join(f"z^{j}: " + ",".join(coeffs) for j, coeffs in enumerate(entries)))
     elif fmt == "csv":
         sys.stdout.write("z,n,coefficient\n")
-        _write_lines(f"{j},{n},{c}\n" for j, coeffs in enumerate(entries) for n, c in enumerate(coeffs))
+        sys.stdout.writelines(f"{j},{n},{c}\n" for j, coeffs in enumerate(entries) for n, c in enumerate(coeffs))
     else:
         _print_json({"z_order": bv.z_order, "x_order": bv.x_order, "entries": entries})
 

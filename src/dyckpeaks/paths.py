@@ -249,7 +249,8 @@ def _split_walk(n: int, start: int, term, emit) -> None:
 
     A depth-first walk sums the prefixes' terms up to the step that leaves
     ``_SPLIT`` up-steps. For each state it stops in, a list holds the sum
-    of every suffix from there, one entry per suffix, built once per call.
+    of every suffix from there, one entry per suffix, built once per call
+    and memoized like the steps.
     Each prefix passes ``emit`` an iterator of its total plus every entry,
     so the caller keeps what it needs (a tally of the sums, or the sums
     themselves). The paths come in ascending order of their steps read as
@@ -266,16 +267,13 @@ def _split_walk(n: int, start: int, term, emit) -> None:
             out.append((term(h, ups, True, not last_up), (h + 1, ups - 1, True)))
         return out
 
-    # the path's end adds nothing (it is reached after an up-step only when n = 0)
-    lists: dict[tuple[int, int, bool], list[int]] = {(0, 0, up): [0] for up in (False, True)}
-
+    @cache
     def suffixes(h: int, ups: int, last_up: bool) -> list[int]:
-        key = (h, ups, last_up)
-        found = lists.get(key)
-        if found is None:
-            found = lists[key] = []
-            for value, state in steps(h, ups, last_up):
-                found += map(value.__add__, suffixes(*state))
+        if not h + ups:  # the path's end: one empty suffix (reached after an up-step only when n = 0)
+            return [0]
+        found = []
+        for value, state in steps(h, ups, last_up):
+            found += map(value.__add__, suffixes(*state))
         return found
 
     def walk(h: int, ups: int, last_up: bool, total: int) -> None:
@@ -626,9 +624,10 @@ def build_table(
     field by field straight into its rows, and gives the rows above height n
     every path at r = 0; a DP sweep gives the row of every semilength, and a
     series family gives one slice per r, read across.
-    The DP sweeps once per (k, kind), and a family is read once per band
-    height, for every (k, kind) there. A negative guard is refused under
-    every method.
+    A peak at k and a valley at k - 2 are one pair of opposite steps from
+    height k - 1, so the DP sweeps, and a family is read, once per band
+    height (``gfcount._band_height``), for every (k, kind) there. A negative
+    guard is refused under every method.
     """
     if n_max < 0 or k_max < 0:
         raise ValueError("n_max and k_max must be >= 0")
@@ -650,17 +649,16 @@ def build_table(
     elif method in ("dp", "gf"):
         from .gfcount import _band_height, stat_family
 
-        rows, families = {kind: [] for kind in StatKind}, {}  # families: by band height, this call only
+        rows, by_band = {kind: [] for kind in StatKind}, {}  # by_band: the rows by n, this call only
         for kind, k_rows in rows.items():
             for k in range(k_max + 1):
-                if method == "dp":  # the sweep to n_max has a row for every n
-                    by_n = _dp_distribution(n_max, k, kind, n_max + 1)
-                else:  # slice r holds entry r of every row: read across, each (k, kind) to its own rows
-                    j = _band_height(kind, k)
-                    if j not in families:
-                        families[j] = list(zip(*(s.as_integer_sequence() for s in stat_family(kind, k, n_max, n_max))))
-                    by_n = families[j]
-                k_rows.append([list(row[: n + 1]) for n, row in enumerate(by_n)])
+                j = _band_height(kind, k)
+                if j not in by_band:
+                    if method == "dp":  # the sweep to n_max has a row for every n
+                        by_band[j] = _dp_distribution(n_max, k, kind, n_max + 1)
+                    else:  # slice r holds entry r of every row: read across
+                        by_band[j] = list(zip(*(s.as_integer_sequence() for s in stat_family(kind, k, n_max, n_max))))
+                k_rows.append([list(row[: n + 1]) for n, row in enumerate(by_band[j])])  # rows of its own
     else:
         raise ValueError(f"unknown method {method!r}")
     return CountTable(rows)

@@ -379,12 +379,15 @@ class BivarSeries(_Frozen):
 
     __slots__ = ("z_order", "x_order", "entries")
 
-    def __init__(self, z_order: int, x_order: int, entries: tuple[Series, ...]) -> None:
+    def __init__(self, z_order: int, x_order: int, entries: Iterable[Series]) -> None:
         if z_order < 0:
             raise ValueError("z_order must be >= 0")
+        entries = tuple(entries)
         if len(entries) != z_order + 1:
             raise ValueError(f"expected {z_order + 1} entries for z_order {z_order}, got {len(entries)}")
         for e in entries:
+            if not isinstance(e, Series):
+                raise TypeError(f"entry must be a Series, got {type(e).__name__}")
             if e.order != x_order:
                 raise ValueError("all entries must share the same x_order")
         object.__setattr__(self, "z_order", z_order)  # not by _Record.__init__: every operation ends here

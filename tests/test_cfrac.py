@@ -146,9 +146,9 @@ def test_peak_bivar_cfrac_runs_the_unmarked_levels_once_without_z(monkeypatch, k
     # both starts; only the mark level is bivariate
     runs, continuants = [], cfrac_module._continuants
 
-    def recorded(w, start, start_next):
-        runs.append((w.depth, {type(s) for s in (start, start_next, *w.lambdas, *w.mus)}))
-        return continuants(w, start, start_next)
+    def recorded(lambdas, mus, start, start_next):
+        runs.append((len(lambdas), {type(s) for s in (start, start_next, *lambdas, *mus)}))
+        return continuants(lambdas, mus, start, start_next)
 
     monkeypatch.setattr(cfrac_module, "_continuants", recorded)
     peak_bivar_cfrac(k, 40, 3)
@@ -161,8 +161,9 @@ def test_peak_bivar_cfrac_checks_the_norm_polynomials(monkeypatch, extra_power, 
     # the degree bound k + 2, must raise rather than pad or drop it
     cancel = cfrac_module._cancel_x_squared
 
-    def corrupted(b, degree, z_order, x_order):
-        return cancel(b + BivarSeries.monomial(1, extra_power, 0, b.z_order, b.x_order), degree, z_order, x_order)
+    def corrupted(terms, degree, z_order, x_order):
+        bumped = terms[0] + Series.monomial(1, extra_power, terms[0].order)  # the z^0 coefficient
+        return cancel((bumped, *terms[1:]), degree, z_order, x_order)
 
     monkeypatch.setattr(cfrac_module, "_cancel_x_squared", corrupted)
     with pytest.raises(InvariantError, match=message):
@@ -253,8 +254,8 @@ def test_plain_levels_equal_the_general_step_for_equal_separate_weights():
     # univariate, as peak_bivar_cfrac runs its unmarked levels
     ux, uy = Series.monomial(1, 1, 9), Series.monomial(1, 1, 9)
     start = (Series.one(9), Series.zero(9))
-    shared = list(cfrac_module._continuants(WeightSpec((ux,) * 7, (ux,) * 7, 7, start[1]), *start))
-    assert shared == list(cfrac_module._continuants(WeightSpec((ux,) * 7, (uy,) * 7, 7, start[1]), *start))
+    shared = list(cfrac_module._continuants((ux,) * 7, (ux,) * 7, *start))
+    assert shared == list(cfrac_module._continuants((ux,) * 7, (uy,) * 7, *start))
 
 
 @pytest.mark.parametrize("depth", [1, 3, 8])
@@ -434,6 +435,14 @@ def test_weight_spec_needs_depth_weights():
     x = x_weight(0, 4)
     with pytest.raises(ValueError, match="need at least `depth` lambda and mu weights"):
         WeightSpec((x, x), (x,), 2, BivarSeries.one(0, 4))
+
+
+def test_weight_spec_keeps_its_weights_as_tuples():
+    t = x_weight(0, 3)
+    twin = WeightSpec((t,), (t,), 1, t)
+    listed = WeightSpec([t], [t], 1, t)
+    assert (type(listed.lambdas), type(listed.mus)) == (tuple, tuple)
+    assert listed == twin and hash(listed) == hash(twin)
 
 
 def test_weight_spec_is_a_frozen_value():

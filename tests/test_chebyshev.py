@@ -172,6 +172,13 @@ def test_unreachable_heights_match_the_unclamped_formulas(order):
         assert f_series_t(k, order) == Series.from_coeffs(spaced, order).reciprocal().shift(k)
 
 
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_r_series_refuses_a_negative_order_by_its_name(k):
+    # the order is checked before k is clamped to order + 1
+    with pytest.raises(ValueError, match="^order must be >= 0$"):
+        r_series(k, -1)
+
+
 def test_unreachable_heights_ask_for_no_high_polynomial(monkeypatch):
     asked = []
     real = chebyshev.q_poly

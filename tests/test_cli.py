@@ -43,6 +43,19 @@ def test_series_csv(capsys):
     assert out.splitlines()[:3] == ["n,coefficient", "0,1", "1,1"]
 
 
+def test_long_series_csv_equals_the_plain_coefficients(capsys):
+    # 2501 lines of up to ~1500 digits: each one ends in a newline and holds
+    # its own coefficient, in order
+    argv = ("series", "--stat", "peak", "--k", "2", "--r", "1", "--order", "2500")
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    coeffs = plain.rstrip("\n").split(",")
+    assert len(coeffs) == 2501
+    assert run(capsys, *argv, "--format", "csv") == (
+        0, "n,coefficient\n" + "".join(f"{n},{c}\n" for n, c in enumerate(coeffs)), ""
+    )
+
+
 def test_series_json_uses_decimal_strings(capsys):
     code, out, _ = run(
         capsys, "series", "--stat", "peak", "--k", "1", "--r", "0", "--order", "40",
@@ -633,6 +646,19 @@ def test_cfrac_csv_bytes_are_pinned(capsys, tmp_path, text, argv, digest):
     code, out, _ = run(capsys, "cfrac", "--spec", str(spec), *argv, "--format", "csv")
     assert code == 0
     assert sha256(out.encode()).hexdigest() == digest
+
+
+def test_long_cfrac_csv_equals_the_plain_output(capsys, tmp_path):
+    # 1202 lines: every (z, n) cell in order, each line ending in a newline
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"depth": 6, "lambdas": "x", "mus": ["x", "x", "x", "x", "x", "x*z"], "tail": "C"}')
+    argv = ("cfrac", "--spec", str(spec), "--order", "600", "--z-order", "1")
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    entries = [line.split(": ")[1].split(",") for line in plain.splitlines()]
+    assert [len(coeffs) for coeffs in entries] == [601, 601]
+    cells = "".join(f"{j},{n},{c}\n" for j, coeffs in enumerate(entries) for n, c in enumerate(coeffs))
+    assert run(capsys, *argv, "--format", "csv") == (0, "z,n,coefficient\n" + cells, "")
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from math import comb
 
@@ -310,6 +311,36 @@ def test_split_walk_asks_each_step_of_a_state_for_its_term_once(monkeypatch, n):
         assert set(asked.values()) <= {1}, (split, asked.most_common(1))
 
 
+@pytest.mark.parametrize("n", [6, 10])
+def test_split_walk_builds_each_suffix_list_once(n):
+    # a step's term is added to every suffix from the state it enters, and
+    # only once in a call: when its own state's list is built, however many
+    # prefixes reach that state
+    added = Counter()
+
+    class Term(int):
+        def __add__(self, other):
+            added[self.step] += 1
+            return int(self) + other
+
+    def term(h, ups, up, corner):
+        value = Term(1)
+        value.step = (h, ups, up, corner)
+        return value
+
+    @cache
+    def suffixes(h, ups):  # Dyck suffixes from height h with ups up-steps left
+        return 1 if not h + ups else (h and suffixes(h - 1, ups)) + (ups and suffixes(h + 1, ups - 1))
+
+    sums = []
+    paths._split_walk(n, 7, term, sums.extend)
+    assert sums == [7 + 2 * n] * CATALAN[n]
+    assert added and all(
+        count == (suffixes(h + 1, ups - 1) if up else suffixes(h - 1, ups))
+        for (h, ups, up, _), count in added.items()
+    )
+
+
 @pytest.mark.parametrize("n", range(9))
 def test_enum_profiles_far_above_every_corner_pad_the_tallies_of_k_max_n(n):
     # no corner lies above height n, so a k_max far above n gives the
@@ -504,7 +535,9 @@ def test_dp_table_rows_do_not_depend_on_n_max(a, b, k):
                     assert count_exact_dp(n, k_, r, kind) == count, (n, k_, r, kind)
 
 
-def test_dp_table_sweeps_once_per_height_and_kind(monkeypatch):
+def test_dp_table_sweeps_once_per_band_height(monkeypatch):
+    # a peak at k and a valley at k - 2 share their sweep, so k_max = 4 has
+    # 7 band heights (-2..4), not 10 (kind, k) pairs
     import dyckpeaks.paths as paths
 
     calls = []
@@ -515,8 +548,11 @@ def test_dp_table_sweeps_once_per_height_and_kind(monkeypatch):
 
     monkeypatch.setattr(paths, "_dp_distribution", counting)
     build_table(9, 4, "dp")
-    assert len(calls) == 2 * (4 + 1)
+    assert len(calls) == 7
     assert {args[0] for args in calls} == {9} and {args[3] for args in calls} == {10}
+    calls.clear()
+    build_table(9, 5, "dp")
+    assert len(calls) == 8
 
 
 def test_gf_table_builds_one_family_per_band_height(monkeypatch):

@@ -271,6 +271,24 @@ def test_bivar_series_is_a_frozen_value():
     assert Series(0, (1,)) != BivarSeries(0, 0, (Series(0, (1,)),))
 
 
+def test_bivar_series_keeps_its_entries_as_a_tuple():
+    # as Series keeps its coefficients: a list of entries makes the value
+    # its tuple twin, equal and hashable
+    entries = [Series.one(2), Series.zero(2)]
+    twin = BivarSeries(1, 2, tuple(entries))
+    for given in (entries, iter(entries)):
+        value = BivarSeries(1, 2, given)
+        assert type(value.entries) is tuple
+        assert value == twin and hash(value) == hash(twin)
+
+
+def test_bivar_series_refuses_an_entry_that_is_no_series():
+    with pytest.raises(TypeError, match="^entry must be a Series, got int$"):
+        BivarSeries(0, 2, (5,))
+    with pytest.raises(TypeError, match="^entry must be a Series, got list$"):
+        BivarSeries(1, 2, (Series.one(2), [0, 0, 0]))
+
+
 def test_fraction_coefficients_normalize_to_int():
     s = Series.from_coeffs([Fraction(4, 2), Fraction(1, 3)], 1)
     assert s.coeffs[0] == 2 and isinstance(s.coeffs[0], int)
