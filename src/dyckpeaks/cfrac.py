@@ -31,11 +31,11 @@ K_2/K_1 = (p + q*C)/N with polynomials N, p and q (see
 :func:`peak_bivar_cfrac`). Only the mark level involves z, so the fraction
 splits there: the levels above the mark run once, as univariate
 continuants, and the mark level joins the two starts to them by
-univariate products, one z-coefficient of N, p or q at a time. Its value
-costs one polynomial times C and one division by N: O(z_order*x_order*k)
+univariate products, one z-coefficient of N or p at a time; q is
+x^(k-1). Its value costs one division by N: O(z_order*x_order*k)
 big-integer operations in place of the O(z_order*x_order^2) of dense
-continuants. ``peak_bivar_cfrac(4, 3000, 2)`` takes 0.04 s (78 s densely) on
-a 2-CPU host.
+continuants. ``peak_bivar_cfrac(4, 1000, 2)`` takes 0.006 s (0.7 s densely)
+on a 2-CPU host under CPython 3.11.
 
 Every fraction the library builds itself is one marked fraction: all
 down-steps weigh x, except the peak down-step at the innermost level k,
@@ -49,8 +49,9 @@ Conventions: ``lambdas[i]`` and ``mus[i]`` are the weights for height i + 1
 that z^r slices are series in semilength, directly comparable with
 :func:`dyckpeaks.gfcount.peak_gf`; the raw mark mu_k = z is expressible
 through :func:`rv_cfrac` and differs from the counts by a factor x^r. It
-keeps the dense continuants: its N has x^1 coefficient -z + z^2 (checked
-for k = 1..7), so no power of x cancels to leave an invertible divisor.
+keeps the dense continuants: under it alpha_1 - A_1 is
+A_1*(x - z) - x*A_2 in place of x*gamma, which has no factor x, so no
+power of x cancels from its N to leave an invertible constant term.
 """
 
 from __future__ import annotations
@@ -115,21 +116,17 @@ def _marked_fraction(depth: int, mark: BivarSeries, tail: BivarSeries) -> BivarS
     return rv_cfrac(WeightSpec((x,) * depth, (x,) * (depth - 1) + (mark,), depth, tail), tail.x_order, tail.z_order)
 
 
-def _cancel_x_squared(terms: tuple[Series, ...], degree: int, z_order: int, x_order: int) -> BivarSeries:
-    """b / x^2 at the given orders, for the z-coefficients ``terms`` (cut
-    to ``z_order``, zero past the last) of a polynomial b of x-degree at
-    most ``degree`` + 2 carried at a higher x-order.
+def _bounded_polynomial(terms: tuple[Series, ...], degree: int, z_order: int, x_order: int) -> BivarSeries:
+    """The polynomial with z-coefficients ``terms`` (cut to ``z_order``, zero
+    past the last) at the given orders, for terms of x-degree at most
+    ``degree`` carried at a higher x-order.
 
-    Raises :class:`InvariantError` unless x^2 divides every term and every
-    coefficient above x^(degree + 2) is zero, so that padding the quotient
-    to ``x_order`` drops no nonzero coefficient.
+    Raises :class:`InvariantError` if a coefficient above x^degree is
+    nonzero, so that padding to ``x_order`` drops no nonzero coefficient.
     """
-    for e in terms:
-        if e.coeffs[0] or e.coeffs[1]:
-            raise InvariantError("x^2 does not divide the peak fraction's N, p or q")
-        if any(e.coeffs[degree + 3 :]):
-            raise InvariantError(f"the peak fraction's N, p or q exceeds x-degree {degree + 2}")
-    entries = [Series.from_coeffs(e.coeffs[2:], x_order) for e in terms[: z_order + 1]]
+    if any(any(e.coeffs[degree + 1 :]) for e in terms):
+        raise InvariantError(f"the peak fraction's N or p exceeds x-degree {degree}")
+    entries = [Series.from_coeffs(e.coeffs, x_order) for e in terms[: z_order + 1]]
     entries += [Series.zero(x_order)] * (z_order + 1 - len(terms))
     return BivarSeries(z_order, x_order, entries)
 
@@ -164,58 +161,54 @@ def peak_bivar_cfrac(k: int, x_order: int, z_order: int) -> BivarSeries:
     B_{k+1} = 1. By linearity alpha_j = A_j*d_k + B_j and beta_j = -x*A_j.
     Level 1's step A_1 = A_2 - x*A_3 makes B_2 = A_1 - A_2, which holds at
     k = 1 too: no level runs, A_1 = 1, A_2 = 0 and B_2 = 1. With
-    s = x*alpha_1 + beta_1, multiplying K_2 and K_1 by the conjugate of
-    K_1 and using x*C^2 = C - 1 gives K_2/K_1 = (p + q*C)/N, where
+    gamma = A_1*(1 - z) - A_2 this gives
 
-        N = alpha_1*s + beta_1^2,
-        p = alpha_2*s + beta_1*beta_2,
-        q = beta_2*s - x*alpha_2*beta_1 - beta_1*beta_2.
+        alpha_1 = A_1 + x*gamma,   alpha_2 = A_1 + x*A_2*(1 - z).
 
-    N, p and q have x-degree at most k + 2 and z-degree 2, and x^2 divides
-    all three; after the cancel N(0, 0) is 1 for k >= 2 and 2 at k = 1, so
-    every quotient step divides exactly in Z. They are built from their
-    z-coefficients with univariate Series only: d_k = (1 + x) - x*z gives
+    Multiplying K_2 and K_1 by gamma + A_1*C and using x*C^2 = C - 1
+    clears C from the denominator, as alpha_1*A_1 - x*A_1*gamma = A_1^2,
+    and gives K_2/K_1 = (p + q*C)/N, where
 
-        alpha_1 = (A_1*(1 + x) - x*A_2) - x*A_1*z,
-        alpha_2 = (A_1 + x*A_2) - x*A_2*z,
+        N = alpha_1*gamma + A_1^2,
+        p = alpha_2*gamma + A_1*A_2,
+        q = A_1^2 - A_1*A_2 + x*A_2^2.
 
-    so alpha_j1 = beta_j, s_0 = x*alpha_10 + beta_1 and s_1 = x*alpha_11;
-    then N_0 = alpha_10*s_0 + beta_1^2, N_1 = alpha_10*s_1 + alpha_11*s_0,
-    N_2 = alpha_11*s_1, and p likewise. q has no z^2 term, and its z^1
-    term beta_2*s_1 - x*alpha_21*beta_1 vanishes, since alpha_21 = beta_2
-    and s_1 = x*beta_1, so q is its z^0 coefficient. Each is a tuple of its
-    z-coefficients, built at x-order k + 4, where every product is exact;
-    :func:`_cancel_x_squared` checks the cancel and the degree bound, cuts
-    them to ``z_order`` and pads them to ``x_order``. What remains is one
-    polynomial times C and one bivariate division by N: O(z_order*x_order*k)
-    big-integer operations where the dense continuants cost
-    O(z_order*x_order^2). On a 2-CPU host ``peak_bivar_cfrac(4, 1000, 2)``
-    takes 0.008 s (1.06 s densely).
+    q is D_1 of D_j = A_j^2 - A_j*A_{j+1} + x*A_{j+1}^2. Substituting
+    A_j = A_{j+1} - x*A_{j+2} gives D_j = x*D_{j+1}, and D_k = 1, so
+    q = x^(k-1) and the value is (p + x^(k-1)*C)/N. N and p have x-degree
+    at most k and z-degree 2, and N(0, 0) is 1 for k >= 2 and 2 at k = 1,
+    so every quotient step divides exactly in Z. They are built from their
+    z-coefficients with univariate Series only: gamma_0 = A_1 - A_2 and
+    gamma_1 = -A_1, so alpha_10 = A_1 + x*gamma_0, alpha_11 = x*gamma_1,
+    alpha_20 = A_1 + x*A_2 and alpha_21 = -x*A_2; then
+    N_0 = alpha_10*gamma_0 + A_1^2, N_1 = alpha_10*gamma_1 + alpha_11*gamma_0,
+    N_2 = alpha_11*gamma_1, and p likewise. Each is a tuple of its
+    z-coefficients, built at x-order k + 2, where every product is exact
+    and two coefficients past the bound are seen: :func:`_bounded_polynomial`
+    checks the bound, cuts them to ``z_order`` and pads them to ``x_order``.
+    What remains is C shifted by k - 1 in the numerator's z^0 entry and one
+    bivariate division by N: O(z_order*x_order*k) big-integer operations
+    where the dense continuants cost O(z_order*x_order^2).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    small_x = k + 4
+    small_x = k + 2
     plain = (Series.monomial(1, 1, small_x),) * (k - 1)  # lambda = mu = x, one object
     a_1, a_2 = Series.one(small_x), Series.zero(small_x)
     if k > 1:
         *_, (_, a_1, a_2) = _continuants(plain, plain, a_1, a_2)
-    # the mark level's z^0 and z^1 coefficients, from d_k = (1 + x) - x*z
-    x_a1, x_a2 = a_1.shift(1), a_2.shift(1)
-    beta_1, beta_2 = -x_a1, -x_a2
-    alpha_10, alpha_11 = a_1 + x_a1 - x_a2, beta_1
-    alpha_20, alpha_21 = a_1 + x_a2, beta_2
-    s_0, s_1 = alpha_10.shift(1) + beta_1, alpha_11.shift(1)
-    b_12 = beta_1 * beta_2
-    norm, p, q = (
-        _cancel_x_squared(terms, k, z_order, x_order)
+    # the z^0 and z^1 coefficients of gamma, alpha_1 and alpha_2
+    gamma_0, gamma_1 = a_1 - a_2, -a_1
+    alpha_10, alpha_11 = a_1 + gamma_0.shift(1), gamma_1.shift(1)
+    alpha_20, alpha_21 = a_1 + a_2.shift(1), -a_2.shift(1)
+    norm, p = (
+        _bounded_polynomial(terms, k, z_order, x_order)
         for terms in (
-            (alpha_10 * s_0 + beta_1 * beta_1, alpha_10 * s_1 + alpha_11 * s_0, alpha_11 * s_1),
-            (alpha_20 * s_0 + b_12, alpha_20 * s_1 + alpha_21 * s_0, alpha_21 * s_1),
-            (beta_2 * s_0 - (alpha_20 * beta_1).shift(1) - b_12,),
+            (alpha_10 * gamma_0 + a_1 * a_1, alpha_10 * gamma_1 + alpha_11 * gamma_0, alpha_11 * gamma_1),
+            (alpha_20 * gamma_0 + a_1 * a_2, alpha_20 * gamma_1 + alpha_21 * gamma_0, alpha_21 * gamma_1),
         )
     )
-    tail = BivarSeries.from_series(catalan_series(x_order), z_order)
-    return (p + q * tail) / norm
+    return (p + catalan_series(x_order).shift(k - 1)) / norm
 
 
 def lemma_rhs(k: int, a: Series, x_order: int, z_order: int) -> BivarSeries:

@@ -94,11 +94,11 @@ def test_single_dp_count_equals_row_n_of_the_sweep_at_n_1500(kind, k, r):
     assert count_exact_dp(1500, k, r, kind) == _dp_distribution(1500, k, kind, r + 1)[1500][r]
 
 
-@pytest.mark.parametrize("k, r", [(4, 2), (1, 4), (2, 3), (9, 2)])
+@pytest.mark.parametrize("k, r", [(4, 2), (1, 4), (2, 3), (9, 2), (40, 1)])
 def test_continued_fraction_equals_the_dp_at_n_3000(k, r):
     # k = 1 and 2 are the edge cases of the fraction's split at the mark (no
-    # unmarked level, one), and k = 9 lies one past the deepest height (8)
-    # that deep-count asks the fraction for
+    # unmarked level, one), k = 9 lies one past the deepest height (8) that
+    # deep-count asks the fraction for, and k = 40 runs 39 unmarked levels
     assert peak_bivar_cfrac(k, 3000, r).z_slice(r).coefficient(3000) == count_exact_dp(3000, k, r, StatKind.PEAK)
 
 

@@ -155,19 +155,43 @@ def test_peak_bivar_cfrac_runs_the_unmarked_levels_once_without_z(monkeypatch, k
     assert runs == ([] if k == 1 else [(k - 1, {Series})])
 
 
-@pytest.mark.parametrize("extra_power, message", [(1, "x\\^2 does not divide"), (7, "exceeds x-degree 6")])
+@pytest.mark.parametrize("extra_power, message", [(7, "exceeds x-degree 6"), (8, "exceeds x-degree 6")])
 def test_peak_bivar_cfrac_checks_the_norm_polynomials(monkeypatch, extra_power, message):
-    # a cancel that sees a nonzero x^1 coefficient, or a coefficient past
-    # the degree bound k + 2, must raise rather than pad or drop it
-    cancel = cfrac_module._cancel_x_squared
+    # N and p are carried at x-order k + 2, two coefficients past their
+    # degree bound k; a nonzero one there must raise rather than be dropped
+    bounded = cfrac_module._bounded_polynomial
 
     def corrupted(terms, degree, z_order, x_order):
         bumped = terms[0] + Series.monomial(1, extra_power, terms[0].order)  # the z^0 coefficient
-        return cancel((bumped, *terms[1:]), degree, z_order, x_order)
+        return bounded((bumped, *terms[1:]), degree, z_order, x_order)
 
-    monkeypatch.setattr(cfrac_module, "_cancel_x_squared", corrupted)
+    monkeypatch.setattr(cfrac_module, "_bounded_polynomial", corrupted)
     with pytest.raises(InvariantError, match=message):
-        peak_bivar_cfrac(4, 20, 3)
+        peak_bivar_cfrac(6, 20, 3)
+
+
+def test_peak_bivar_cfrac_numerator_weight_is_a_power_of_x(monkeypatch):
+    # q = A_1^2 - A_1*A_2 + x*A_2^2 is x^(k-1), as D_j = x*D_{j+1} and
+    # D_k = 1, so the fraction forms no q; and the norm's constant term
+    # N(0, 0) is 2 at k = 1 and 1 for k >= 2
+    built, bounded = [], cfrac_module._bounded_polynomial
+
+    def recorded(*args):
+        built.append(bounded(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cfrac_module, "_bounded_polynomial", recorded)
+    for k in range(1, 41):
+        order = k + 2
+        plain = (Series.monomial(1, 1, order),) * (k - 1)
+        a_1, a_2 = Series.one(order), Series.zero(order)
+        for _, a_1, a_2 in cfrac_module._continuants(plain, plain, a_1, a_2):
+            pass
+        assert a_1 * a_1 - a_1 * a_2 + (a_2 * a_2).shift(1) == Series.monomial(1, k - 1, order), k
+        built.clear()
+        peak_bivar_cfrac(k, 3, 2)
+        norm = built[0]
+        assert norm.entries[0].coeffs[0] == (2 if k == 1 else 1), k
 
 
 def test_peak_bivar_cfrac_at_height_1_stays_in_the_integers(monkeypatch):
@@ -180,7 +204,7 @@ def test_peak_bivar_cfrac_at_height_1_stays_in_the_integers(monkeypatch):
     assert tuple(marked.z_slice(r) for r in range(5)) == stat_family(StatKind.PEAK, 1, 200, 4)
 
 
-@pytest.mark.parametrize("k, r", [(1, 4), (4, 2), (8, 3)])
+@pytest.mark.parametrize("k, r", [(1, 4), (4, 2), (8, 3), (30, 2)])
 def test_peak_bivar_cfrac_equals_the_dp_past_the_enumeration_guard(k, r):
     n = 1000
     assert peak_bivar_cfrac(k, n, r).z_slice(r).coefficient(n) == count_exact_dp(n, k, r, StatKind.PEAK)
@@ -213,12 +237,12 @@ def counted_bivariate_products(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_peak_bivar_cfrac_mark_level_multiplies_no_bivariate_series(monkeypatch, k):
-    # the mark level builds N, p and q from univariate products of their
-    # z-coefficients; the one BivarSeries product is the final numerator's q*C
+    # the mark level builds N and p from univariate products of their
+    # z-coefficients, and q*C is C shifted by k - 1: no BivarSeries product
     products = counted_bivariate_products(monkeypatch)
     got = peak_bivar_cfrac(k, 30, 3)
     monkeypatch.undo()
-    assert products == [(3, 30)]
+    assert products == []
     assert got == dense_peak_cfrac(k, 30, 3)
 
 
