@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Literal
 
 from .gfcount import stat_gf
 from .paths import (
     DEFAULT_ENUM_GUARD,
+    METHODS,
     CountTable,
     StatKind,
     _check_count_args,
@@ -41,7 +41,7 @@ from .paths import (
 )
 from .series import BivarSeries, InvariantError, NonIntegralError, Series
 
-OutputFormat = Literal["plain", "csv", "json"]
+FORMATS = ("plain", "csv", "json")
 
 
 def _print_json(doc: object) -> None:
@@ -49,7 +49,7 @@ def _print_json(doc: object) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _format_series(series: Series, fmt: OutputFormat) -> None:
+def _format_series(series: Series, fmt: str) -> None:
     coeffs = list(map(str, series.coeffs))
     if fmt == "plain":
         print(",".join(coeffs))
@@ -60,7 +60,7 @@ def _format_series(series: Series, fmt: OutputFormat) -> None:
         _print_json({"order": series.order, "coefficients": coeffs})
 
 
-def _format_bivar(bv: BivarSeries, fmt: OutputFormat) -> None:
+def _format_bivar(bv: BivarSeries, fmt: str) -> None:
     entries = [list(map(str, entry.coeffs)) for entry in bv.entries]
     if fmt == "plain":
         print("\n".join(f"z^{j}: " + ",".join(coeffs) for j, coeffs in enumerate(entries)))
@@ -71,7 +71,7 @@ def _format_bivar(bv: BivarSeries, fmt: OutputFormat) -> None:
         _print_json({"z_order": bv.z_order, "x_order": bv.x_order, "entries": entries})
 
 
-def _format_table(table: CountTable, fmt: OutputFormat) -> None:
+def _format_table(table: CountTable, fmt: str) -> None:
     """The cells in the table's order, one string per (n, k) pair of rows
     (:meth:`CountTable.row_pairs`): a 40 x 5 table is hundreds of kilobytes
     of text, and only one pair's is held at once. A cell is its pair's head,
@@ -180,13 +180,8 @@ def _cmd_cfrac(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_verify
 
-    report = run_verify(
-        n_max=args.n_max,
-        k_max=args.k_max,
-        r_max=args.r_max,
-        order=args.order,
-        guard=args.enum_guard,
-    )
+    # the parser sets no defaults: run_verify's signature is their one home
+    report = run_verify(**{k: v for k, v in vars(args).items() if k not in ("command", "func")})
     print(report.text(), end="")
     return 0 if report.passed else 2
 
@@ -200,8 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     stat_choices = [kind.value for kind in StatKind]
 
-    def add_format(p, choices=("plain", "csv", "json")):
+    def add_format(p, choices=FORMATS):
         p.add_argument("--format", choices=choices, default="plain", help="output format")
+
+    def add_method(p):
+        p.add_argument("--method", choices=METHODS, default="dp")
+        p.add_argument("--enum-guard", type=int, default=DEFAULT_ENUM_GUARD)
 
     p = sub.add_parser("series", help="print generating-function coefficients")
     p.add_argument("--stat", choices=stat_choices, required=True)
@@ -216,15 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="semilength")
-    p.add_argument("--method", choices=("enum", "dp", "gf"), default="dp")
-    p.add_argument("--enum-guard", type=int, default=DEFAULT_ENUM_GUARD)
+    add_method(p)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("table", help="emit a full count table")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--method", choices=("enum", "dp", "gf"), default="dp")
-    p.add_argument("--enum-guard", type=int, default=DEFAULT_ENUM_GUARD)
+    add_method(p)
     add_format(p)
     p.set_defaults(func=_cmd_table)
 
@@ -242,12 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=_cmd_cfrac)
 
-    p = sub.add_parser("verify", help="run the cross-validation report")
-    p.add_argument("--n-max", type=int, default=12)
-    p.add_argument("--k-max", type=int, default=5)
-    p.add_argument("--r-max", type=int, default=4)
-    p.add_argument("--order", type=int, default=30)
-    p.add_argument("--enum-guard", type=int, default=DEFAULT_ENUM_GUARD)
+    p = sub.add_parser("verify", help="run the cross-validation report", argument_default=argparse.SUPPRESS)
+    p.add_argument("--n-max", type=int)
+    p.add_argument("--k-max", type=int)
+    p.add_argument("--r-max", type=int)
+    p.add_argument("--order", type=int)
+    p.add_argument("--enum-guard", type=int, dest="guard", metavar="ENUM_GUARD")
     p.set_defaults(func=_cmd_verify)
 
     return parser

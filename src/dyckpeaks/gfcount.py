@@ -155,9 +155,9 @@ def stat_gf(kind: StatKind, k: int, r: int, order: int) -> Series:
     past the order asks for no polynomial beyond q_{order}.
     """
     _check_args(k, r, order)
-    if kind is StatKind.PEAK and k == 0:
-        return catalan_series(order) if r == 0 else Series.zero(order)
     j = _band_height(kind, k)
+    if j == -2:
+        return catalan_series(order) if r == 0 else Series.zero(order)
     # the two-route check runs on every call, also when r >= 1 leaves R unused
     ratio = r_series(j + 1, order)
     band = _band_slice(j, r, order) if j + 1 + r <= order else Series.zero(order)

@@ -37,14 +37,13 @@ which keeps their fields in ``__slots__`` and refuses to set or delete one after
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import partial
 from operator import attrgetter, mul, neg, pos
-from typing import Callable, Iterable, Sequence, TypeVar, Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 _SCALARS = (int, Fraction)  # the operand types that act as a Rational
-Ring = TypeVar("Ring", "Series", "BivarSeries")  # the operand type of a ring operation
 
 
 class NonInvertibleError(ValueError):
@@ -120,7 +119,7 @@ def _quotient(num: Sequence, den: Sequence, divide, zero) -> list:
     return out
 
 
-def _common(a: Ring, b: Ring) -> tuple[Ring, Ring]:
+def _common(a: Series | BivarSeries, b: Series | BivarSeries) -> tuple[Series | BivarSeries, ...]:
     """``a`` and ``b``, of one type, cut to the truncation orders they share."""
     if a._orders == b._orders:  # the common case: nothing to cut
         return a, b
@@ -268,7 +267,7 @@ class Series(_Frozen):
             raise NonInvertibleError("series with zero constant term has no reciprocal")
         return pos if c0 == 1 else neg if c0 == -1 else partial(_divide, c0)
 
-    def _rebuild(self: Ring, terms: list) -> Ring:
+    def _rebuild(self, terms: list) -> Series | BivarSeries:
         """A result of this operand's type and orders with the given terms."""
         # tuple() of a list is allocated at its final length. tuple() of a
         # generator resizes a 10-slot tuple, so freed tuples of other short
@@ -277,7 +276,7 @@ class Series(_Frozen):
         # the peak fraction. So every result tuple is built from a list.
         return type(self)(*self._orders, tuple(terms))
 
-    def __add__(self: Ring, other: Ring | Series | Rational) -> Ring:
+    def __add__(self, other: Series | BivarSeries | Rational) -> Series | BivarSeries:
         if isinstance(other, _SCALARS):  # moves the constant term alone
             terms = list(self._terms)
             terms[0] += other
@@ -290,16 +289,16 @@ class Series(_Frozen):
 
     __radd__ = __add__
 
-    def __neg__(self: Ring) -> Ring:
+    def __neg__(self) -> Series | BivarSeries:
         return self._rebuild([-t for t in self._terms])
 
-    def __sub__(self: Ring, other: Ring | Series | Rational) -> Ring:
+    def __sub__(self, other: Series | BivarSeries | Rational) -> Series | BivarSeries:
         return self + (-other)
 
-    def __rsub__(self: Ring, other: Ring | Series | Rational) -> Ring:
+    def __rsub__(self, other: Series | BivarSeries | Rational) -> Series | BivarSeries:
         return -self + other
 
-    def __mul__(self: Ring, other: Ring | Series | Rational) -> Ring:
+    def __mul__(self, other: Series | BivarSeries | Rational) -> Series | BivarSeries:
         if isinstance(other, _SCALARS):  # scales every term
             return self._rebuild([t * other for t in self._terms])
         other = self._coerce(other)
@@ -310,7 +309,7 @@ class Series(_Frozen):
 
     __rmul__ = __mul__
 
-    def reciprocal(self: Ring) -> Ring:
+    def reciprocal(self) -> Series | BivarSeries:
         """Multiplicative inverse up to the truncation orders: the quotient 1/self.
 
         The constant term must be nonzero; otherwise
@@ -318,7 +317,7 @@ class Series(_Frozen):
         """
         return self._coerce(1) / self
 
-    def __truediv__(self: Ring, other: Ring | Series | Rational) -> Ring:
+    def __truediv__(self, other: Series | BivarSeries | Rational) -> Series | BivarSeries:
         """Quotient self/other in one pass of the quotient recurrence.
 
         Each step divides a term by the divisor's constant term (see

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .cfrac import _marked_fraction, catalan_cfrac, lemma_iterated_cfrac, lemma_rhs, peak_bivar_cfrac
 from .gfcount import _valley0_binomial_literal, peak1_nonempty_blocks_gf, stat_family, valley0_closed_count
 from . import paths
-from .paths import DEFAULT_ENUM_GUARD, StatKind, build_table, enumerate_paths, psi, statistics
+from .paths import DEFAULT_ENUM_GUARD, METHODS, StatKind, build_table, enumerate_paths, psi, statistics
 from .series import BivarSeries, InvariantError, _Record, catalan_series
 
 
@@ -50,12 +50,12 @@ class VerifyReport(_Record):
 
 def _check_three_way(report: VerifyReport, tables: dict, n_max: int, k_max: int) -> None:
     report.section("three-way agreement: enumeration vs dynamic program vs series")
-    enum, dp, gf = (tables[m] for m in ("enum", "dp", "gf"))
+    enum, dp, gf = (tables[m] for m in METHODS)
     cells = (k_max + 1) * (n_max + 1) * (n_max + 2)  # r <= n for each n, k and kind
     expected = list(range(1, n_max + 2))  # row n holds the counts for r <= n
     shapes = (
         (method, kind, k, [len(row) for row in tables[method].rows[kind][k]])
-        for method in ("enum", "dp", "gf")
+        for method in METHODS
         for kind in StatKind
         for k in range(k_max + 1)
     )
@@ -79,7 +79,7 @@ def _check_three_way(report: VerifyReport, tables: dict, n_max: int, k_max: int)
         )
 
     report.section("sum rule: occurrence counts partition all paths")
-    for method in ("enum", "dp", "gf"):
+    for method in METHODS:
         try:
             tables[method].check_sum_rule()
         except InvariantError as exc:
@@ -187,55 +187,49 @@ def _check_bijection(report: VerifyReport, n_max: int) -> None:
     with valleys at height k - 2, on every path with n <= min(n_max, 10)
     and every k in 2..5.
 
-    Each (n, k) is one walk, ``_sweep``, into two lists of ints, no path
-    objects, and one sort, ``_swaps_hold``; only one (n, k) is held at a
-    time. The walk sums each path's record from its steps, and its image
-    turns the pairs that start at ``paths._turn_start(k)``, the one rule
-    that ``psi`` reads too.
+    Each (n, k) is one walk, ``_sweep``, into two lists of ints, and one
+    sort, ``_swaps_hold``; only one (n, k) is held at a time. It holds when
+    the paths' records (code, image, peaks, valleys) are closed under the
+    swap to (image, code, valleys, peaks): an image's code is among the
+    records exactly when it is a Dyck path of semilength n, and its own
+    image and counts were summed on its own walk.
 
-    Each (n, k) holds when the paths' records (code, image, peaks, valleys)
-    are closed under the swap to (image, code, valleys, peaks). An image's
-    code is among the records exactly when it is a Dyck path of semilength
-    n, and its own image and counts were summed on its own walk: the swap
-    reads back the second application of ``psi`` and the tally of the image.
-
-    The report names the first counterexample of a sweep over every path
-    for each k in turn (k-major): the smallest failing k, at the first n
-    where it fails, and there the first failing path of ``enumerate_paths``,
-    found by direct calls to the public ``psi``, which validates its image.
+    The loop is k-major and stops at the first failing (k, n). The report
+    names the first failing path there, in ``enumerate_paths`` order, found
+    by direct calls to the public ``psi``, which validates its image.
     """
     report.section("height-swap rewrite: involution and statistic exchange")
     n_cap = min(n_max, 10)
     ks = range(2, 6)
     cases = 0
-    failures = []  # (k, n) pairs
-    for n in range(n_cap + 1):
-        for k in ks:
+    for k in ks:
+        for n in range(n_cap + 1):
             records, swapped = _sweep(n, k)
             cases += len(records)
             if not _swaps_hold(records, swapped):
-                failures.append((k, n))
+                report.fail(_first_swap_failure(n, k))
+                return
             del records, swapped  # free them before the next walk
-    if failures:
-        k, n = min(failures)
-        report.fail(_first_swap_failure(n, k))
-        return
     report.ok(
         f"involution and (peaks at k) <-> (valleys at k-2) exchange hold on "
-        f"{cases} (path, k) cases, n <= {n_cap}, k in 2..5"
+        f"{cases} (path, k) cases, n <= {n_cap}, k in {ks.start}..{ks.stop - 1}"
     )
 
 
 def _check_lemma(report: VerifyReport, order: int, z_order: int) -> None:
     report.section("closed form vs direct evaluation of the marked fraction")
     a = catalan_series(order) - 1
-    for k in range(1, 7):
+    ks = range(1, 7)
+    for k in ks:
         closed = lemma_rhs(k, a, order, z_order)
         direct = lemma_iterated_cfrac(k, a, order, z_order)
         if closed != direct:
             report.fail(f"closed form disagrees with direct evaluation at k={k}")
             return
-    report.ok(f"closed form matches direct evaluation for k in 1..6 at order {order}, z-order {z_order}")
+    report.ok(
+        f"closed form matches direct evaluation for k in {ks.start}..{ks.stop - 1} "
+        f"at order {order}, z-order {z_order}"
+    )
 
 
 def _check_cfrac(report: VerifyReport, order: int, r_max: int) -> None:
@@ -350,7 +344,7 @@ def run_verify(
         f"order={order}, guard={guard})"
     )
     report.lines.append("")
-    tables = {method: build_table(n_max, k_max, method, guard=guard) for method in ("enum", "dp", "gf")}
+    tables = {method: build_table(n_max, k_max, method, guard=guard) for method in METHODS}
     _check_three_way(report, tables, n_max, k_max)
     _check_bijection(report, n_max)
     _check_lemma(report, order, r_max)

@@ -214,6 +214,15 @@ def test_start_up_imports_no_dataclasses_inspect_or_json():
     assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
 
 
+def test_start_up_imports_no_typing():
+    # every annotation is a string, and no module asks typing for an alias
+    script = "import sys\nimport dyckpeaks.cli, dyckpeaks.verify\nprint('typing' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=SRC_ENV, capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "False\n")
+
+
 CLI_MAIN = "import sys\nfrom dyckpeaks.cli import main\nsys.exit(main(sys.argv[1:]))"
 
 
@@ -753,6 +762,44 @@ def test_usage_errors_exit_1(capsys):
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "series", "--help")[0] == 0
+
+
+HELP_AND_USAGE_ERRORS = [["--help"]] + [
+    [command, "--help"] for command in ("series", "count", "table", "bijection", "cfrac", "verify")
+] + [["verify", "--n-max", "x"], ["count", "--stat", "peak", "--k", "1", "--r", "0", "--n", "3", "--method", "nope"]]
+
+
+def test_help_and_usage_error_bytes_are_pinned(capsys, monkeypatch):
+    # the choices, defaults and metavars the parsers show, from their one home each
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    digest = sha256()
+    for argv in HELP_AND_USAGE_ERRORS:
+        code, out, err = run(capsys, *argv)
+        digest.update(f"{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == "89687999033e6c4b86fcfc4284e304954b6cadb2eee21a6ae95889afddfe2630"
+
+
+@pytest.mark.parametrize(
+    "argv, given",
+    [
+        ((), {}),
+        (
+            ("--n-max", "6", "--k-max", "2", "--r-max", "1", "--order", "9", "--enum-guard", "7"),
+            {"n_max": 6, "k_max": 2, "r_max": 1, "order": 9, "guard": 7},
+        ),
+    ],
+)
+def test_verify_passes_run_verify_only_the_options_given(capsys, monkeypatch, argv, given):
+    # run_verify's signature is the one home of verify's defaults
+    calls = []
+
+    def spy(**options):
+        calls.append(options)
+        return verify.VerifyReport()
+
+    monkeypatch.setattr(verify, "run_verify", spy)
+    assert run(capsys, "verify", *argv)[0] == 0
+    assert calls == [given]
 
 
 def test_verify_small_run_is_deterministic(capsys):

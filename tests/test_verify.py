@@ -157,6 +157,25 @@ def failures(report):
     return [line for line in report.lines if line.startswith("FAIL")]
 
 
+def test_bijection_section_walks_no_sweep_past_its_counterexample(monkeypatch):
+    # the loop is the search: k-major, it stops at (k, n) = (2, 5), the
+    # sixth walk, where an n-major loop walks every (n, k) before it names one
+    large = parse_path("UUDDUDUDUD")
+    substitute_turn(monkeypatch, replacing({(large.steps, 2): large.steps}))
+    sweep, walks = verify._sweep, []
+
+    def counting(n, k):
+        walks.append((n, k))
+        return sweep(n, k)
+
+    monkeypatch.setattr(verify, "_sweep", counting)
+    report = VerifyReport()
+    _check_bijection(report, 12)
+    assert failures(report) == ["FAIL statistics not exchanged at k=2, path UUDDUDUDUD"]
+    assert walks == [(n, 2) for n in range(6)]
+    assert len(walks) < 4 * (10 + 1)
+
+
 def test_bijection_section_calls_no_turn_psi_or_statistics_when_it_passes(monkeypatch):
     # 197 paths with n <= 6, four heights each: the walk keeps each path's
     # pairs by start height, turns them at its leaf once per k and tallies
