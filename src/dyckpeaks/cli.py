@@ -8,6 +8,7 @@ spec), and ``verify`` (the full cross-validation report).
 Exit codes: 0 success, 1 usage or input error, 2 verification failure (a
 failed ``verify`` report, an internal check raising ``InvariantError``, or a
 counting series with a fractional coefficient raising ``NonIntegralError``).
+A reader that closes stdout early (``| head``) gives exit code 1 and no stderr.
 JSON output renders counts and coefficients as decimal strings so arbitrary
 precision survives any JSON reader.
 
@@ -21,6 +22,7 @@ after it; importing the package leaves the cap alone.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .gfcount import stat_gf
@@ -262,7 +264,14 @@ def main(argv: list[str] | None = None) -> int:
         cap = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:  # the Python docs' SIGPIPE recipe: the exit's flush goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (InvariantError, NonIntegralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

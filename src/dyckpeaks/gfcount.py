@@ -23,22 +23,37 @@ with no series, so it checks the series route at any n.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 
 from .chebyshev import q_poly, r_series
 from .paths import StatKind
-from .series import InvariantError, Series, catalan_series
+from .series import InvariantError, Series, _product, catalan_series
 
 
-def _band(j: int, order: int) -> tuple[Series, Series, Series]:
-    """The band polynomials (u, e, m) at band height j >= -1, as series.
+def _times(p: list[int], q: list[int], top: int) -> list[int]:
+    """The product of two int polynomials, exact up to degree ``top`` and cut there."""
+    return _product(p, q, 0, min(len(p) + len(q) - 1, top + 1))
+
+
+def _plus(top: int, *polys: list[int]) -> list[int]:
+    """The sum of int polynomials, cut at degree ``top``, with no trailing zero."""
+    total = list(map(sum, zip_longest(*polys, fillvalue=0)))[: top + 1]
+    while total and not total[-1]:
+        total.pop()
+    return total
+
+
+def _band(j: int, top: int) -> tuple[list[int], list[int], list[int]]:
+    """The band polynomials (u, e, m) at band height j >= -1, as int
+    coefficient lists cut at degree ``top``, with no trailing zero.
 
     u = q_{j+1}, e = q_{j+1} - q_j (with q_{-1} = 0) and
     m = (u + x*e)*e + u^2. The band factor C*D = C/(1 - x*(R_{j+1} - 1)*C),
     R_{j+1} = q_j/q_{j+1}, is q_{j+1}/F with 1/C = 1 - x*C and
     F = q_{j+1}*(1 + x) - x*q_j - x*q_{j+1}*C. Since x*C^2 = C - 1,
-    F*(e + u*C) = m, so C*D = u*(e + u*C)/m: one polynomial times C and one
-    division by m, of degree at most 2*((j+1)//2) + 1. q_j(0) = 1, so
+    F*(e + u*C) = m, so C*D = u*(e + u*C)/m. With h = (j+1)//2, u has degree
+    h, e at most h (e = 0 at j = 0) and m at most 2h + 1. q_j(0) = 1, so
     m(0) = 1 for j >= 0; at j = -1, e = u = 1 and m = 2 + x.
 
     For j >= 0, C*D counts paths from height j+1 back to j+1 (floor 0) with
@@ -46,9 +61,9 @@ def _band(j: int, order: int) -> tuple[Series, Series, Series]:
     into [0, j] (R_{j+1} - 1), each glued on by a down-step/up-step pair.
     The families read it as u^2*g, with one quotient g = (e + u*C)/(u*m).
     """
-    u = Series.from_coeffs(q_poly(j + 1), order)
-    e = u - Series.from_coeffs(q_poly(j) if j >= 0 else (), order)
-    return u, e, (u + e.shift(1)) * e + u * u
+    u = list(q_poly(j + 1)[: top + 1])
+    e = _plus(top, u, [-c for c in q_poly(j)] if j >= 0 else [])
+    return u, e, _plus(top, _times(_plus(top, u, [0, *e]), e, top), _times(u, u, top))
 
 
 def _band_height(kind: StatKind, k: int) -> int:
@@ -92,7 +107,7 @@ def stat_family(kind: StatKind, k: int, order: int, r_max: int) -> tuple[Series,
     j = _band_height(kind, k)
     if j == -2:
         return (catalan_series(order),) + (Series.zero(order),) * r_max
-    u, e, m = _band(min(j, order), order)
+    u, e, m = (Series.from_coeffs(p, order) for p in _band(min(j, order), order))
     g = (e + u * catalan_series(order)) / (u * m)
     slices, step = [g.shift(j + 1)], (u * u * g).shift(1)
     for _ in range(r_max):
@@ -104,31 +119,22 @@ def stat_family(kind: StatKind, k: int, order: int, r_max: int) -> tuple[Series,
 def _band_slice(j: int, r: int, order: int) -> Series:
     """Slice r of the valley family at band height j >= -1 without its
     R_{j+1} term, x^{j+1+r} * (C*D)^{r+1} / q_{j+1}^2, for j + 1 + r <= order:
-    the direct form of :func:`stat_gf`, computed to order - j - 1 and then
-    shifted by x^{j+1}.
-
-    Only C is dense. With h = (j+1)//2, u and e have degree at most h and m
-    at most 2h + 1; each step of the (a, b) recurrence adds at most h + 1,
-    so a and b reach h + r*(h+1), a*u^{r-1} reaches 2rh + r, m^{r+1} reaches
-    (r+1)*(2h+1), and u*m (r = 0) reaches 3h + 1. No polynomial here, nor
-    any partial power, has degree above D = (r+1)*(2h+1) + h, so they are
-    computed at order min(order - j - 1, D): a cut at D drops only zero
-    coefficients, and the result is exact. Only a, b and the divisor are
-    padded to the full order, for the one product with C and the one
-    division.
+    the direct form of :func:`stat_gf`, computed to low = order - j - 1 and
+    then shifted by x^{j+1}. Only C is dense: a, b, u^{r-1} and m^{r+1} (u*m
+    at r = 0) are exact int polynomials cut at degree low, as no term above
+    it reaches the result, with b*u formed once per step. They meet C in one
+    product and one division.
     """
     low = order - j - 1
-    h = (j + 1) // 2
-    u, e, m = _band(j, min(low, (r + 1) * (2 * h + 1) + h))
-    a, b = e, u
-    for _ in range(r):
-        a, b = (a * e).shift(1) - b * u, (a * u + b * e).shift(1) + b * u
-    if r:
-        lift = u.power(r - 1)
-        a, b, den = a * lift, b * lift, m.power(r + 1)
-    else:
-        den = u * m
-    a, b, den = (Series.from_coeffs(p.coeffs, low) for p in (a, b, den))
+    u, e, m = _band(j, low)
+    a, b, lift, den = e, u, [1], _times(m, m if r else u, low)
+    for step in range(r):
+        bu = _times(b, u, low)
+        a, b = (_plus(low, [0, *_times(a, e, low - 1)], [-c for c in bu]),
+                _plus(low, [0, *_times(a, u, low - 1)], [0, *_times(b, e, low - 1)], bu))
+        if step:  # r - 1 factors of u and r + 1 of m in all
+            lift, den = _times(lift, u, low), _times(den, m, low)
+    a, b, den = (Series.from_coeffs(p, low) for p in (_times(a, lift, low), _times(b, lift, low), den))
     quotient = (a + b * catalan_series(low)) / den
     return Series.from_coeffs((0,) * (j + 1) + quotient.coeffs, order)
 
@@ -143,9 +149,8 @@ def stat_gf(kind: StatKind, k: int, r: int, order: int) -> Series:
     x^{i-1}*(e + u*C)^i = a + b*C, from (a, b) = (e, u) at i = 1, one more
     factor x*(e + u*C) maps (a, b) to (x*a*e - b*u, x*(a*u + b*e) + b*u).
     After r steps the slice is x^{j+1} * u^{r-1} * (a + b*C) / m^{r+1}
-    (divided by u*m instead when r = 0): small polynomial products, one
-    polynomial times C and one division by m^{r+1}, of degree at most
-    (r+1)*(j+2), in place of r + 1 dense products at the order.
+    (divided by u*m instead when r = 0): exact int polynomial products, one
+    polynomial times C and one division, not r + 1 dense products.
 
     m(0) = 1 for j >= 0. At j = -1 (peaks at height 1) m = 2 + x; the slice
     is integral, so dividing by (2 + x)^{r+1} stays in the integers too. No

@@ -76,17 +76,18 @@ def _divide(d: Rational, v: Rational) -> Rational:
     return Fraction(v) / d if rem else q
 
 
-def _product(a: Sequence, b: Sequence, zero) -> list:
-    """Cauchy product of two coefficient sequences, truncated to the shorter
-    one; ``zero`` is the additive identity.
+def _product(a: Sequence, b: Sequence, zero, n: int | None = None) -> list:
+    """Cauchy product of two coefficient sequences, its first ``n`` terms (by
+    default the shorter one's length; n = len(a) + len(b) - 1 is the exact
+    product of two polynomials); ``zero`` is the additive identity.
 
     Only pairs of nonzero terms are visited: the outer loop walks the
     support of the sparser operand, the inner one the support of the other,
     so a polynomial of d terms times a series of length n costs O(d*n).
     """
-    n = min(len(a), len(b))
-    support_a = [i for i in range(n) if a[i]]
-    support_b = [j for j in range(n) if b[j]]
+    n = min(len(a), len(b)) if n is None else n
+    support_a = [i for i in range(min(n, len(a))) if a[i]]
+    support_b = [j for j in range(min(n, len(b))) if b[j]]
     if len(support_b) < len(support_a):
         a, b, support_a, support_b = b, a, support_b, support_a
     out = [zero] * n
@@ -360,12 +361,12 @@ def catalan_series(order: int) -> Series:
     """Counting series of balanced up/down excursions, indexed by semilength.
 
     Computed by the ratio recurrence c_0 = 1,
-    c_{n+1} = c_n * 2(2n + 1) / (n + 2), whose division is always exact, in
-    O(order) big-integer steps; all coefficients are positive ints.
+    c_{n+1} = c_n * (4n + 2) / (n + 2), whose division is always exact: one
+    big-integer product per coefficient; all coefficients are positive ints.
     """
     cs = [1]
     for n in range(order):
-        cs.append(cs[-1] * 2 * (2 * n + 1) // (n + 2))
+        cs.append(cs[-1] * (4 * n + 2) // (n + 2))
     return Series(order, tuple(cs))
 
 

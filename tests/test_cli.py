@@ -753,6 +753,28 @@ def test_cfrac_missing_file(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [
+    ["count", "--stat", "peak", "--k", "2", "--r", "1", "--n", "10"],
+    ["table", "--n-max", "30", "--k-max", "5", "--method", "dp", "--format", "csv"],
+])
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr(argv, unbuffered):
+    # stdout is a pipe whose reader has gone, as after `| head`
+    env = {key: value for key, value in SRC_ENV.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "dyckpeaks.cli", *argv],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(capsys, "unknown-command")[0] == 1
     assert run(capsys, "series", "--stat", "peak")[0] == 1

@@ -10,7 +10,7 @@ from test_series import _FractionForbidden
 import dyckpeaks.series as series_module
 from dyckpeaks import gfcount
 from dyckpeaks.cfrac import peak_bivar_cfrac
-from dyckpeaks.chebyshev import r_series, u_inv_sq_series
+from dyckpeaks.chebyshev import q_poly, r_series, u_inv_sq_series
 from dyckpeaks.gfcount import (
     _valley0_binomial_literal,
     peak_gf,
@@ -155,8 +155,29 @@ def band_no_valley_count(n, k):
 def band_factor(j, order):
     """The band factor C*D = u*(e + u*C)/m at band height j, built from the
     band polynomials of ``gfcount._band``."""
-    u, e, m = gfcount._band(j, order)
+    u, e, m = (Series.from_coeffs(p, order) for p in gfcount._band(j, order))
     return u * (e + u * catalan_series(order)) / m
+
+
+def band_as_series(j, order):
+    """(u, e, m) of ``gfcount._band`` by series arithmetic at ``order``."""
+    u = Series.from_coeffs(q_poly(j + 1), order)
+    e = u - Series.from_coeffs(q_poly(j) if j >= 0 else (), order)
+    return u, e, (u + e.shift(1)) * e + u * u
+
+
+@pytest.mark.parametrize("top", [0, 1, 2, 5, 13, 100])
+def test_band_polynomials_are_exact_int_lists_cut_at_top(top):
+    for j in range(-1, 41):
+        h = (j + 1) // 2
+        u, e, m = gfcount._band(j, top)
+        for poly in (u, e, m):
+            assert type(poly) is list and {int} >= set(map(type, poly)), j
+            assert not poly or poly[-1], j  # no trailing zero
+        assert len(u) == min(h, top) + 1 and len(e) <= len(u), j  # degrees h and <= h, cut at top
+        assert len(m) <= min(2 * h + 1, top) + 1, j
+        assert [Series.from_coeffs(p, top) for p in (u, e, m)] == list(band_as_series(j, top)), j
+    assert gfcount._band(-1, top) == ([1], [1], [2, 1][: top + 1])
 
 
 def test_no_valley_band_gf_k0_is_catalan():
@@ -324,27 +345,33 @@ def test_stat_gf_equals_its_family_slice_at_order_200():
 
 def _band_polynomials(j, r, order):
     """a, b and the divisor of the direct slice at band height j (see
-    ``stat_gf``), every polynomial computed at ``order``: the reference for
-    the degree bound of ``_band_slice``."""
-    u, e, m = gfcount._band(j, order)
+    ``stat_gf``), by series arithmetic at ``order``, as int lists with no
+    trailing zero: the reference for the exact lists of ``_band_slice``."""
+    u, e, m = band_as_series(j, order)
     a, b = e, u
     for _ in range(r):
         a, b = (a * e).shift(1) - b * u, (a * u + b * e).shift(1) + b * u
     if r:
         lift = u.power(r - 1)
-        return a * lift, b * lift, m.power(r + 1)
-    return a, b, u * m
+        polys = a * lift, b * lift, m.power(r + 1)
+    else:
+        polys = a, b, u * m
+    lists = [list(p.coeffs) for p in polys]
+    for poly in lists:
+        while poly and not poly[-1]:
+            poly.pop()
+    return lists
 
 
 @pytest.mark.parametrize("order", [0, 1, 7, 40, 200])
 def test_band_slice_equals_its_form_at_the_full_order(order):
-    # at order 200 every bound D is below order - j - 1; at 7 none is
+    # at order 200 every degree bound is below order - j - 1; at 7 none is
     for j in range(-1, 13):
         for r in range(9):
             if j + 1 + r > order:
                 continue
             low = order - j - 1
-            a, b, den = _band_polynomials(j, r, low)
+            a, b, den = (Series.from_coeffs(p, low) for p in _band_polynomials(j, r, low))
             quotient = (a + b * catalan_series(low)) / den
             expected = Series.from_coeffs((0,) * (j + 1) + quotient.coeffs, order)
             assert gfcount._band_slice(j, r, order) == expected, (j, r)
@@ -356,7 +383,42 @@ def test_band_polynomials_have_no_term_above_the_degree_bound():
         for r in range(9):
             bound = (r + 1) * (2 * h + 1) + h
             for poly in _band_polynomials(j, r, bound + 8):
-                assert not any(poly.coeffs[bound + 1 :]), (j, r)
+                assert len(poly) <= bound + 1, (j, r)
+
+
+@pytest.mark.parametrize("kind", list(StatKind))
+def test_stat_gf_equals_its_family_where_the_cut_is_far_below_the_degrees(kind):
+    # band height 300 at order 310: _band_slice cuts at degree 9, where u
+    # has degree 150 and m^4 degree 1204
+    k = 300 if kind is StatKind.VALLEY else 302
+    family = stat_family(kind, k, 310, 3)
+    for r in range(4):
+        assert stat_gf(kind, k, r, 310) == family[r], r
+
+
+def test_band_slice_meets_the_dense_series_once(monkeypatch):
+    # one product (b*C) and one division per slice; every exact product is
+    # cut at degree order - j - 1
+    counts, lengths = {"__mul__": 0, "__truediv__": 0}, []
+    for name in counts:
+        def spy(self, other, real=getattr(Series, name), name=name):
+            counts[name] += 1
+            return real(self, other)
+        monkeypatch.setattr(Series, name, spy)
+    real_product = gfcount._product
+
+    def product(*args):
+        out = real_product(*args)
+        lengths.append(len(out))
+        return out
+
+    monkeypatch.setattr(gfcount, "_product", product)
+    for j, r, order in [(j, r, 30) for j in range(-1, 13) for r in range(9) if j + 1 + r <= 30] + [(1990, 3, 2000)]:
+        counts.update(dict.fromkeys(counts, 0))
+        lengths.clear()
+        gfcount._band_slice(j, r, order)
+        assert counts == {"__mul__": 1, "__truediv__": 1}, (j, r, order)
+        assert max(lengths) <= order - j, (j, r, order)
 
 
 def test_direct_slice_divides_in_the_integers(monkeypatch):

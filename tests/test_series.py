@@ -585,6 +585,25 @@ def test_product_kernel_matches_a_double_loop(pair):
 
 
 @settings(deadline=None)
+@given(sparse_and_dense(), st.integers(0, 70))
+def test_product_kernel_gives_n_terms_of_the_exact_product(pair, n):
+    # n = len(a) + len(b) - 1 is the exact product; terms past it are zero
+    a, b = pair
+    exact = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            exact[i + j] += ai * bj
+    assert series_module._product(a, b, 0, len(exact)) == exact
+    assert series_module._product(a, b, 0, n) == series_module._product(b, a, 0, n) == (exact + [0] * n)[:n]
+
+
+def test_product_kernel_with_an_explicit_length():
+    assert series_module._product([1, 1], [1, 1], 0, 5) == [1, 2, 1, 0, 0]
+    assert series_module._product([1, 1], [1, 1], 0, 0) == []
+    assert series_module._product([1, 2, 3], [4, 5], 0) == [4, 13]
+
+
+@settings(deadline=None)
 @given(
     st.lists(st.integers(-9, 9), min_size=1, max_size=25),
     st.lists(st.integers(-9, 9), min_size=1, max_size=25),
