@@ -8,9 +8,9 @@ is an honest integer-coefficient object. The recurrence defines q_k and the
 tests check it; q_k itself is computed from its explicit coefficients,
 (-1)^i * C(k - i, i) at x^i. Three families are derived from it:
 
-* ``r_series(k)``: the ratio q_{k-1}/q_k, whose n-th coefficient counts
-  Dyck paths of semilength n with maximum height at most k - 1, checked on
-  every call against a walk on the lattice band [0, k - 1];
+* ``r_series(k)``: the ratio q_{k-1}/q_k (above the order the ratio is C),
+  whose n-th coefficient counts Dyck paths of semilength n with maximum
+  height at most k - 1, checked on every call against a walk on [0, k - 1];
 * ``u_inv_sq_series(k)``: x^k / q_k(x)^2, the squared-denominator factor
   of the exact peak/valley formulas (1 at k = 0); no generator reads it,
   acceptance criterion 10 checks it and the tests compare the generators
@@ -30,7 +30,7 @@ from itertools import islice
 from math import comb
 
 from .paths import _band_walk
-from .series import InvariantError, Series
+from .series import InvariantError, Series, catalan_series
 
 
 def q_poly(k: int) -> tuple[int, ...]:
@@ -56,16 +56,18 @@ def r_series(k: int, order: int) -> Series:
     the number of walks at height 0 after step 2n. One divides polynomials
     of the recurrence, the other counts lattice walks, in O(order * k)
     big-integer additions. No path of semilength <= order reaches height
-    order + 1, so any k above order + 1 is computed as order + 1.
+    order + 1, so above the order the ratio is C, with no division.
     """
-    if order < 0:  # before k is clamped to order + 1
+    if order < 0:  # before k = 0 returns
         raise ValueError("order must be >= 0")
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
         return Series.zero(order)
-    k = min(k, order + 1)
-    by_ratio = Series.from_coeffs(q_poly(k - 1), order) / Series.from_coeffs(q_poly(k), order)
+    if k > order:
+        by_ratio = catalan_series(order)
+    else:
+        by_ratio = Series.from_coeffs(q_poly(k - 1), order) / Series.from_coeffs(q_poly(k), order)
     even_rows = islice(_band_walk(2 * order, k - 1, 0), None, None, 2)  # height 0 is entry 0
     by_walk = tuple(row[0] if row else 0 for row in even_rows)
     if by_ratio.coeffs != by_walk:

@@ -127,7 +127,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_count(args) -> int:
     kind = StatKind(args.stat)
-    _check_count_args(args.n, args.k, args.r)
+    _check_count_args(args.n, args.k, args.r, kind)
     _check_guard(0, args.enum_guard)  # refuses a negative guard under every method
     if args.method == "enum":
         count = count_exact_enum(args.n, args.k, args.r, kind, guard=args.enum_guard)

@@ -6,15 +6,15 @@ closed forms here are cross-validated against the enumeration and dynamic
 programming oracles in :mod:`dyckpeaks.paths`; the test suite and the
 ``verify`` CLI command enforce that agreement cell by cell.
 
-One closed form serves every family: the valley form at band height j,
+One closed form serves every family: the valley form at band height j
+(``paths._band_height``, the rule the DP kernel reads too),
 delta(r=0)*R_{j+1} + x^{j+1+r} * (C*D)^{r+1} / q_{j+1}^2, geometric in r.
-The Chebyshev ratio R_{j+1} enters it through the band factor C*D only,
-and :func:`_band` gives that factor one rational form,
-C*D = u*(e + u*C)/m, read by every generator here. A single slice
-(:func:`stat_gf`) is one polynomial times C and one division by a
-polynomial. A whole family (:func:`stat_family`) is x^{j+1}*g*(x*u^2*g)^r
-with the one quotient g = (e + u*C)/(u*m): one division, then one product
-per slice, as r_max + 1 divisions by m^{r+1} would cost more.
+The Chebyshev ratio R_{j+1} enters it through the band factor C*D only, and
+:func:`_band` gives that factor one rational form, C*D = u*(e + u*C)/m, read
+by every generator here. A single slice (:func:`stat_gf`) is one polynomial
+times C and one division by a polynomial. A whole family (:func:`stat_family`)
+is x^{j+1}*g*(x*u^2*g)^r with the one quotient g = (e + u*C)/(u*m): one
+division, then one product per slice, cheaper than r_max + 1 divisions.
 
 :func:`valley0_closed_count` reads valleys at height 0 from binomials alone,
 with no series, so it checks the series route at any n.
@@ -27,7 +27,7 @@ from itertools import zip_longest
 from math import comb
 
 from .chebyshev import q_poly, r_series
-from .paths import StatKind
+from .paths import StatKind, _band_height
 from .series import InvariantError, Series, _product, catalan_series
 
 
@@ -66,12 +66,6 @@ def _band(j: int, top: int) -> tuple[list[int], list[int], list[int]]:
     return u, e, _plus(top, _times(_plus(top, u, [0, *e]), e, top), _times(u, u, top))
 
 
-def _band_height(kind: StatKind, k: int) -> int:
-    """The band height whose valley form counts ``kind`` at height k (see
-    :func:`stat_family`); only peaks at height 0, with no band, get -2."""
-    return k if kind is StatKind.VALLEY else k - 2
-
-
 def _check_args(k: int, r: int, order: int) -> None:
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -100,8 +94,8 @@ def stat_family(kind: StatKind, k: int, order: int, r_max: int) -> tuple[Series,
     g = (e + u*C)/(u*m), so slice r without R_{k+1} is x^{k+1}*g*(x*u^2*g)^r:
     one division, then one product per slice. The band reads R_{k+1} only
     below x^order, where every height from the order up gives the same
-    series, so k is clamped to the order. :func:`r_series` gives R_{k+1} and
-    runs its two-route check on every call.
+    series, so the band height is clamped to the order. :func:`r_series`
+    gives R_{k+1} (C above the order) and runs its two-route check each call.
     """
     _check_args(k, r_max, order)
     j = _band_height(kind, k)

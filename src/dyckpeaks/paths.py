@@ -60,6 +60,14 @@ class StatKind(enum.Enum):
     VALLEY = "valley"
 
 
+def _band_height(kind: StatKind, k: int) -> int:
+    """Band height j of ``kind`` at height k: valleys at j, peaks at j + 2,
+    each a pair of opposite steps from j + 1; -2 for peaks at 0 (no band)."""
+    if not isinstance(kind, StatKind):
+        raise TypeError(f"kind must be a StatKind, got {kind!r}")
+    return k if kind is StatKind.VALLEY else k - 2
+
+
 class PathError(ValueError):
     """A step sequence is not a valid Dyck path; ``index`` locates the offense."""
 
@@ -152,6 +160,8 @@ class StatProfile(_Frozen):
         super().__init__(peaks_by_height, valleys_by_height, max_height)
 
     def count(self, kind: StatKind, height: int) -> int:
+        if not isinstance(kind, StatKind):
+            raise TypeError(f"kind must be a StatKind, got {kind!r}")
         table = self.peaks_by_height if kind is StatKind.PEAK else self.valleys_by_height
         return table.get(height, 0)
 
@@ -188,9 +198,11 @@ def _check_guard(n: int, guard: int) -> None:
         )
 
 
-def _check_count_args(n: int, k: int, r: int) -> None:
+def _check_count_args(n: int, k: int, r: int, kind: StatKind) -> None:
     if n < 0 or k < 0 or r < 0:
         raise ValueError("n, k, r must be >= 0")
+    if not isinstance(kind, StatKind):
+        raise TypeError(f"kind must be a StatKind, got {kind!r}")
 
 
 def enumerate_paths(n: int, *, guard: int = DEFAULT_ENUM_GUARD) -> Iterator[DyckPath]:
@@ -322,7 +334,7 @@ def count_exact_enum(n: int, k: int, r: int, kind: StatKind, *, guard: int = DEF
     by exhaustive enumeration (refused above ``guard``, like
     :func:`enumerate_paths`): one field of each :func:`_enum_codes` code,
     which packs the corners at k alone."""
-    _check_count_args(n, k, r)
+    _check_count_args(n, k, r, kind)
     _check_guard(n, guard)
     w = n.bit_length()
     shift = 0 if kind is StatKind.PEAK else w  # field 0 holds the peaks at k, field 1 the valleys
@@ -337,14 +349,13 @@ def _dp_bits(steps: int) -> int:
     return steps + 2
 
 
-def _dp_sweep(
-    n: int, k: int, kind: StatKind, cap: int, bits: int
-) -> Iterator[tuple[list[int], int]]:
-    """The dynamic program's one step loop, for paths of 2n steps: yields
-    (state, corner) for t = 0..2n, before the first step and after each.
+def _dp_sweep(n: int, j: int, cap: int, bits: int) -> Iterator[tuple[list[int], int]]:
+    """The dynamic program's one step loop, for paths of 2n steps, counting
+    the corners of band height j (:func:`_band_height`): yields (state,
+    corner) for t = 0..2n, before the first step and after each.
 
     After t steps every prefix ends at a height of the parity of t, so the
-    state is one integer per such height (entry j is height 2j + t % 2),
+    state is one integer per such height (entry i is height 2i + t % 2),
     trimmed to the heights from which the path can still return to the
     axis by step 2n. Its base-2^bits digit c counts the prefixes with c
     occurrences so far (digit cap: cap or more). The reader gives the width,
@@ -353,18 +364,17 @@ def _dp_sweep(
     t + 1 is taken. Up to step n no height is trimmed, since every height a
     prefix reaches by then can still return to the axis.
 
-    The corner needs no direction state: the prefixes at height k whose last
-    step is the corner's first (up for a peak, down for a valley) are
-    exactly the prefixes one step earlier at the height h on the far side
-    (k - 1 for a peak, k + 1 for a valley). The corner's second step brings
-    them back to h, and there their digits move up one bucket. ``corner``
-    is that set one step earlier: the packed prefixes at h after step
-    t - 1 (0 when no entry there holds h). This far side is the height at
-    which the corner's pair of opposite steps starts, the height k - 1 at
-    which :func:`psi` finds the peaks at k and the valleys at k - 2.
+    The corner needs no direction state: its pair of opposite steps starts
+    at the far side h = j + 1, the band height plus one (a peak at j + 2 or
+    a valley at j). The prefixes at the corner whose last step is the
+    pair's first are exactly the prefixes one step earlier at h. The
+    corner's second step brings them back to h, and there their digits move
+    up one bucket. ``corner`` is that set one step earlier: the packed
+    prefixes at h after step t - 1 (0 when no entry there holds h, as at
+    j = -2, where no path has a corner).
     """
     low = (1 << bits * cap) - 1  # digits 0..cap-1; the digit for cap stays put
-    side = k - 1 if kind is StatKind.PEAK else k + 1
+    side = j + 1
     at_side = side // 2
     cur = [1]  # the empty prefix, at height 0 with no occurrences
     corner = 0
@@ -399,7 +409,7 @@ def _dp_distribution(n: int, k: int, kind: StatKind, cap: int) -> list[list[int]
     bits = _dp_bits(2 * n)
     digit = (1 << bits) - 1
     rows = []
-    for state, _ in islice(_dp_sweep(n, k, kind, cap, bits), 0, None, 2):  # after each even step
+    for state, _ in islice(_dp_sweep(n, _band_height(kind, k), cap, bits), 0, None, 2):  # after each even step
         axis = state[0]
         rows.append([axis >> bits * c & digit for c in range(cap)] + [axis >> bits * cap])
     return rows
@@ -415,7 +425,7 @@ def count_exact_dp(n: int, k: int, r: int, kind: StatKind) -> int:
     are the prefixes that reach h by step n, read backwards, with the same
     occurrences. Let F_h[c] count the prefixes at h after step n with c
     occurrences, and G[c] those among them at k whose last step came from
-    the corner's far side: the ``corner`` the sweep yields with that state,
+    the far side, one above the band height: the ``corner`` the sweep yields,
     the prefixes there one step earlier, whose step to k adds no occurrence.
     Then
 
@@ -434,11 +444,11 @@ def count_exact_dp(n: int, k: int, r: int, kind: StatKind) -> int:
     addition per height of r + 2 digits of n + 2 bits: half the additions
     of the whole sweep, each on integers of half the size.
     """
-    _check_count_args(n, k, r)
+    _check_count_args(n, k, r, kind)
     if r > n:
         return 0
     bits = _dp_bits(n)
-    for mid, corner in islice(_dp_sweep(n, k, kind, r + 1, bits), n + 1):
+    for mid, corner in islice(_dp_sweep(n, _band_height(kind, k), r + 1, bits), n + 1):
         pass
     digit = (1 << bits) - 1
     # f[c][j] is F_h[c] for h = 2j + n % 2, and g[c] is G[c]
@@ -626,8 +636,8 @@ def build_table(
     series family gives one slice per r, read across.
     A peak at k and a valley at k - 2 are one pair of opposite steps from
     height k - 1, so the DP sweeps, and a family is read, once per band
-    height (``gfcount._band_height``), for every (k, kind) there. A negative
-    guard is refused under every method.
+    height (:func:`_band_height`, the rule both read), for every (k, kind)
+    there. A negative guard is refused under every method.
     """
     if n_max < 0 or k_max < 0:
         raise ValueError("n_max and k_max must be >= 0")
@@ -647,7 +657,7 @@ def build_table(
                 for i, row in fields:
                     row[code >> w * i & mask] += ways
     elif method in ("dp", "gf"):
-        from .gfcount import _band_height, stat_family
+        from .gfcount import stat_family
 
         rows, by_band = {kind: [] for kind in StatKind}, {}  # by_band: the rows by n, this call only
         for kind, k_rows in rows.items():

@@ -56,11 +56,13 @@ def test_series_route_equals_the_dp_at_k_100():
     same_output("count --stat valley --k 100 --r 0 --n 1000", "gf", "dp")
 
 
-def test_bounded_height_check_at_the_clamp_agrees_with_the_dp():
-    # k = 2000 clamps to n + 1 = 2001, so the gf run checks q_2000/q_2001
-    # against the band walk in r_series(2001, 2000), the largest k any check
-    # reaches; both print Catalan(2000)
-    same_output("count --stat valley --k 2000 --r 0 --n 2000", "gf", "dp")
+@pytest.mark.parametrize("k", [1999, 2000])
+def test_bounded_height_check_at_the_clamp_agrees_with_the_dp(k):
+    # at k = 1999 the gf run checks q_1999/q_2000 against the band walk in
+    # r_series(2000, 2000), the largest division any check makes; at
+    # k = 2000 r_series(2001, 2000) is above the order, so the walk checks
+    # C itself, and both routes print Catalan(2000)
+    same_output(f"count --stat valley --k {k} --r 0 --n 2000", "gf", "dp")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "plain"])

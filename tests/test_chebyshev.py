@@ -8,7 +8,7 @@ import pytest
 from dyckpeaks import chebyshev
 from dyckpeaks.chebyshev import f_series_t, q_poly, r_series, u_inv_sq_series
 from dyckpeaks.paths import _band_walk, bounded_height_count, enumerate_paths, statistics
-from dyckpeaks.series import InvariantError, Series
+from dyckpeaks.series import InvariantError, Series, catalan_series
 
 
 def test_q_poly_base_cases_and_recurrence():
@@ -98,6 +98,20 @@ def test_a_wrong_walk_count_fails_the_check(monkeypatch):
         r_series(4, 10)
 
 
+@pytest.mark.parametrize("order", [0, 1, 5, 40])
+def test_a_wrong_walk_count_fails_the_check_above_the_order(monkeypatch, order):
+    # above the order the ratio is C by a proof, and the walk still checks it
+    real = chebyshev._band_walk
+
+    def off_by_one(n_steps, k, end):
+        for t, row in enumerate(real(n_steps, k, end)):
+            yield [row[0] + 1, *row[1:]] if t == 2 * order else row
+
+    monkeypatch.setattr(chebyshev, "_band_walk", off_by_one)
+    with pytest.raises(InvariantError, match=f"^bounded-height series routes disagree at k={order + 3}$"):
+        r_series(order + 3, order)
+
+
 def test_a_wrong_polynomial_fails_the_check(monkeypatch):
     real = chebyshev.q_poly
     monkeypatch.setattr(chebyshev, "q_poly", lambda k: real(k) + (1,) if k == 4 else real(k))
@@ -156,16 +170,16 @@ def test_f_series_t_matches_band_dp(k):
         assert coeffs[n] == bounded_height_count(n, k, k)
 
 
-@pytest.mark.parametrize("order", range(13))
+@pytest.mark.parametrize("order", range(41))
 def test_unreachable_heights_match_the_unclamped_formulas(order):
-    # heights above the order are clamped; the formulas written out in full
-    # must give the same series
+    # above the order the ratio is C; the formulas written out in full must
+    # give the same series
     for k in range(order + 1, order + 5):
         by_ratio = Series.from_coeffs(q_poly(k - 1), order) / Series.from_coeffs(q_poly(k), order)
         iterated = Series.zero(order)
         for _ in range(k):
             iterated = (1 - iterated.shift(1)).reciprocal()
-        assert r_series(k, order) == by_ratio == iterated
+        assert r_series(k, order) == by_ratio == iterated == catalan_series(order)
         q = Series.from_coeffs(q_poly(k), order)
         assert u_inv_sq_series(k, order) == (q * q).reciprocal().shift(k)
         spaced = [c for a in q_poly(k + 1) for c in (a, 0)]
@@ -174,7 +188,7 @@ def test_unreachable_heights_match_the_unclamped_formulas(order):
 
 @pytest.mark.parametrize("k", [0, 1, 3])
 def test_r_series_refuses_a_negative_order_by_its_name(k):
-    # the order is checked before k is clamped to order + 1
+    # the order is checked before k = 0 returns the zero series
     with pytest.raises(ValueError, match="^order must be >= 0$"):
         r_series(k, -1)
 
@@ -189,6 +203,8 @@ def test_unreachable_heights_ask_for_no_high_polynomial(monkeypatch):
 
     monkeypatch.setattr(chebyshev, "q_poly", spy)
     assert f_series_t(2000, 5) == Series.zero(5)
-    assert r_series(500, 5) == r_series(6, 5)
+    assert r_series(500, 5) == r_series(6, 5) == catalan_series(5)
     assert u_inv_sq_series(500, 5) == Series.zero(5)
+    assert not asked  # above the order, r_series reads C and asks for no polynomial
+    assert r_series(5, 5) != catalan_series(5)  # one path of semilength 5 reaches height 5
     assert asked and max(asked) <= 6

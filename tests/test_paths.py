@@ -1,5 +1,6 @@
 """Tests for explicit paths, statistics, oracles, and the two rewrites."""
 
+import hashlib
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from test_series import check_value_type
 
 from dyckpeaks import paths
-from dyckpeaks.gfcount import stat_gf, valley0_closed_count
+from dyckpeaks.gfcount import stat_family, stat_gf, valley0_closed_count
 from dyckpeaks.paths import (
     CountTable,
     DOWN,
@@ -508,6 +509,43 @@ def test_dp_distribution_sums_to_catalan(n):
                 for m, dist in enumerate(rows):
                     assert len(dist) == cap + 1
                     assert sum(dist) == comb(2 * m, m) // (m + 1), (n, m, k, cap, kind)
+
+
+def test_dp_distribution_rows_are_pinned_for_every_small_sweep():
+    # one digest over the rows of every (n <= 40, k <= 12, kind, cap): a
+    # change to the kernel's far side or to the band-height rule moves it
+    digest = hashlib.sha256()
+    for n in range(41):
+        for k in range(13):
+            for kind in StatKind:
+                for cap in (0, 1, 4, n + 1):
+                    digest.update(f"{n} {k} {kind.value} {cap} {_dp_distribution(n, k, kind, cap)}\n".encode())
+    assert digest.hexdigest() == "c0a24f75e5bc89f376edadd9d7d898d07684e06d37c99511e70c23a107059b95"
+
+
+def test_one_band_height_rule_keys_the_dp_and_the_series_layer():
+    from dyckpeaks import gfcount
+
+    assert gfcount._band_height is paths._band_height
+    assert [paths._band_height(kind, k) for k in (0, 3) for kind in StatKind] == [-2, 0, 1, 3]
+
+
+KIND_READERS = {
+    "count_exact_enum": lambda kind: count_exact_enum(8, 2, 1, kind),
+    "count_exact_dp": lambda kind: count_exact_dp(8, 2, 1, kind),
+    "stat_gf": lambda kind: stat_gf(kind, 2, 1, 8),
+    "stat_family": lambda kind: stat_family(kind, 2, 8, 1),
+    "StatProfile.count": lambda kind: statistics(parse_path("UUDUDD")).count(kind, 2),
+}
+
+
+@pytest.mark.parametrize("reader", KIND_READERS)
+@pytest.mark.parametrize("kind", ["peak", "valley", None])
+def test_a_kind_that_is_not_a_stat_kind_is_refused_by_name(reader, kind):
+    # a string equal to a member's value would otherwise read as the other
+    # kind on some routes and not on others
+    with pytest.raises(TypeError, match=f"^kind must be a StatKind, got {kind!r}$"):
+        KIND_READERS[reader](kind)
 
 
 @pytest.mark.parametrize("kind, k", [(StatKind.PEAK, 2), (StatKind.VALLEY, 1)])
