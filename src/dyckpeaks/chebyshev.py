@@ -26,11 +26,19 @@ imports only ``series``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import islice
 from math import comb
 
 from .paths import _band_walk
 from .series import InvariantError, Series, catalan_series
+
+
+def _q_coeffs(k: int, top: int) -> Iterator[int]:
+    """The coefficients of q_k up to degree ``top``: entry i is
+    (-1)^i * C(k - i, i) for i <= min(k // 2, top), so a cut q_k computes
+    no binomial above its cut."""
+    return ((-1) ** i * comb(k - i, i) for i in range(min(k // 2, top) + 1))
 
 
 def q_poly(k: int) -> tuple[int, ...]:
@@ -43,7 +51,7 @@ def q_poly(k: int) -> tuple[int, ...]:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return tuple((-1) ** i * comb(k - i, i) for i in range(k // 2 + 1))
+    return tuple(_q_coeffs(k, k // 2))
 
 
 def r_series(k: int, order: int) -> Series:

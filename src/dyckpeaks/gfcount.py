@@ -26,9 +26,9 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import comb
 
-from .chebyshev import q_poly, r_series
+from .chebyshev import _q_coeffs, r_series
 from .paths import StatKind, _band_height
-from .series import InvariantError, Series, _product, catalan_series
+from .series import InvariantError, Series, _constant_divider, _product, _quotient, catalan_series
 
 
 def _times(p: list[int], q: list[int], top: int) -> list[int]:
@@ -61,8 +61,8 @@ def _band(j: int, top: int) -> tuple[list[int], list[int], list[int]]:
     into [0, j] (R_{j+1} - 1), each glued on by a down-step/up-step pair.
     The families read it as u^2*g, with one quotient g = (e + u*C)/(u*m).
     """
-    u = list(q_poly(j + 1)[: top + 1])
-    e = _plus(top, u, [-c for c in q_poly(j)] if j >= 0 else [])
+    u = list(_q_coeffs(j + 1, top))
+    e = _plus(top, u, [-c for c in _q_coeffs(j, top)] if j >= 0 else [])
     return u, e, _plus(top, _times(_plus(top, u, [0, *e]), e, top), _times(u, u, top))
 
 
@@ -117,7 +117,8 @@ def _band_slice(j: int, r: int, order: int) -> Series:
     then shifted by x^{j+1}. Only C is dense: a, b, u^{r-1} and m^{r+1} (u*m
     at r = 0) are exact int polynomials cut at degree low, as no term above
     it reaches the result, with b*u formed once per step. They meet C in one
-    product and one division.
+    list product, a + b*C, and one list division by den, with no Series
+    operator; only the shifted result is built as a Series.
     """
     low = order - j - 1
     u, e, m = _band(j, low)
@@ -128,9 +129,11 @@ def _band_slice(j: int, r: int, order: int) -> Series:
                 _plus(low, [0, *_times(a, u, low - 1)], [0, *_times(b, e, low - 1)], bu))
         if step:  # r - 1 factors of u and r + 1 of m in all
             lift, den = _times(lift, u, low), _times(den, m, low)
-    a, b, den = (Series.from_coeffs(p, low) for p in (_times(a, lift, low), _times(b, lift, low), den))
-    quotient = (a + b * catalan_series(low)) / den
-    return Series.from_coeffs((0,) * (j + 1) + quotient.coeffs, order)
+    num = _product(_times(b, lift, low), catalan_series(low).coeffs, 0, low + 1)
+    for i, c in enumerate(_times(a, lift, low)):
+        num[i] += c
+    quotient = _quotient(num, den + [0] * (low + 1 - len(den)), _constant_divider(den[0]))
+    return Series(order, [0] * (j + 1) + quotient)
 
 
 def stat_gf(kind: StatKind, k: int, r: int, order: int) -> Series:

@@ -362,7 +362,8 @@ def _dp_sweep(n: int, j: int, cap: int, bits: int) -> Iterator[tuple[list[int], 
     :func:`_dp_bits` of the number of steps it reads; a digit is exact up to
     that step. A corner at the point after step t is counted only when step
     t + 1 is taken. Up to step n no height is trimmed, since every height a
-    prefix reaches by then can still return to the axis.
+    prefix reaches by then can still return to the axis. Each step builds one
+    list and trims it in place.
 
     The corner needs no direction state: its pair of opposite steps starts
     at the far side h = j + 1, the band height plus one (a peak at j + 2 or
@@ -383,9 +384,10 @@ def _dp_sweep(n: int, j: int, cap: int, bits: int) -> Iterator[tuple[list[int], 
     for pos in range(total_steps):
         size = min(pos + 1, total_steps - pos - 1) // 2 + 1  # entries after this step
         if pos % 2:  # odd heights to even: 2j is entered from 2j - 1 and 2j + 1
-            nxt = list(map(add, [0] + cur, cur + [0]))[:size]
+            nxt = list(map(add, [0] + cur, cur + [0]))
         else:  # even heights to odd: 2j + 1 is entered from 2j and 2j + 2
-            nxt = list(map(add, cur, cur[1:] + [0]))[:size]
+            nxt = list(map(add, cur, cur[1:] + [0]))
+        del nxt[size:]  # in place: no copy, and in the first half nothing to cut
         if corner and at_side < size:
             moved = corner & low
             nxt[at_side] += (moved << bits) - moved
@@ -474,18 +476,22 @@ def _band_walk(n_steps: int, k: int, end: int) -> Iterator[list[int]]:
     high to come back to any kept entry, so every kept entry is exact. No
     walk of t steps climbs above height t, so a row has at most
     min(k, t) // 2 + 1 entries, however large k is, and none when no height
-    is left to keep.
+    is left to keep. Each step builds one list, by one ``map(add, ...)`` over
+    the row and its shift, padded by a shared zero; an empty row stays
+    empty.
 
     This is the lattice route of the bounded-height check:
     ``chebyshev.r_series`` reads height 0 at every even step. It shares no
     code with the enumeration or the dynamic program.
     """
-    row = [1]
+    row, z = [1], [0]
     yield row
     for t in range(1, n_steps + 1):
         parity = t % 2
-        pairs = list(map(add, row, row[1:]))
-        row = (pairs if parity else row[:1] + pairs) + row[-1:]
+        if parity:  # even heights to odd: 2j + 1 is entered from 2j and 2j + 2
+            row = list(map(add, row, row[1:] + z))
+        elif row:  # odd heights to even: 2j is entered from 2j - 1 and 2j + 1
+            row = list(map(add, z + row, row + z))
         del row[(min(k, end + n_steps - t) - parity) // 2 + 1 :]
         yield row
 

@@ -24,12 +24,15 @@ multiplying by one scales every term. A foreign operand gets
 one truncated convolution, which visits only pairs of nonzero terms, so a
 polynomial times a series costs its number of terms times the order, and
 one quotient recurrence: a reciprocal is the quotient of 1, and a quotient
-``a / b`` is one pass, not a reciprocal followed by a product. Each step
-divides by the divisor's constant term: a :class:`Series` divides each
-coefficient exactly, a :class:`BivarSeries` divides the z-entry by the
-divisor's z^0 entry, so no bivariate reciprocal is ever formed. A constant
-of 1 or -1, as almost every divisor of the counting formulas has, divides
-by ``operator.pos`` or ``neg``: no Python call per coefficient.
+``a / b`` is one pass, not a reciprocal followed by a product. The
+recurrence negates the divisor's tail once and starts each term from the
+numerator, out[n] = divide(num[n] + sum((-den[i]) * out[n - i])), so no term
+makes a subtraction or a zero start. ``divide`` divides by the divisor's
+constant term: a :class:`Series` divides each coefficient exactly
+(:func:`_constant_divider`), a :class:`BivarSeries` divides the z-entry by
+the divisor's z^0 entry, so no bivariate reciprocal is ever formed. A
+constant of 1 or -1, as almost every divisor of the counting formulas has,
+divides by ``operator.pos`` or ``neg``: no Python call per coefficient.
 
 Immutability: series, paths, profiles and weight specs derive from :class:`_Frozen`,
 which keeps their fields in ``__slots__`` and refuses to set or delete one after ``__init__``.
@@ -76,6 +79,16 @@ def _divide(d: Rational, v: Rational) -> Rational:
     return Fraction(v) / d if rem else q
 
 
+def _constant_divider(c0: Rational) -> Callable[[Rational], Rational]:
+    """Division by a nonzero constant ``c0``, exact when it can be: an
+    integral quotient stays in the integers. 1 divides by ``pos`` and -1 by
+    ``neg``, with no Python call per coefficient; any other constant by
+    :func:`_divide`. A zero constant raises :class:`NonInvertibleError`."""
+    if c0 == 0:
+        raise NonInvertibleError("series with zero constant term has no reciprocal")
+    return pos if c0 == 1 else neg if c0 == -1 else partial(_divide, c0)
+
+
 def _product(a: Sequence, b: Sequence, zero, n: int | None = None) -> list:
     """Cauchy product of two coefficient sequences, its first ``n`` terms (by
     default the shorter one's length; n = len(a) + len(b) - 1 is the exact
@@ -100,23 +113,24 @@ def _product(a: Sequence, b: Sequence, zero, n: int | None = None) -> list:
     return out
 
 
-def _quotient(num: Sequence, den: Sequence, divide, zero) -> list:
+def _quotient(num: Sequence, den: Sequence, divide) -> list:
     """Quotient num/den to the length of ``den``; ``divide(v)`` must return
     v / den[0].
 
     The recurrence is
-    out[n] = divide(num[n] - sum(den[i] * out[n - i], 1 <= i <= min(n, top))),
-    ``top`` being the last nonzero index of ``den``: dividing by a
-    polynomial of degree d costs d products and one ``divide`` per
-    coefficient.
+    out[n] = divide(num[n] + sum((-den[i]) * out[n - i], 1 <= i <= min(n, top))),
+    ``top`` being the last nonzero index of ``den``. The tail is negated once
+    and each sum starts from num[n], so a term needs no subtraction and no
+    zero start: dividing by a polynomial of degree d costs d products and one
+    ``divide`` per coefficient.
     """
     top = len(den) - 1
     while not den[top]:
         top -= 1
-    tail = den[1 : top + 1]
+    neg_tail = [-c for c in den[1 : top + 1]]
     out: list = []
     for n in range(len(den)):
-        out.append(divide(num[n] - sum(map(mul, tail, reversed(out)), zero)))
+        out.append(divide(sum(map(mul, neg_tail, reversed(out)), num[n])))
     return out
 
 
@@ -259,14 +273,9 @@ class Series(_Frozen):
         return None
 
     def _divider(self) -> Callable[[Rational], Rational]:
-        """Division of a coefficient by this divisor's constant term, exact
-        when it can be: an integral quotient stays in the integers. A unit
-        constant divides in C: 1 by ``pos`` and -1 by ``neg``, with no
-        Python call per coefficient."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise NonInvertibleError("series with zero constant term has no reciprocal")
-        return pos if c0 == 1 else neg if c0 == -1 else partial(_divide, c0)
+        """Division of a coefficient by this divisor's constant term
+        (:func:`_constant_divider`)."""
+        return _constant_divider(self.coeffs[0])
 
     def _rebuild(self, terms: list) -> Series | BivarSeries:
         """A result of this operand's type and orders with the given terms."""
@@ -331,7 +340,7 @@ class Series(_Frozen):
         if other is None:
             return NotImplemented
         a, b = _common(self, other)
-        return a._rebuild(_quotient(a._terms, b._terms, b._divider(), a._zero))
+        return a._rebuild(_quotient(a._terms, b._terms, b._divider()))
 
     def power(self, m: int) -> Series:
         """m-th power by repeated truncated multiplication; ``a.power(0)`` is 1."""

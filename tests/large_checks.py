@@ -104,6 +104,19 @@ def test_continued_fraction_equals_the_dp_at_n_3000(k, r):
     assert peak_bivar_cfrac(k, 3000, r).z_slice(r).coefficient(3000) == count_exact_dp(3000, k, r, StatKind.PEAK)
 
 
+def test_single_count_routes_agree_at_n_400():
+    # deep-count's whole query space (both kinds, k <= 8, r <= 4) at twice
+    # its largest n: the direct slice against the DP, and for peaks at
+    # k >= 1 against the continued fraction too
+    for kind in StatKind:
+        for k in range(9):
+            for r in range(5):
+                gf = stat_gf(kind, k, r, 400).coefficient(400)
+                assert gf == count_exact_dp(400, k, r, kind), (kind, k, r)
+                if kind is StatKind.PEAK and k >= 1:
+                    assert gf == peak_bivar_cfrac(k, 400, r).z_slice(r).coefficient(400), (kind, k, r)
+
+
 def test_counts_past_the_print_cap_agree_across_routes():
     # CPython 3.10.7 and later print no int of more than 4300 digits unless
     # the cap is lifted, as cli.main does for its command: peaks at k = 4,

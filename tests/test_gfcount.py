@@ -180,6 +180,19 @@ def test_band_polynomials_are_exact_int_lists_cut_at_top(top):
     assert gfcount._band(-1, top) == ([1], [1], [2, 1][: top + 1])
 
 
+def test_a_cut_band_computes_no_binomial_above_its_cut(monkeypatch):
+    # u = q_1991 and q_1990 keep 10 coefficients each at top 9: 20 binomials,
+    # not the 1991 of the whole polynomials
+    from dyckpeaks import chebyshev
+
+    calls = []
+    real = chebyshev.comb
+    monkeypatch.setattr(chebyshev, "comb", lambda n, i: calls.append(n) or real(n, i))
+    u, e, m = gfcount._band(1990, 9)
+    assert len(calls) <= 20
+    assert len(u) == 10 and u == list(q_poly(1991)[:10])
+
+
 def test_no_valley_band_gf_k0_is_catalan():
     assert band_factor(0, 8) == catalan_series(8)
 
@@ -221,14 +234,14 @@ def test_slice_0_is_the_band_factor_times_u_inv_sq(order):
 
 
 def test_unreachable_heights_ask_gfcount_for_no_high_polynomial(monkeypatch):
-    real = gfcount.q_poly
+    real = gfcount._q_coeffs
     order = 5
 
-    def guarded(k):
+    def guarded(k, top):
         assert k <= order + 1, k
-        return real(k)
+        return real(k, top)
 
-    monkeypatch.setattr(gfcount, "q_poly", guarded)
+    monkeypatch.setattr(gfcount, "_q_coeffs", guarded)
     zero = Series.zero(order)
     for kind in StatKind:
         assert stat_gf(kind, 2000, 0, order) == catalan_series(order)
@@ -397,43 +410,61 @@ def test_stat_gf_equals_its_family_where_the_cut_is_far_below_the_degrees(kind):
 
 
 def test_band_slice_meets_the_dense_series_once(monkeypatch):
-    # one product (b*C) and one division per slice; every exact product is
-    # cut at degree order - j - 1
-    counts, lengths = {"__mul__": 0, "__truediv__": 0}, []
-    for name in counts:
-        def spy(self, other, real=getattr(Series, name), name=name):
-            counts[name] += 1
-            return real(self, other)
-        monkeypatch.setattr(Series, name, spy)
-    real_product = gfcount._product
+    # a + b*C is one list product with C and one list quotient, with no
+    # Series operator; every exact product is cut at degree order - j - 1;
+    # the one divisor's constant is 1, or 2^(r+1) at j = -1, and divides
+    # exactly, so no Fraction is made. The spies log each product's length
+    # and whether C's coefficients are an operand, and each divisor's constant
+    log = {}
+    real_product, real_quotient, real_catalan = gfcount._product, gfcount._quotient, gfcount.catalan_series
 
-    def product(*args):
-        out = real_product(*args)
-        lengths.append(len(out))
+    def product(a, b, *rest):
+        out = real_product(a, b, *rest)
+        log["products"].append((len(out), any(p is c for p in (a, b) for c in log["catalans"])))
         return out
 
+    def quotient(num, den, divide):
+        log["divisors"].append(den[0])
+        return real_quotient(num, den, divide)
+
+    def catalan(order):
+        c = real_catalan(order)
+        log["catalans"].append(c.coeffs)
+        return c
+
+    for name in ("__add__", "__mul__", "__truediv__"):
+        def spy(self, other, real=getattr(Series, name)):
+            log["operators"] += 1
+            return real(self, other)
+        monkeypatch.setattr(Series, name, spy)
     monkeypatch.setattr(gfcount, "_product", product)
+    monkeypatch.setattr(gfcount, "_quotient", quotient)
+    monkeypatch.setattr(gfcount, "catalan_series", catalan)
+    monkeypatch.setattr(series_module, "Fraction", _FractionForbidden)
     for j, r, order in [(j, r, 30) for j in range(-1, 13) for r in range(9) if j + 1 + r <= 30] + [(1990, 3, 2000)]:
-        counts.update(dict.fromkeys(counts, 0))
-        lengths.clear()
-        gfcount._band_slice(j, r, order)
-        assert counts == {"__mul__": 1, "__truediv__": 1}, (j, r, order)
-        assert max(lengths) <= order - j, (j, r, order)
+        log.update(products=[], divisors=[], catalans=[], operators=0)
+        coeffs = gfcount._band_slice(j, r, order).coeffs
+        assert [with_c for _, with_c in log["products"]].count(True) == 1, (j, r, order)
+        assert log["divisors"] == [1 if j >= 0 else 2 ** (r + 1)] and log["operators"] == 0, (j, r, order)
+        assert max(length for length, _ in log["products"]) <= order - j, (j, r, order)
+        assert {int} == set(map(type, coeffs)), (j, r, order)
 
 
 def test_direct_slice_divides_in_the_integers(monkeypatch):
     # every divisor, the ratio check's included, has constant term 1 at band
     # heights j >= 0 (valleys at k >= 0, peaks at k >= 2) and 2^(r+1) at
     # j = -1 (peaks at height 1); peaks at height 0 divide by nothing. Every
-    # quotient is integral, so no Fraction is created.
+    # quotient is integral, so no Fraction is created. The slice divides
+    # through gfcount's _quotient, the ratio check through Series's.
     constants = []
-    real = Series.__truediv__
+    real = series_module._quotient
 
-    def spy(self, other):
-        constants.append(other.coeffs[0])
-        return real(self, other)
+    def spy(num, den, divide):
+        constants.append(den[0])
+        return real(num, den, divide)
 
-    monkeypatch.setattr(Series, "__truediv__", spy)
+    monkeypatch.setattr(series_module, "_quotient", spy)
+    monkeypatch.setattr(gfcount, "_quotient", spy)
     monkeypatch.setattr(series_module, "Fraction", _FractionForbidden)
     for kind in StatKind:
         for k in range(10):

@@ -523,6 +523,29 @@ def test_dp_distribution_rows_are_pinned_for_every_small_sweep():
     assert digest.hexdigest() == "c0a24f75e5bc89f376edadd9d7d898d07684e06d37c99511e70c23a107059b95"
 
 
+def test_dp_sweep_keeps_exactly_the_heights_that_can_return():
+    # after t of 2n steps the state holds heights t % 2, t % 2 + 2, ... up to
+    # min(t, 2n - t): one entry more holds only dead prefixes, which no count
+    # reads, so only the lengths show a trim that keeps too much
+    for n in range(13):
+        for j in (-2, -1, 0, 3):
+            for t, (state, _) in enumerate(paths._dp_sweep(n, j, 2, paths._dp_bits(2 * n))):
+                assert len(state) == min(t, 2 * n - t) // 2 + 1, (n, j, t)
+
+
+def test_band_walk_rows_are_pinned_for_every_small_band():
+    # one digest over every row of every (k <= 9, end <= k, n_steps <= 60),
+    # empty rows included: a change to the step's padding or to its trim
+    # moves it
+    digest = hashlib.sha256()
+    for k in range(10):
+        for end in range(k + 1):
+            for n_steps in range(61):
+                for t, row in enumerate(paths._band_walk(n_steps, k, end)):
+                    digest.update(f"{n_steps} {k} {end} {t} {row}\n".encode())
+    assert digest.hexdigest() == "b3a3685edc0c25e89d75a2ad341314f3df401e38806d6cc9930a55b7ae480e72"
+
+
 def test_one_band_height_rule_keys_the_dp_and_the_series_layer():
     from dyckpeaks import gfcount
 

@@ -736,6 +736,28 @@ def test_unit_constant_quotient_matches_the_dense_recurrence(num, cb, c0):
     assert list(map(type, quotient.coeffs)) == list(map(type, expected))
 
 
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(-50, 50), st.fractions(min_value=-5, max_value=5, max_denominator=7)),
+        min_size=1,
+        max_size=25,
+    ),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=25),
+    st.sampled_from([1, -1, 2, -3]),
+)
+def test_quotient_kernel_matches_the_dense_recurrence(num, cb, c0):
+    # the kernel itself, on plain lists: its negated tail and its sum
+    # started at the numerator give the dense recurrence's terms, of the same
+    # types once reduced as a Series reduces them
+    n = min(len(num), len(cb))
+    den = [c0] + cb[1:n]
+    out = series_module._quotient(num[:n], den, series_module._constant_divider(c0))
+    expected = dense_quotient(num[:n], den)
+    assert out == expected
+    assert list(map(type, map(series_module._normalize, out))) == list(map(type, expected))
+
+
 def test_division_by_a_zero_constant_raises():
     with pytest.raises(NonInvertibleError):
         Series.one(3) / Series.from_coeffs([0, 1], 3)
