@@ -8,9 +8,12 @@ is an honest integer-coefficient object. The recurrence defines q_k and the
 tests check it; q_k itself is computed from its explicit coefficients,
 (-1)^i * C(k - i, i) at x^i. Three families are derived from it:
 
-* ``r_series(k)``: the ratio q_{k-1}/q_k (above the order the ratio is C),
-  whose n-th coefficient counts Dyck paths of semilength n with maximum
-  height at most k - 1, checked on every call against a walk on [0, k - 1];
+* ``r_series(k)``: the ratio R_k = q_{k-1}/q_k, whose n-th coefficient
+  counts Dyck paths of semilength n with maximum height at most k - 1, in
+  one form for every k: R_k = C mod x^k, and R_k * q_k has degree below k,
+  so C's first k coefficients seed a quotient by q_k over a zero numerator
+  and q_{k-1} is never read. Checked on every call against a walk on
+  [0, k - 1];
 * ``u_inv_sq_series(k)``: x^k / q_k(x)^2, the squared-denominator factor
   of the exact peak/valley formulas (1 at k = 0); no generator reads it,
   acceptance criterion 10 checks it and the tests compare the generators
@@ -31,7 +34,7 @@ from itertools import islice
 from math import comb
 
 from .paths import _band_walk
-from .series import InvariantError, Series, catalan_series
+from .series import InvariantError, Series, _constant_divider, _quotient, catalan_series
 
 
 def _q_coeffs(k: int, top: int) -> Iterator[int]:
@@ -55,16 +58,23 @@ def q_poly(k: int) -> tuple[int, ...]:
 
 
 def r_series(k: int, order: int) -> Series:
-    """Series of the bounded-height ratio q_{k-1}/q_k, with k = 0 giving 0.
+    """Series of the bounded-height ratio R_k = q_{k-1}/q_k, with k = 0 giving 0.
 
     Coefficient n counts Dyck paths of semilength n whose maximum height is
     at most k - 1. Computed two independent ways, which must agree (else
-    :class:`InvariantError`): by polynomial division, and by one walk of
+    :class:`InvariantError`): by a seeded quotient, and by one walk of
     2 * order single steps through the band [0, k - 1], coefficient n being
-    the number of walks at height 0 after step 2n. One divides polynomials
-    of the recurrence, the other counts lattice walks, in O(order * k)
-    big-integer additions. No path of semilength <= order reaches height
-    order + 1, so above the order the ratio is C, with no division.
+    the number of walks at height 0 after step 2n. The walk counts lattice
+    walks, in O(order * k) big-integer additions, and checks every
+    coefficient.
+
+    The quotient has one form for every k. No path of semilength below k
+    reaches height k, so R_k = C mod x^k, and C's first min(k, order + 1)
+    coefficients seed it. R_k * q_k = q_{k-1} has degree below k, so from x^k
+    up the numerator is zero and q_{k-1} is not read: each further
+    coefficient is the recurrence by q_k alone, k // 2 products. Past the
+    order no coefficient is left to compute, R_k is C, and of q_k only its
+    constant term 1 is used: no binomial is computed.
     """
     if order < 0:  # before k = 0 returns
         raise ValueError("order must be >= 0")
@@ -72,10 +82,9 @@ def r_series(k: int, order: int) -> Series:
         raise ValueError("k must be >= 0")
     if k == 0:
         return Series.zero(order)
-    if k > order:
-        by_ratio = catalan_series(order)
-    else:
-        by_ratio = Series.from_coeffs(q_poly(k - 1), order) / Series.from_coeffs(q_poly(k), order)
+    seed = catalan_series(min(k - 1, order)).coeffs  # R_k = C mod x^k
+    den = q_poly(k) if k <= order else (1,)  # with no term left to compute, q_k(0) = 1 is all
+    by_ratio = Series(order, _quotient([0] * (order + 1), den, _constant_divider(den[0]), seed))
     even_rows = islice(_band_walk(2 * order, k - 1, 0), None, None, 2)  # height 0 is entry 0
     by_walk = tuple(row[0] if row else 0 for row in even_rows)
     if by_ratio.coeffs != by_walk:

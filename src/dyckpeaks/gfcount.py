@@ -118,7 +118,9 @@ def _band_slice(j: int, r: int, order: int) -> Series:
     at r = 0) are exact int polynomials cut at degree low, as no term above
     it reaches the result, with b*u formed once per step. They meet C in one
     list product, a + b*C, and one list division by den, with no Series
-    operator; only the shifted result is built as a Series.
+    operator; only the shifted result is built as a Series. The quotient
+    takes its length, low + 1, from the numerator, so den is passed
+    unpadded, at its own degree.
     """
     low = order - j - 1
     u, e, m = _band(j, low)
@@ -132,7 +134,7 @@ def _band_slice(j: int, r: int, order: int) -> Series:
     num = _product(_times(b, lift, low), catalan_series(low).coeffs, 0, low + 1)
     for i, c in enumerate(_times(a, lift, low)):
         num[i] += c
-    quotient = _quotient(num, den + [0] * (low + 1 - len(den)), _constant_divider(den[0]))
+    quotient = _quotient(num, den, _constant_divider(den[0]))
     return Series(order, [0] * (j + 1) + quotient)
 
 

@@ -27,12 +27,16 @@ one quotient recurrence: a reciprocal is the quotient of 1, and a quotient
 ``a / b`` is one pass, not a reciprocal followed by a product. The
 recurrence negates the divisor's tail once and starts each term from the
 numerator, out[n] = divide(num[n] + sum((-den[i]) * out[n - i])), so no term
-makes a subtraction or a zero start. ``divide`` divides by the divisor's
-constant term: a :class:`Series` divides each coefficient exactly
-(:func:`_constant_divider`), a :class:`BivarSeries` divides the z-entry by
-the divisor's z^0 entry, so no bivariate reciprocal is ever formed. A
-constant of 1 or -1, as almost every divisor of the counting formulas has,
-divides by ``operator.pos`` or ``neg``: no Python call per coefficient.
+makes a subtraction or a zero start. It runs to the numerator's length and
+reads the divisor only to its last nonzero term, so a polynomial divisor
+needs no padding, and it continues after any leading terms the caller
+already knows: a seeded quotient computes only the rest. ``divide``
+divides by the divisor's constant term: a :class:`Series` divides each
+coefficient exactly (:func:`_constant_divider`), a :class:`BivarSeries`
+divides the z-entry by the divisor's z^0 entry, so no bivariate reciprocal
+is ever formed. A constant of 1 or -1, as almost every divisor of the
+counting formulas has, divides by ``operator.pos`` or ``neg``: no Python
+call per coefficient.
 
 Immutability: series, paths, profiles and weight specs derive from :class:`_Frozen`,
 which keeps their fields in ``__slots__`` and refuses to set or delete one after ``__init__``.
@@ -113,23 +117,25 @@ def _product(a: Sequence, b: Sequence, zero, n: int | None = None) -> list:
     return out
 
 
-def _quotient(num: Sequence, den: Sequence, divide) -> list:
-    """Quotient num/den to the length of ``den``; ``divide(v)`` must return
-    v / den[0].
+def _quotient(num: Sequence, den: Sequence, divide, out: Sequence = ()) -> list:
+    """Quotient num/den to the length of ``num``, continued after its known
+    leading terms ``out``; ``divide(v)`` must return v / den[0].
 
     The recurrence is
     out[n] = divide(num[n] + sum((-den[i]) * out[n - i], 1 <= i <= min(n, top))),
-    ``top`` being the last nonzero index of ``den``. The tail is negated once
-    and each sum starts from num[n], so a term needs no subtraction and no
-    zero start: dividing by a polynomial of degree d costs d products and one
-    ``divide`` per coefficient.
+    ``top`` being the last nonzero index of ``den``, run for n from len(out)
+    up. The tail is negated once and each sum starts from num[n], so a term
+    needs no subtraction and no zero start: dividing by a polynomial of
+    degree d costs d products and one ``divide`` per computed coefficient.
+    ``den`` is read only to ``top``, so a polynomial divisor is passed
+    unpadded, however much longer the numerator is.
     """
     top = len(den) - 1
     while not den[top]:
         top -= 1
     neg_tail = [-c for c in den[1 : top + 1]]
-    out: list = []
-    for n in range(len(den)):
+    out = list(out)
+    for n in range(len(out), len(num)):
         out.append(divide(sum(map(mul, neg_tail, reversed(out)), num[n])))
     return out
 

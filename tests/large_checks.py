@@ -56,12 +56,14 @@ def test_series_route_equals_the_dp_at_k_100():
     same_output("count --stat valley --k 100 --r 0 --n 1000", "gf", "dp")
 
 
-@pytest.mark.parametrize("k", [1999, 2000])
+@pytest.mark.parametrize("k", [1998, 1999, 2000])
 def test_bounded_height_check_at_the_clamp_agrees_with_the_dp(k):
-    # at k = 1999 the gf run checks q_1999/q_2000 against the band walk in
-    # r_series(2000, 2000), the largest division any check makes; at
-    # k = 2000 r_series(2001, 2000) is above the order, so the walk checks
-    # C itself, and both routes print Catalan(2000)
+    # the gf run reads R_{k+1} = q_k/q_{k+1} from r_series(k + 1, 2000), C's
+    # first k + 1 coefficients continued by the quotient by q_{k+1}, and the
+    # band walk checks every coefficient: k = 1998 seeds 1999 terms and
+    # computes 2, k = 1999 computes 1 with 1000 products, and at k = 2000
+    # the seed is all of C, so the walk checks C itself and both routes
+    # print Catalan(2000)
     same_output(f"count --stat valley --k {k} --r 0 --n 2000", "gf", "dp")
 
 

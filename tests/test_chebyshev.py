@@ -5,6 +5,7 @@ from itertools import islice, zip_longest
 
 import pytest
 
+import dyckpeaks.series as series_module
 from dyckpeaks import chebyshev
 from dyckpeaks.chebyshev import f_series_t, q_poly, r_series, u_inv_sq_series
 from dyckpeaks.paths import _band_walk, bounded_height_count, enumerate_paths, statistics
@@ -62,6 +63,48 @@ def test_ratio_identity_to_order_50(k):
     assert lhs == Series.from_coeffs(q_poly(k - 1), order)
 
 
+def full_division(k, order):
+    # the reference ratio: q_{k-1}/q_k divided from x^0 at the full order,
+    # both polynomials padded to Series
+    return Series.from_coeffs(q_poly(k - 1), order) / Series.from_coeffs(q_poly(k), order)
+
+
+@pytest.mark.parametrize("order", range(41))
+def test_the_seeded_ratio_equals_the_full_division(order):
+    # r_series seeds C below x^k and divides over a zero numerator; at every
+    # k through three past the order it must give the full division's series
+    for k in range(1, order + 4):
+        assert r_series(k, order) == full_division(k, order), k
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_catalan_times_q_k_minus_the_previous_q_is_x_k_times_a_catalan_power(k):
+    # C*q_k - q_{k-1} = x^k * C^(k+1): R_k = C mod x^k, the fact the seed
+    # rests on; it keeps q_{k-1}, which r_series no longer reads, under test
+    order = 2 * k + 10
+    c = catalan_series(order)
+    lhs = c * Series.from_coeffs(q_poly(k), order) - Series.from_coeffs(q_poly(k - 1), order)
+    assert lhs == c.power(k + 1).shift(k)
+
+
+def test_the_seeded_quotient_keeps_to_its_product_budget(monkeypatch):
+    # each term from x^k to the order costs k // 2 products (q_k has degree
+    # k // 2) and past the order none is left; a seed one term short gives
+    # the same series with one more term's products, which only this catches
+    products = []
+
+    def counting(a, b):
+        products.append(None)
+        return a * b
+
+    monkeypatch.setattr(series_module, "mul", counting)
+    for k, order in [(k, order) for order in range(61) for k in range(order + 4)] + [(1999, 2000)]:
+        products.clear()
+        r_series(k, order)
+        assert len(products) <= max(order - k + 1, 0) * (k // 2), (k, order)
+    assert len(products) == 1998  # (1999, 2000): the two terms x^1999 and x^2000
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_r_series_matches_step_iteration(k):
     # independent route: iterate R -> 1/(1 - x*R) from 0, k times
@@ -82,8 +125,7 @@ def band_walk_series(k, order):
 def test_band_walk_equals_the_ratio_at_order_1000(k):
     # unclamped on both sides: at k >= 1001 the band is wider than any path
     order = 1000
-    by_ratio = Series.from_coeffs(q_poly(k - 1), order) / Series.from_coeffs(q_poly(k), order)
-    assert band_walk_series(k, order) == by_ratio
+    assert band_walk_series(k, order) == full_division(k, order)
 
 
 def test_a_wrong_walk_count_fails_the_check(monkeypatch):
@@ -113,8 +155,10 @@ def test_a_wrong_walk_count_fails_the_check_above_the_order(monkeypatch, order):
 
 
 def test_a_wrong_polynomial_fails_the_check(monkeypatch):
-    real = chebyshev.q_poly
-    monkeypatch.setattr(chebyshev, "q_poly", lambda k: real(k) + (1,) if k == 4 else real(k))
+    # _q_coeffs is the one source of q_k's coefficients, read by the seeded
+    # quotient through q_poly; an extra x^3 term in q_4 must be caught
+    real = chebyshev._q_coeffs
+    monkeypatch.setattr(chebyshev, "_q_coeffs", lambda k, top: (*real(k, top), 1) if k == 4 else real(k, top))
     with pytest.raises(InvariantError, match=r"^bounded-height series routes disagree at k=4$"):
         r_series(4, 10)
     assert r_series(3, 10) == Series.from_coeffs([1, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512], 10)
@@ -175,7 +219,7 @@ def test_unreachable_heights_match_the_unclamped_formulas(order):
     # above the order the ratio is C; the formulas written out in full must
     # give the same series
     for k in range(order + 1, order + 5):
-        by_ratio = Series.from_coeffs(q_poly(k - 1), order) / Series.from_coeffs(q_poly(k), order)
+        by_ratio = full_division(k, order)
         iterated = Series.zero(order)
         for _ in range(k):
             iterated = (1 - iterated.shift(1)).reciprocal()
@@ -194,17 +238,22 @@ def test_r_series_refuses_a_negative_order_by_its_name(k):
 
 
 def test_unreachable_heights_ask_for_no_high_polynomial(monkeypatch):
+    # every coefficient of every q_k is a binomial C(k - i, i); the spy logs
+    # each one asked for as (k, i)
     asked = []
-    real = chebyshev.q_poly
+    real = chebyshev.comb
 
-    def spy(k):
-        asked.append(k)
-        return real(k)
+    def spy(n, i):
+        asked.append((n + i, i))
+        return real(n, i)
 
-    monkeypatch.setattr(chebyshev, "q_poly", spy)
+    monkeypatch.setattr(chebyshev, "comb", spy)
     assert f_series_t(2000, 5) == Series.zero(5)
     assert r_series(500, 5) == r_series(6, 5) == catalan_series(5)
     assert u_inv_sq_series(500, 5) == Series.zero(5)
-    assert not asked  # above the order, r_series reads C and asks for no polynomial
+    # above the order the seed is all of C and no term is left to compute,
+    # so no more than q_k's constant term may be asked for
+    assert all(i == 0 for _, i in asked), asked
+    asked.clear()
     assert r_series(5, 5) != catalan_series(5)  # one path of semilength 5 reaches height 5
-    assert asked and max(asked) <= 6
+    assert sorted(asked) == [(5, 0), (5, 1), (5, 2)]  # q_5 in full, and nothing above it

@@ -8,7 +8,7 @@ import pytest
 from test_series import _FractionForbidden
 
 import dyckpeaks.series as series_module
-from dyckpeaks import gfcount
+from dyckpeaks import chebyshev, gfcount
 from dyckpeaks.cfrac import peak_bivar_cfrac
 from dyckpeaks.chebyshev import q_poly, r_series, u_inv_sq_series
 from dyckpeaks.gfcount import (
@@ -455,15 +455,16 @@ def test_direct_slice_divides_in_the_integers(monkeypatch):
     # heights j >= 0 (valleys at k >= 0, peaks at k >= 2) and 2^(r+1) at
     # j = -1 (peaks at height 1); peaks at height 0 divide by nothing. Every
     # quotient is integral, so no Fraction is created. The slice divides
-    # through gfcount's _quotient, the ratio check through Series's.
+    # through gfcount's _quotient, the ratio check's seeded quotient through
+    # chebyshev's.
     constants = []
     real = series_module._quotient
 
-    def spy(num, den, divide):
+    def spy(num, den, *rest):
         constants.append(den[0])
-        return real(num, den, divide)
+        return real(num, den, *rest)
 
-    monkeypatch.setattr(series_module, "_quotient", spy)
+    monkeypatch.setattr(chebyshev, "_quotient", spy)
     monkeypatch.setattr(gfcount, "_quotient", spy)
     monkeypatch.setattr(series_module, "Fraction", _FractionForbidden)
     for kind in StatKind:

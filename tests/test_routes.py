@@ -131,9 +131,10 @@ def test_the_known_cross_route_edges_are_named():
 
 
 def test_the_two_bounded_height_routes_share_nothing():
-    # r_series compares q_poly division with the band walk
+    # r_series compares a quotient by q_k, seeded with C's first k
+    # coefficients, with the band walk
     walk = reached(["paths._band_walk"])
-    division = reached(["chebyshev.q_poly", "series.Series.from_coeffs", "series.Series.__truediv__"])
+    division = reached(["chebyshev.q_poly", "chebyshev._q_coeffs", "series._quotient", "series.catalan_series"])
     assert walk == {"paths._band_walk"}
     assert not walk & division
 

@@ -758,6 +758,31 @@ def test_quotient_kernel_matches_the_dense_recurrence(num, cb, c0):
     assert list(map(type, map(series_module._normalize, out))) == list(map(type, expected))
 
 
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(-50, 50), st.fractions(min_value=-5, max_value=5, max_denominator=7)),
+        min_size=1,
+        max_size=25,
+    ),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=8),
+    st.sampled_from([1, -1, 2, -3]),
+    st.data(),
+)
+def test_quotient_kernel_reads_an_unpadded_divisor_and_continues_a_seed(num, cb, c0, data):
+    # the quotient's length is the numerator's: a divisor shorter than it,
+    # passed as it is, gives what the zero-padded divisor gives; and a seed
+    # that is the true prefix is continued to the unseeded result
+    den = [c0] + cb[1 : len(num)]
+    padded = den + [0] * (len(num) - len(den))
+    divide = series_module._constant_divider(c0)
+    unseeded = series_module._quotient(num, padded, divide)
+    assert unseeded == dense_quotient(num, padded)
+    assert series_module._quotient(num, den, divide) == unseeded
+    seed = tuple(unseeded[: data.draw(st.integers(0, len(num)), label="seed length")])
+    assert series_module._quotient(num, den, divide, seed) == unseeded
+
+
 def test_division_by_a_zero_constant_raises():
     with pytest.raises(NonInvertibleError):
         Series.one(3) / Series.from_coeffs([0, 1], 3)
