@@ -32,10 +32,11 @@ K_2/K_1 = (p + q*C)/N with polynomials N, p and q (see
 splits there: the levels above the mark run once, as univariate
 continuants, and the mark level joins the two starts to them by
 univariate products, one z-coefficient of N or p at a time; q is
-x^(k-1). Its value costs one division by N: O(z_order*x_order*k)
-big-integer operations in place of the O(z_order*x_order^2) of dense
-continuants. ``peak_bivar_cfrac(4, 1000, 2)`` takes 0.006 s (0.7 s densely)
-on a 2-CPU host under CPython 3.11.
+x^(k-1). At z = 1 the fraction is C, so N(1) = x^(k-1), and the division
+by N needs one product by N_2 and one quotient by N_0 per z-level, on int
+lists: O(z_order*x_order*k) big-integer operations in place of the
+O(z_order*x_order^2) of dense continuants. ``peak_bivar_cfrac(4, 1000, 2)``
+takes 4.6 ms (0.78 s densely) on a 2-CPU host under CPython 3.11.
 
 Every fraction the library builds itself is one marked fraction: all
 down-steps weigh x, except the peak down-step at the innermost level k,
@@ -57,9 +58,20 @@ power of x cancels from its N to leave an invertible constant term.
 from __future__ import annotations
 
 import re
+from operator import add, sub
 
 from .chebyshev import r_series
-from .series import BivarSeries, InvariantError, NonInvertibleError, Series, _Frozen, catalan_series
+from .series import (
+    BivarSeries,
+    InvariantError,
+    NonInvertibleError,
+    Series,
+    _constant_divider,
+    _Frozen,
+    _product,
+    _quotient,
+    catalan_series,
+)
 
 
 class WeightSpec(_Frozen):
@@ -116,19 +128,35 @@ def _marked_fraction(depth: int, mark: BivarSeries, tail: BivarSeries) -> BivarS
     return rv_cfrac(WeightSpec((x,) * depth, (x,) * (depth - 1) + (mark,), depth, tail), tail.x_order, tail.z_order)
 
 
-def _bounded_polynomial(terms: tuple[Series, ...], degree: int, z_order: int, x_order: int) -> BivarSeries:
-    """The polynomial with z-coefficients ``terms`` (cut to ``z_order``, zero
-    past the last) at the given orders, for terms of x-degree at most
-    ``degree`` carried at a higher x-order.
+def _peak_polynomials(k: int) -> tuple[list[list[int]], list[list[int]]]:
+    """N and p of the peak fraction (p + x^(k-1)*C)/N at height k >= 1, as
+    their z^0, z^1 and z^2 coefficients: exact int lists of x-degree at
+    most k, k + 1 entries each. :func:`peak_bivar_cfrac` derives them.
 
-    Raises :class:`InvariantError` if a coefficient above x^degree is
-    nonzero, so that padding to ``x_order`` drops no nonzero coefficient.
+    They are built from the z-coefficients of gamma, alpha_1 and alpha_2 as
+    univariate Series at x-order k + 2, where every product is exact and two
+    coefficients past the bound are seen. Raises :class:`InvariantError` if
+    one of those is nonzero, or, naming k, if the fraction does not reduce
+    to C at z = 1: no peak is marked there, so N(1) = x^(k-1), which is
+    q = D_1, and p(1) = 0. The division reads N_1 only through N(1), and
+    this check keeps it under test.
     """
-    if any(any(e.coeffs[degree + 1 :]) for e in terms):
-        raise InvariantError(f"the peak fraction's N or p exceeds x-degree {degree}")
-    entries = [Series.from_coeffs(e.coeffs, x_order) for e in terms[: z_order + 1]]
-    entries += [Series.zero(x_order)] * (z_order + 1 - len(terms))
-    return BivarSeries(z_order, x_order, entries)
+    small_x = k + 2
+    plain = (Series.monomial(1, 1, small_x),) * (k - 1)  # lambda = mu = x, one object
+    a_1, a_2 = Series.one(small_x), Series.zero(small_x)
+    if k > 1:
+        *_, (_, a_1, a_2) = _continuants(plain, plain, a_1, a_2)
+    # the z^0 and z^1 coefficients of gamma, alpha_1 and alpha_2
+    gamma_0, gamma_1 = a_1 - a_2, -a_1
+    alpha_10, alpha_11 = a_1 + gamma_0.shift(1), gamma_1.shift(1)
+    alpha_20, alpha_21 = a_1 + a_2.shift(1), -a_2.shift(1)
+    norm = (alpha_10 * gamma_0 + a_1 * a_1, alpha_10 * gamma_1 + alpha_11 * gamma_0, alpha_11 * gamma_1)
+    p = (alpha_20 * gamma_0 + a_1 * a_2, alpha_20 * gamma_1 + alpha_21 * gamma_0, alpha_21 * gamma_1)
+    if any(any(e.coeffs[k + 1 :]) for e in norm + p):
+        raise InvariantError(f"the peak fraction's N or p exceeds x-degree {k}")
+    if sum(norm) != Series.monomial(1, k - 1, small_x) or sum(p):
+        raise InvariantError(f"the peak fraction at k={k} is not C at z = 1")
+    return [list(e.coeffs[: k + 1]) for e in norm], [list(e.coeffs[: k + 1]) for e in p]
 
 
 def catalan_cfrac(depth: int, order: int) -> Series:
@@ -182,33 +210,40 @@ def peak_bivar_cfrac(k: int, x_order: int, z_order: int) -> BivarSeries:
     gamma_1 = -A_1, so alpha_10 = A_1 + x*gamma_0, alpha_11 = x*gamma_1,
     alpha_20 = A_1 + x*A_2 and alpha_21 = -x*A_2; then
     N_0 = alpha_10*gamma_0 + A_1^2, N_1 = alpha_10*gamma_1 + alpha_11*gamma_0,
-    N_2 = alpha_11*gamma_1, and p likewise. Each is a tuple of its
-    z-coefficients, built at x-order k + 2, where every product is exact
-    and two coefficients past the bound are seen: :func:`_bounded_polynomial`
-    checks the bound, cuts them to ``z_order`` and pads them to ``x_order``.
-    What remains is C shifted by k - 1 in the numerator's z^0 entry and one
-    bivariate division by N: O(z_order*x_order*k) big-integer operations
-    where the dense continuants cost O(z_order*x_order^2).
+    N_2 = alpha_11*gamma_1, and p likewise (:func:`_peak_polynomials`).
+
+    The division needs no N_1. At z = 1 no peak is marked and the fraction
+    is C, so N(1) = q = x^(k-1) and p(1) = 0, and
+
+        N = (1 - z)*(N_0 - z*N_2) + z*x^(k-1).
+
+    With out_i the z^i slice and d_i = out_i - out_(i-1) (out_(-1) = 0),
+    comparing z^i coefficients of N*out = p + x^(k-1)*C gives
+
+        N_0*d_i = p_i + N_2*d_(i-1) - x^(k-1)*out_(i-1)   (i >= 1),
+
+    and N_0*out_0 = p_0 + x^(k-1)*C. So each z-level is one product by N_2,
+    a shift, and one quotient by N_0 on int lists, and its slice becomes a
+    Series once: O(z_order*x_order*k) big-integer operations, where the
+    dense continuants cost O(z_order*x_order^2).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    small_x = k + 2
-    plain = (Series.monomial(1, 1, small_x),) * (k - 1)  # lambda = mu = x, one object
-    a_1, a_2 = Series.one(small_x), Series.zero(small_x)
-    if k > 1:
-        *_, (_, a_1, a_2) = _continuants(plain, plain, a_1, a_2)
-    # the z^0 and z^1 coefficients of gamma, alpha_1 and alpha_2
-    gamma_0, gamma_1 = a_1 - a_2, -a_1
-    alpha_10, alpha_11 = a_1 + gamma_0.shift(1), gamma_1.shift(1)
-    alpha_20, alpha_21 = a_1 + a_2.shift(1), -a_2.shift(1)
-    norm, p = (
-        _bounded_polynomial(terms, k, z_order, x_order)
-        for terms in (
-            (alpha_10 * gamma_0 + a_1 * a_1, alpha_10 * gamma_1 + alpha_11 * gamma_0, alpha_11 * gamma_1),
-            (alpha_20 * gamma_0 + a_1 * a_2, alpha_20 * gamma_1 + alpha_21 * gamma_0, alpha_21 * gamma_1),
-        )
-    )
-    return (p + catalan_series(x_order).shift(k - 1)) / norm
+    (n_0, _, n_2), p = _peak_polynomials(k)
+    divide = _constant_divider(n_0[0])
+    num = list(catalan_series(x_order).shift(k - 1).coeffs)
+    num[: k + 1] = map(add, num, p[0])
+    d = out = _quotient(num, n_0, divide)
+    entries = [Series(x_order, out)]
+    for i in range(1, z_order + 1):
+        rhs = _product(n_2, d, 0, x_order + 1)  # N_2*d_(i-1)
+        rhs[k - 1 :] = map(sub, rhs[k - 1 :], out)  # - x^(k-1)*out_(i-1)
+        if i <= 2:  # + p_i, which is zero above z^2
+            rhs[: k + 1] = map(add, rhs, p[i])
+        d = _quotient(rhs, n_0, divide)
+        out = list(map(add, out, d))
+        entries.append(Series(x_order, out))
+    return BivarSeries(z_order, x_order, entries)
 
 
 def lemma_rhs(k: int, a: Series, x_order: int, z_order: int) -> BivarSeries:

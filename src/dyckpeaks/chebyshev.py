@@ -6,7 +6,8 @@ second-kind Chebyshev polynomials, chosen so that the half-integer powers of
 x that U_k would otherwise drag in cancel structurally: every quantity below
 is an honest integer-coefficient object. The recurrence defines q_k and the
 tests check it; q_k itself is computed from its explicit coefficients,
-(-1)^i * C(k - i, i) at x^i. Three families are derived from it:
+(-1)^i * C(k - i, i) at x^i, each from the one before by an exact ratio.
+Three families are derived from it:
 
 * ``r_series(k)``: the ratio R_k = q_{k-1}/q_k, whose n-th coefficient
   counts Dyck paths of semilength n with maximum height at most k - 1, in
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import islice
-from math import comb
 
 from .paths import _band_walk
 from .series import InvariantError, Series, _constant_divider, _quotient, catalan_series
@@ -39,9 +39,15 @@ from .series import InvariantError, Series, _constant_divider, _quotient, catala
 
 def _q_coeffs(k: int, top: int) -> Iterator[int]:
     """The coefficients of q_k up to degree ``top``: entry i is
-    (-1)^i * C(k - i, i) for i <= min(k // 2, top), so a cut q_k computes
-    no binomial above its cut."""
-    return ((-1) ** i * comb(k - i, i) for i in range(min(k // 2, top) + 1))
+    c_i = (-1)^i * C(k - i, i) for i <= min(k // 2, top), each from the one
+    before by the exact ratio
+    c_i = -c_(i-1) * (k - 2i + 2)*(k - 2i + 1) / (i*(k - i + 1)): one
+    product and one exact division per coefficient, and none above the cut."""
+    c = 1
+    for i in range(min(k // 2, top) + 1):
+        if i:
+            c = -c * ((k - 2 * i + 2) * (k - 2 * i + 1)) // (i * (k - i + 1))
+        yield c
 
 
 def q_poly(k: int) -> tuple[int, ...]:

@@ -21,6 +21,7 @@ import pytest
 from dyckpeaks.cfrac import peak_bivar_cfrac
 from dyckpeaks.gfcount import stat_family, stat_gf
 from dyckpeaks.paths import StatKind, _dp_distribution, _turn, count_exact_dp
+from dyckpeaks.series import catalan_series
 from dyckpeaks.verify import _swaps_hold, _sweep
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,6 +105,15 @@ def test_continued_fraction_equals_the_dp_at_n_3000(k, r):
     # unmarked level, one), k = 9 lies one past the deepest height (8) that
     # deep-count asks the fraction for, and k = 40 runs 39 unmarked levels
     assert peak_bivar_cfrac(k, 3000, r).z_slice(r).coefficient(3000) == count_exact_dp(3000, k, r, StatKind.PEAK)
+
+
+@pytest.mark.parametrize("k", [1, 4, 9])
+def test_peak_fraction_equals_the_family_over_301_z_levels(k):
+    # the fraction's division forms each z-slice as the running sum
+    # out_i = out_(i-1) + d_i, so a drift in the sums shows at high z
+    marked = peak_bivar_cfrac(k, 300, 300)
+    assert tuple(marked.z_slice(r) for r in range(301)) == stat_family(StatKind.PEAK, k, 300, 300)
+    assert marked.subs_z_one() == catalan_series(300)
 
 
 def test_single_count_routes_agree_at_n_400():

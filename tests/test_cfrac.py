@@ -1,5 +1,7 @@
 """Tests for weighted continued-fraction evaluation."""
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,32 +157,47 @@ def test_peak_bivar_cfrac_runs_the_unmarked_levels_once_without_z(monkeypatch, k
     assert runs == ([] if k == 1 else [(k - 1, {Series})])
 
 
+def mutate_peak_polynomials(monkeypatch, old, new):
+    """Install a copy of ``cfrac._peak_polynomials`` whose source has the
+    one occurrence of ``old`` replaced by ``new``."""
+    source = inspect.getsource(cfrac_module._peak_polynomials)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(cfrac_module))
+    exec(compile(source.replace(old, new), cfrac_module.__file__, "exec"), namespace)
+    monkeypatch.setattr(cfrac_module, "_peak_polynomials", namespace["_peak_polynomials"])
+
+
 @pytest.mark.parametrize("extra_power, message", [(7, "exceeds x-degree 6"), (8, "exceeds x-degree 6")])
 def test_peak_bivar_cfrac_checks_the_norm_polynomials(monkeypatch, extra_power, message):
     # N and p are carried at x-order k + 2, two coefficients past their
     # degree bound k; a nonzero one there must raise rather than be dropped
-    bounded = cfrac_module._bounded_polynomial
-
-    def corrupted(terms, degree, z_order, x_order):
-        bumped = terms[0] + Series.monomial(1, extra_power, terms[0].order)  # the z^0 coefficient
-        return bounded((bumped, *terms[1:]), degree, z_order, x_order)
-
-    monkeypatch.setattr(cfrac_module, "_bounded_polynomial", corrupted)
+    z0 = "alpha_10 * gamma_0 + a_1 * a_1"
+    mutate_peak_polynomials(monkeypatch, f"{z0},", f"{z0} + Series.monomial(1, {extra_power}, small_x),")
     with pytest.raises(InvariantError, match=message):
         peak_bivar_cfrac(6, 20, 3)
+
+
+@pytest.mark.parametrize("k", [1, 2, 6])
+def test_peak_bivar_cfrac_checks_the_fraction_at_z_1(monkeypatch, k):
+    # the division reads N_1 only through N(1) = x^(k-1); a wrong z^1
+    # coefficient of N, inside the degree bound, must raise and name k
+    z1 = "alpha_10 * gamma_1 + alpha_11 * gamma_0"
+    mutate_peak_polynomials(monkeypatch, f"{z1},", f"{z1} + Series.monomial(1, 1, small_x),")
+    with pytest.raises(InvariantError, match=f"^the peak fraction at k={k} is not C at z = 1$"):
+        peak_bivar_cfrac(k, 20, 3)
 
 
 def test_peak_bivar_cfrac_numerator_weight_is_a_power_of_x(monkeypatch):
     # q = A_1^2 - A_1*A_2 + x*A_2^2 is x^(k-1), as D_j = x*D_{j+1} and
     # D_k = 1, so the fraction forms no q; and the norm's constant term
     # N(0, 0) is 2 at k = 1 and 1 for k >= 2
-    built, bounded = [], cfrac_module._bounded_polynomial
+    built, polynomials = [], cfrac_module._peak_polynomials
 
     def recorded(*args):
-        built.append(bounded(*args))
+        built.append(polynomials(*args))
         return built[-1]
 
-    monkeypatch.setattr(cfrac_module, "_bounded_polynomial", recorded)
+    monkeypatch.setattr(cfrac_module, "_peak_polynomials", recorded)
     for k in range(1, 41):
         order = k + 2
         plain = (Series.monomial(1, 1, order),) * (k - 1)
@@ -190,8 +207,61 @@ def test_peak_bivar_cfrac_numerator_weight_is_a_power_of_x(monkeypatch):
         assert a_1 * a_1 - a_1 * a_2 + (a_2 * a_2).shift(1) == Series.monomial(1, k - 1, order), k
         built.clear()
         peak_bivar_cfrac(k, 3, 2)
-        norm = built[0]
-        assert norm.entries[0].coeffs[0] == (2 if k == 1 else 1), k
+        norm, _ = built[0]
+        assert norm[0][0] == (2 if k == 1 else 1), k
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_the_peak_polynomials_reduce_to_c_at_z_1(k):
+    # the division rests on N(1) = x^(k-1) and p(1) = 0; N_2 = x*A_1^2 and
+    # N_0(0) = 2 at k = 1, 1 above
+    order = k + 2
+    plain = (Series.monomial(1, 1, order),) * (k - 1)
+    a_1 = Series.one(order)
+    for _, a_1, _ in cfrac_module._continuants(plain, plain, a_1, Series.zero(order)):
+        pass
+    norm, p = cfrac_module._peak_polynomials(k)
+    assert [len(e) for e in norm + p] == [k + 1] * 6
+    assert list(map(sum, zip(*norm))) == [0] * (k - 1) + [1, 0]
+    assert list(map(sum, zip(*p))) == [0] * (k + 1)
+    assert Series.from_coeffs(norm[2], order) == (a_1 * a_1).shift(1)
+    assert norm[0][0] == (2 if k == 1 else 1)
+
+
+def test_the_peak_division_keeps_to_its_operation_budget(monkeypatch):
+    # per z-level one product by N_2 and one quotient by N_0: at most
+    # deg(N_2)*z_order*(x_order + 1) product pairs and
+    # deg(N_0)*(z_order + 1)*(x_order + 1) quotient products; the spies count
+    # the division alone, with N and p built beforehand
+    counts = {"pairs": 0, "products": 0}
+    real_product, real_mul, polynomials = series_module._product, series_module.mul, cfrac_module._peak_polynomials
+
+    def product_spy(a, b, zero, n=None):
+        n = min(len(a), len(b)) if n is None else n
+        counts["pairs"] += sum(1 for i in range(min(n, len(a))) if a[i] for j in range(min(n - i, len(b))) if b[j])
+        return real_product(a, b, zero, n)
+
+    def mul_spy(u, v):
+        counts["products"] += 1
+        return real_mul(u, v)
+
+    def degree(poly):
+        return max(i for i, c in enumerate(poly) if c)
+
+    monkeypatch.setattr(series_module, "_product", product_spy)
+    monkeypatch.setattr(cfrac_module, "_product", product_spy)
+    monkeypatch.setattr(series_module, "mul", mul_spy)
+    for k in range(1, 13):
+        built = polynomials(k)
+        monkeypatch.setattr(cfrac_module, "_peak_polynomials", lambda _, built=built: built)
+        norm, _ = built
+        for x_order in (0, 1, 7, 30, 60):
+            for z_order in (0, 1, 2, 6):
+                counts.update(pairs=0, products=0)
+                peak_bivar_cfrac(k, x_order, z_order)
+                assert counts["pairs"] <= degree(norm[2]) * z_order * (x_order + 1), (k, x_order, z_order)
+                assert counts["products"] <= degree(norm[0]) * (z_order + 1) * (x_order + 1), (k, x_order, z_order)
+    assert counts["pairs"] and counts["products"]  # the spies see the division
 
 
 def test_peak_bivar_cfrac_at_height_1_stays_in_the_integers(monkeypatch):

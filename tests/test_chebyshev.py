@@ -2,6 +2,7 @@
 
 import json
 from itertools import islice, zip_longest
+from math import comb
 
 import pytest
 
@@ -28,6 +29,16 @@ def test_q_poly_satisfies_the_defining_recurrence_to_k_301():
         shifted = (0,) + q_poly(k - 1)
         expected = tuple(a - b for a, b in zip_longest(q_poly(k), shifted, fillvalue=0))
         assert q_poly(k + 1) == expected, k
+
+
+def test_every_coefficient_is_its_binomial_to_k_300():
+    # _q_coeffs steps from one coefficient to the next by an exact ratio;
+    # each must still be (-1)^i * C(k - i, i), at every cut
+    for k in range(301):
+        full = [(-1) ** i * comb(k - i, i) for i in range(k // 2 + 1)]
+        assert list(chebyshev._q_coeffs(k, k // 2)) == full, k
+        for top in (-1, 0, 1, k // 3, k):
+            assert list(chebyshev._q_coeffs(k, top)) == full[: top + 1], (k, top)
 
 
 @pytest.mark.parametrize("k", range(13))
@@ -238,16 +249,17 @@ def test_r_series_refuses_a_negative_order_by_its_name(k):
 
 
 def test_unreachable_heights_ask_for_no_high_polynomial(monkeypatch):
-    # every coefficient of every q_k is a binomial C(k - i, i); the spy logs
-    # each one asked for as (k, i)
+    # every coefficient of every q_k comes from _q_coeffs; the spy logs
+    # each one it yields as (k, i)
     asked = []
-    real = chebyshev.comb
+    real = chebyshev._q_coeffs
 
-    def spy(n, i):
-        asked.append((n + i, i))
-        return real(n, i)
+    def spy(k, top):
+        for i, c in enumerate(real(k, top)):
+            asked.append((k, i))
+            yield c
 
-    monkeypatch.setattr(chebyshev, "comb", spy)
+    monkeypatch.setattr(chebyshev, "_q_coeffs", spy)
     assert f_series_t(2000, 5) == Series.zero(5)
     assert r_series(500, 5) == r_series(6, 5) == catalan_series(5)
     assert u_inv_sq_series(500, 5) == Series.zero(5)

@@ -181,13 +181,17 @@ def test_band_polynomials_are_exact_int_lists_cut_at_top(top):
 
 
 def test_a_cut_band_computes_no_binomial_above_its_cut(monkeypatch):
-    # u = q_1991 and q_1990 keep 10 coefficients each at top 9: 20 binomials,
-    # not the 1991 of the whole polynomials
-    from dyckpeaks import chebyshev
-
+    # u = q_1991 and q_1990 keep 10 coefficients each at top 9: 20
+    # coefficients, not the 1991 of the whole polynomials
     calls = []
-    real = chebyshev.comb
-    monkeypatch.setattr(chebyshev, "comb", lambda n, i: calls.append(n) or real(n, i))
+    real = gfcount._q_coeffs
+
+    def spy(k, top):
+        for c in real(k, top):
+            calls.append(k)
+            yield c
+
+    monkeypatch.setattr(gfcount, "_q_coeffs", spy)
     u, e, m = gfcount._band(1990, 9)
     assert len(calls) <= 20
     assert len(u) == 10 and u == list(q_poly(1991)[:10])

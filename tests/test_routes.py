@@ -143,5 +143,5 @@ def test_the_peak_fraction_reads_no_band_formula():
     # verify's cfrac section compares the fraction with the band formula,
     # so the fraction must derive its continuants without it
     fraction = reached(["cfrac.peak_bivar_cfrac"])
-    assert {"cfrac._continuants", "cfrac._bounded_polynomial", "series.catalan_series"} <= fraction
+    assert {"cfrac._continuants", "cfrac._peak_polynomials", "series.catalan_series"} <= fraction
     assert not fraction & {"chebyshev.q_poly", "chebyshev.r_series", "gfcount._band"}

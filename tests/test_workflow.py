@@ -14,5 +14,5 @@ def test_ci_runs_every_large_check_once():
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
     named = re.findall(r"tests/large_checks\.py::(\w+)", workflow)
     bounded = re.findall(r"run: timeout 300 python -B -m pytest -q tests/large_checks\.py::(\w+) --durations=0\n", workflow)
-    assert len(checks) == 13  # one per step after tier-1: a check dropped from both sides fails here
+    assert len(checks) == 14  # one per step after tier-1: a check dropped from both sides fails here
     assert sorted(named) == sorted(bounded) == sorted(checks)
